@@ -12,7 +12,6 @@ from .harness import (
     gen_zipf_stream,
     read_stream,
     read_trace,
-    run_simulation,
     simulate,
     write_stream,
     write_trace,
@@ -33,7 +32,6 @@ from .protocol import (
     Message,
     SiteState,
     ThresholdInstance,
-    coord_on_message,
     site_on_update,
 )
 from .sampling import PublicCoin, derive, level_of, mix64
@@ -52,7 +50,6 @@ __all__ = [
     "ThresholdInstance",
     "TraceRow",
     "apply_update",
-    "coord_on_message",
     "derive",
     "exact_entropy",
     "exact_f0",
@@ -65,7 +62,6 @@ __all__ = [
     "mix64",
     "read_stream",
     "read_trace",
-    "run_simulation",
     "simulate",
     "site_on_update",
     "write_stream",

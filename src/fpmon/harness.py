@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 from .monitor import Monitor
 from .oracles import fp_power
-from .protocol import GlobalParams, ThresholdInstance, fanout
+# fanout is not called here; bench/tracing.py patches it as a harness global
+from .protocol import GlobalParams, fanout  # noqa: F401
 from .sampling import SALT_STREAM, derive, event_key
 
 TRACE_HEADER = "t,true_fp,estimate,cum_messages,cum_bits,fired_instances"
@@ -125,24 +126,25 @@ def read_trace(path: str) -> tuple[dict[str, str], list[TraceRow]]:
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     body = []
-    for line in lines:
+    for i, line in enumerate(lines, start=1):
         if line.startswith("#"):
             text = line[1:].strip()
             if "=" in text:
                 key, val = text.split("=", 1)
                 provenance[key.strip()] = val
         elif line:
-            body.append(line)
-    if not body or body[0] != TRACE_HEADER:
+            body.append((i, line))
+    if not body or body[0][1] != TRACE_HEADER:
         raise ValueError(f"{path}: missing trace header")
-    for line in body[1:]:
+    for i, line in body[1:]:
         f = line.split(",")
         if len(f) != 6:
-            raise ValueError(f"{path}: bad trace row {line!r}")
-        rows.append(
-            TraceRow(int(f[0]), float(f[1]), float(f[2]), int(f[3]), int(f[4]),
-                     int(f[5]))
-        )
+            raise ValueError(f"{path}: line {i}: expected 6 fields, got {line!r}")
+        try:
+            rows.append(TraceRow(int(f[0]), float(f[1]), float(f[2]), int(f[3]),
+                                 int(f[4]), int(f[5])))
+        except ValueError:
+            raise ValueError(f"{path}: line {i}: non-numeric field in {line!r}")
     return provenance, rows
 
 
@@ -194,20 +196,16 @@ def params_provenance(params: GlobalParams, mode: str) -> dict[str, object]:
     }
 
 
-def run_simulation(events: list[StreamEvent], params: GlobalParams,
-                   mode: str = "threshold", stride: int = 1) -> list[TraceRow]:
-    """Drive a stream through a single threshold instance or the full
-    monitor ladder; returns the recorded trace rows."""
-    rows, _ = simulate(events, params, mode=mode, stride=stride)
-    return rows
-
-
 def simulate(events: list[StreamEvent], params: GlobalParams,
              mode: str = "threshold",
              stride: int = 1) -> tuple[list[TraceRow], object]:
-    """Like run_simulation, additionally returning the final protocol state
-    (the ThresholdInstance or Monitor). Records one TraceRow per event whose
+    """Drive a stream through the protocol; returns the recorded trace rows
+    and the final protocol state. Records one TraceRow per event whose
     position is a multiple of stride, plus the final event.
+
+    Both modes run one engine, a Monitor: the full ladder in monitor mode,
+    and in threshold mode the one-rung, one-copy ladder at params.tau, whose
+    copy (a ThresholdInstance) is the state returned.
 
     true_fp is maintained incrementally in exact arithmetic for integer p;
     estimate is the instance's class-weighted sum (threshold mode) or the
@@ -219,21 +217,19 @@ def simulate(events: list[StreamEvent], params: GlobalParams,
         raise ValueError(f"stride must be >= 1, got {stride}")
     validate_stream(events, params.m, params.k, params.n)
 
-    monitor: Optional[Monitor] = None
-    inst: Optional[ThresholdInstance] = None
-    if mode == "monitor":
-        monitor = Monitor(params)
-        msg_bits = monitor.message_bits
+    if mode == "threshold":
+        if params.tau is None:
+            raise ValueError("threshold tau is required")
+        monitor = Monitor(params, tau=params.tau)
+        estimate = monitor.copies[0].estimate
     else:
-        inst = ThresholdInstance(params)
-        msg_bits = params.message_bits()
+        monitor = Monitor(params)
+        estimate = monitor.estimate
 
     site_counts: list[dict[int, int]] = [dict() for _ in range(params.k)]
     agg: dict[int, int] = {}
-    int_p = float(params.p).is_integer()
     true_fp: float | int = 0
     cum_messages = 0
-    cum_bits = 0
     rows: list[TraceRow] = []
 
     last = len(events) - 1
@@ -245,34 +241,14 @@ def simulate(events: list[StreamEvent], params: GlobalParams,
         agg[ev.j] = c_agg
         true_fp += fp_power(c_agg, params.p) - fp_power(c_agg - 1, params.p)
 
-        ek = event_key(ev.site, ev.t)
-        if monitor is not None:
-            outcome = monitor.on_event(c_site, ev.j, ek)
-            n_msgs = outcome.messages
-            estimate = monitor.estimate()
-            fired = monitor.fired_count()
-        else:
-            assert inst is not None
-            if inst.terminated:
-                n_msgs = 0
-            else:
-                emit = fanout(inst.rows, None, c_site, ev.j, ek)
-                n_msgs = int(emit.size)
-                z_of, l_of = inst.rows.z_of, inst.rows.l_of
-                for f in emit.tolist():
-                    inst.apply(ev.j, int(z_of[f]), int(l_of[f]))
-            estimate = inst.estimate()
-            fired = inst.out
-        cum_messages += n_msgs
-        cum_bits += n_msgs * msg_bits
+        outcome = monitor.on_event(c_site, ev.j, event_key(ev.site, ev.t))
+        cum_messages += outcome.messages
 
         if pos % stride == 0 or pos == last:
-            rows.append(
-                TraceRow(ev.t, float(true_fp), float(estimate), cum_messages,
-                         cum_bits, fired)
-            )
-    state: object = monitor if monitor is not None else inst
-    return rows, state
+            rows.append(TraceRow(ev.t, float(true_fp), float(estimate()),
+                                 cum_messages, cum_messages * monitor.message_bits,
+                                 monitor.fired_count()))
+    return rows, (monitor.copies[0] if mode == "threshold" else monitor)
 
 
 def exact_fp_of_events(events: list[StreamEvent], p: float) -> float | int:

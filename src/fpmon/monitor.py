@@ -5,6 +5,9 @@ amplified by `a` independent copies with disjoint seed streams; an instance
 counts as fired once a strict majority of its copies has fired. The running
 estimate is the geometric midpoint of the bracket above the highest fired
 instance. Fired instances stop generating traffic; everything stays one-way.
+
+A single-threshold run is the one-rung, one-copy case of the same ladder,
+driven by the same event loop.
 """
 
 from __future__ import annotations
@@ -31,14 +34,21 @@ class Monitor:
     Copies share the site vectors; each (instance, copy) pair owns disjoint
     seed streams keyed by its indices. Message accounting includes messages
     that arrive after their copy terminated (they are delivered and dropped).
+
+    With tau given, the ladder is a single rung at tau with a single copy:
+    a threshold run. Its (0, 0) seeds are ThresholdInstance's defaults, so
+    copies[0] replays a standalone ThresholdInstance(params) exactly.
     """
 
-    def __init__(self, params: GlobalParams) -> None:
+    def __init__(self, params: GlobalParams, tau: float | None = None) -> None:
         self.params = params
-        self.n_instances = params.i_max + 1
-        self.a = params.a
+        if tau is None:
+            self.a = params.a
+            self.taus = [(1.0 + params.eps) ** i for i in range(params.i_max + 1)]
+        else:
+            self.a, self.taus = 1, [tau]
+        self.n_instances = len(self.taus)
         self.majority = self.a // 2 + 1
-        self.taus = [(1.0 + params.eps) ** i for i in range(self.n_instances)]
 
         self.copies: list[ThresholdInstance] = []
         pair_rows: list[FanRows] = []
@@ -61,6 +71,7 @@ class Monitor:
             np.arange(len(self.copies), dtype=np.int32), self.block
         )
         self.live = np.ones(self.rows.size, dtype=bool)
+        self.live_pairs = len(self.copies)
 
         self.fired_copies = [0] * self.n_instances
         self.instance_fired = [False] * self.n_instances
@@ -79,20 +90,24 @@ class Monitor:
 
     def _silence_pair(self, pair: int) -> None:
         lo = pair * self.block
-        self.live[lo : lo + self.block] = False
+        if self.live[lo]:
+            self.live[lo : lo + self.block] = False
+            self.live_pairs -= 1
 
     def on_event(self, count_after: int, j: int, ev: int) -> EventOutcome:
         """Run one site update against every live copy. Messages are
         delivered in flat canonical order; a copy that fires mid-event drops
         the rest of that event's messages addressed to it."""
+        if not self.live_pairs:
+            return EventOutcome(messages=0, newly_fired_instances=0)
         emit = fanout(self.rows, self.live, count_after, j, ev)
         newly_fired = 0
         if emit.size:
-            z_of, l_of, pair_of = self.rows.z_of, self.rows.l_of, self.pair_of
-            for f in emit.tolist():
-                pair = int(pair_of[f])
+            for pair, z, l in zip(self.pair_of[emit].tolist(),
+                                  self.rows.z_of[emit].tolist(),
+                                  self.rows.l_of[emit].tolist()):
                 inst = self.copies[pair]
-                if inst.apply(j, int(z_of[f]), int(l_of[f])):
+                if inst.apply(j, z, l):
                     self._silence_pair(pair)
                     i = pair // self.a
                     self.fired_copies[i] += 1

@@ -406,37 +406,24 @@ class ThresholdInstance:
 
         if self.params.literal_estimation:
             self.med, new_est = self._full_pass()
-            if new_est < self.est:
-                self.est_decreases += 1
-            self.est = new_est
-            if self.est > self.fire_line:
-                self.out = 1
-                self.terminated = True
-                return True
-            return False
-
-        h_new = self._bucket_of_count(l, c)
-        h_old = self._bucket_of_count(l, c - 1)
-        if h_old == h_new:
-            return False
-        changed = False
-        if self._readable(h_old, l):
-            changed |= self._hist_set(h_old, z, -1)
-        if self._readable(h_new, l):
-            changed |= self._hist_set(h_new, z, +1)
-        if changed:
+        else:
+            h_new = self._bucket_of_count(l, c)
+            h_old = self._bucket_of_count(l, c - 1)
+            if h_old == h_new:
+                return False
+            changed = False
+            if self._readable(h_old, l):
+                changed |= self._hist_set(h_old, z, -1)
+            if self._readable(h_new, l):
+                changed |= self._hist_set(h_new, z, +1)
+            if not changed:
+                return False
             new_est = float(np.dot(self.med, self.weight))
-            if new_est < self.est:
-                self.est_decreases += 1
-            self.est = new_est
-            if self.est > self.fire_line:
-                self.out = 1
-                self.terminated = True
-                return True
+        if new_est < self.est:
+            self.est_decreases += 1
+        self.est = new_est
+        if self.est > self.fire_line:
+            self.out = 1
+            self.terminated = True
+            return True
         return False
-
-
-def coord_on_message(inst: ThresholdInstance, msg: Message) -> ThresholdInstance:
-    """Deliver one message object to the coordinator; returns the instance."""
-    inst.apply(msg.j, msg.z, msg.l)
-    return inst

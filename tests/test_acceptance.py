@@ -31,7 +31,6 @@ from fpmon.harness import (
     gen_uniform_stream,
     gen_zipf_stream,
     params_provenance,
-    run_simulation,
     simulate,
     write_trace,
 )
@@ -69,7 +68,7 @@ def test_criterion_1_threshold_correctness():
         g = GlobalParams(k=8, m=4096, n=20000, p=2.0, eps=0.2, tau=tau,
                          b=128.0, r=25, seed=seed)
         events = gen_uniform_stream(4096, 8, 20000, seed=seed)
-        rows = run_simulation(events, g)
+        rows = simulate(events, g)[0]
         fire = next((r for r in rows if r.fired_instances == 1), None)
         crossing = next((r for r in rows if r.true_fp >= four_tau), None)
         never_early = fire is None or fire.true_fp >= lo

@@ -1,5 +1,7 @@
 """Simulator, stream/trace file formats, stream generators."""
 
+import re
+
 import pytest
 
 from fpmon.harness import (
@@ -12,7 +14,6 @@ from fpmon.harness import (
     params_provenance,
     read_stream,
     read_trace,
-    run_simulation,
     simulate,
     validate_stream,
     write_stream,
@@ -105,6 +106,24 @@ def test_trace_missing_header_rejected(tmp_path):
         read_trace(path)
 
 
+def test_trace_short_row_names_path_and_line(tmp_path):
+    path = str(tmp_path / "t.csv")
+    with open(path, "w") as fh:
+        fh.write(f"# seed=1\n{TRACE_HEADER}\n0,1,0,0,0,0\n1,2,0,0\n")
+    where = re.escape(f"{path}: line 4: ")
+    with pytest.raises(ValueError, match=where + r".*'1,2,0,0'"):
+        read_trace(path)
+
+
+def test_trace_non_numeric_field_names_path_and_line(tmp_path):
+    path = str(tmp_path / "t.csv")
+    with open(path, "w") as fh:
+        fh.write(f"{TRACE_HEADER}\n0,1,0,0,0,0\n\n2,4,0,x,0,0\n")
+    where = re.escape(f"{path}: line 4: ")
+    with pytest.raises(ValueError, match=where + r".*'2,4,0,x,0,0'"):
+        read_trace(path)
+
+
 # -- generators --------------------------------------------------------------
 
 
@@ -134,11 +153,11 @@ def test_zipf_stream_is_skewed():
 
 
 def test_empty_stream_produces_empty_trace():
-    assert run_simulation([], sim_params()) == []
+    assert simulate([], sim_params())[0] == []
 
 
 def test_single_event_trace():
-    rows = run_simulation([StreamEvent(0, 0, 7)], sim_params())
+    rows = simulate([StreamEvent(0, 0, 7)], sim_params())[0]
     assert len(rows) == 1
     assert rows[0].t == 0
     assert rows[0].true_fp == 1.0
@@ -148,7 +167,7 @@ def test_single_event_trace():
 def test_trace_true_fp_matches_oracle_at_checkpoints():
     g = sim_params()
     events = gen_uniform_stream(g.m, g.k, 1200, seed=11)
-    rows = run_simulation(events, g, stride=100)
+    rows = simulate(events, g, stride=100)[0]
     by_t = {row.t: row for row in rows}
     v = FreqVector(m=g.m)
     for pos, ev in enumerate(events):
@@ -163,7 +182,7 @@ def test_trace_true_fp_matches_oracle_at_checkpoints():
 def test_trace_monotonicity_invariants():
     g = sim_params()
     events = gen_uniform_stream(g.m, g.k, 1500, seed=13)
-    rows = run_simulation(events, g)
+    rows = simulate(events, g)[0]
     for a, b in zip(rows, rows[1:]):
         assert b.true_fp >= a.true_fp
         assert b.cum_messages >= a.cum_messages
@@ -202,8 +221,8 @@ def test_rerun_is_byte_identical(tmp_path):
     events = gen_uniform_stream(g1.m, g1.k, 800, seed=23)
     p1 = str(tmp_path / "a.csv")
     p2 = str(tmp_path / "b.csv")
-    write_trace(p1, run_simulation(events, g1), params_provenance(g1, "threshold"))
-    write_trace(p2, run_simulation(events, g2), params_provenance(g2, "threshold"))
+    write_trace(p1, simulate(events, g1)[0], params_provenance(g1, "threshold"))
+    write_trace(p2, simulate(events, g2)[0], params_provenance(g2, "threshold"))
     with open(p1, "rb") as fh:
         d1 = fh.read()
     with open(p2, "rb") as fh:
@@ -219,12 +238,14 @@ def test_simulate_validates_inputs():
         simulate([], g, stride=0)
     with pytest.raises(ValueError):
         simulate([StreamEvent(0, 99, 0)], g)
+    with pytest.raises(ValueError, match="tau"):
+        simulate([], sim_params(tau=None))  # threshold mode never runs the ladder
 
 
 def test_stride_records_every_kth_plus_final():
     g = sim_params()
     events = gen_uniform_stream(g.m, g.k, 100, seed=29)
-    rows = run_simulation(events, g, stride=30)
+    rows = simulate(events, g, stride=30)[0]
     assert [row.t for row in rows] == [0, 30, 60, 90, 99]
 
 

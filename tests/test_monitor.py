@@ -55,6 +55,35 @@ def test_estimate_starts_at_zero_then_tracks_highest_rung():
     assert saw_fire
 
 
+def with_site_counts(events, k: int):
+    """Yield (event, the site's count of ev.j after the event)."""
+    site_counts = [dict() for _ in range(k)]
+    for ev in events:
+        d = site_counts[ev.site]
+        d[ev.j] = d.get(ev.j, 0) + 1
+        yield ev, d[ev.j]
+
+
+def solo_step(solo: ThresholdInstance, c: int, ev) -> int:
+    """Deliver one site update to a standalone instance the way the monitor
+    does: same event key, nothing sent once it has terminated. Returns the
+    messages sent."""
+    if solo.terminated:
+        return 0
+    emit = fanout(solo.rows, None, c, ev.j, event_key(ev.site, ev.t))
+    for f in emit.tolist():
+        solo.apply(ev.j, int(solo.rows.z_of[f]), int(solo.rows.l_of[f]))
+    return int(emit.size)
+
+
+def assert_same_run(copy: ThresholdInstance, solo: ThresholdInstance) -> None:
+    assert copy.counts == solo.counts
+    assert copy.est == solo.est
+    assert copy.out == solo.out
+    assert copy.messages_received == solo.messages_received
+    assert copy.dropped == solo.dropped
+
+
 def test_amplified_copy_is_bit_identical_to_standalone_instance():
     # rung i of an a=1 monitor replays exactly as a ThresholdInstance built
     # with the same derived seed triple and the same event keys
@@ -71,21 +100,49 @@ def test_amplified_copy_is_bit_identical_to_standalone_instance():
             send_seed=derive(g.seed, SALT_INSTANCE, i, 0, 1),
             eta_seed=derive(g.seed, SALT_INSTANCE, i, 0, 2),
         )
-        site_counts = [dict() for _ in range(g.k)]
-        for ev in events:
-            d = site_counts[ev.site]
-            c = d.get(ev.j, 0) + 1
-            d[ev.j] = c
-            if solo.terminated:
-                continue
-            emit = fanout(solo.rows, None, c, ev.j, event_key(ev.site, ev.t))
-            for f in emit.tolist():
-                solo.apply(ev.j, int(solo.rows.z_of[f]), int(solo.rows.l_of[f]))
-        copy = mon.copies[i * mon.a]
-        assert copy.counts == solo.counts
-        assert copy.est == solo.est
-        assert copy.out == solo.out
-        assert copy.messages_received == solo.messages_received
+        for ev, c in with_site_counts(events, g.k):
+            solo_step(solo, c, ev)
+        assert_same_run(mon.copies[i * mon.a], solo)
+
+
+def test_one_rung_monitor_is_a_threshold_instance():
+    # Monitor(g, tau=T) is the threshold run: one rung at T with one copy,
+    # unamplified bits, and a copy that replays ThresholdInstance(g) with
+    # its default seeds, event for event
+    g = monitor_params(a=3, tau=2000.0)
+    mon = Monitor(g, tau=g.tau)
+    assert (mon.n_instances, mon.a, mon.majority) == (1, 1, 1)
+    assert mon.taus == [g.tau]
+    assert len(mon.copies) == 1
+    assert mon.message_bits == g.message_bits()
+    events = gen_uniform_stream(g.m, g.k, 600, seed=9)
+    solo = ThresholdInstance(g)
+    for ev, c in with_site_counts(events, g.k):
+        outcome = mon.on_event(c, ev.j, event_key(ev.site, ev.t))
+        assert outcome.messages == solo_step(solo, c, ev)
+        assert_same_run(mon.copies[0], solo)
+        assert mon.fired_count() == solo.out
+    assert solo.out == 1 and solo.dropped > 0  # the run crosses tau mid-event
+
+
+def test_silent_monitor_skips_fanout(monkeypatch):
+    # once every pair is silent, on_event sends nothing and never fans out
+    g = monitor_params(a=3)
+    mon = Monitor(g)
+    events = gen_uniform_stream(g.m, g.k, 800, seed=4)
+    drive(mon, events[:400])
+    block_live = [bool(mon.live[p * mon.block]) for p in range(len(mon.copies))]
+    assert 0 < mon.live_pairs == sum(block_live) < len(mon.copies)
+
+    one = Monitor(monitor_params(tau=50.0), tau=50.0)
+    drive(one, events)
+    assert one.copies[0].terminated and one.live_pairs == 0
+
+    def no_fanout(*args):
+        raise AssertionError("fanout called with no live pair")
+
+    monkeypatch.setattr("fpmon.monitor.fanout", no_fanout)
+    assert [msgs for msgs, _, _ in drive(one, events)] == [0] * len(events)
 
 
 def test_majority_vote_gates_instance_fire():

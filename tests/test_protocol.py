@@ -13,7 +13,6 @@ from fpmon.protocol import (
     SiteState,
     ThresholdInstance,
     ceil_log2,
-    coord_on_message,
     fanout,
     site_on_update,
 )
@@ -226,7 +225,7 @@ def test_estimate_full_matches_running_estimate_after_protocol_run():
         s = rng.randrange(g.k)
         j = rng.randrange(g.m)
         for msg in site_on_update(sites[s], j, ev=t, inst=inst):
-            coord_on_message(inst, msg)
+            inst.apply(msg.j, msg.z, msg.l)
         assert inst.est == inst.estimate_full()
         if inst.terminated:
             break
