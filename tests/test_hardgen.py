@@ -1,6 +1,7 @@
 """Hard-instance families: generators, validators, evaluators, files."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -369,6 +370,15 @@ def test_two_disj_round_trip(tmp_path):
         path = str(tmp_path / f"td{seed}.txt")
         write_instance(path, inst)
         assert read_instance(path) == inst
+
+
+def test_bit_disj_file_bytes_are_pinned(tmp_path):
+    # the draws, their conversion to tuples and the file format together:
+    # the digest was recorded once and is not to be edited
+    path = tmp_path / "bd.txt"
+    write_instance(str(path), gen_bit_disj(k=256, nprime=403, beta=0.25, seed=11))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "81721fb4ba4e99496dfa0ff78eed7c1361193efa7adff22359d48eed0f3acf04")
 
 
 def test_bit_disj_round_trip(tmp_path):

@@ -1,8 +1,12 @@
 """Ladder monitor: amplified threshold copies, majority vote, estimate."""
 
+import gc
+import itertools
+import weakref
+
 import numpy as np
 
-from fpmon.harness import gen_uniform_stream
+from fpmon.harness import gen_uniform_stream, gen_zipf_stream
 from fpmon.monitor import Monitor
 from fpmon.protocol import GlobalParams, ThresholdInstance, fanout
 from fpmon.sampling import SALT_INSTANCE, derive, event_key
@@ -79,30 +83,54 @@ def solo_step(solo: ThresholdInstance, c: int, ev) -> int:
 def assert_same_run(copy: ThresholdInstance, solo: ThresholdInstance) -> None:
     assert copy.counts == solo.counts
     assert copy.est == solo.est
+    assert np.array_equal(copy.med, solo.med)
     assert copy.out == solo.out
     assert copy.messages_received == solo.messages_received
     assert copy.dropped == solo.dropped
+    assert copy.est_decreases == solo.est_decreases
 
 
 def test_amplified_copy_is_bit_identical_to_standalone_instance():
-    # rung i of an a=1 monitor replays exactly as a ThresholdInstance built
-    # with the same derived seed triple and the same event keys
-    g = monitor_params(a=1)
-    mon = Monitor(g)
-    events = gen_uniform_stream(g.m, g.k, 600, seed=9)
-    drive(mon, events)
+    # copy c of rung i replays exactly as a ThresholdInstance built with the
+    # same derived seed triple and the same event keys, for a in {1, 3},
+    # p in {1.5, 2, 3}, uniform and Zipf streams; the copies checked include
+    # every copy that fired mid-event and dropped the rest of that event
+    mid_event_fires = 0
+    for a, p, stream in itertools.product((1, 3), (1.5, 2.0, 3.0),
+                                          ("uniform", "zipf")):
+        g = monitor_params(a=a, p=p)
+        if stream == "zipf":
+            events = gen_zipf_stream(g.m, g.k, 600, seed=9, s=1.1)
+        else:
+            events = gen_uniform_stream(g.m, g.k, 600, seed=9)
+        mon = Monitor(g)
+        # the event after which each pair is silent: it fired, or a majority
+        # of its rung did and it keeps only that event's messages
+        silent_after = np.full(len(mon.copies), len(events))
+        for t, (ev, cnt) in enumerate(with_site_counts(events, g.k)):
+            mon.on_event(cnt, ev.j, event_key(ev.site, ev.t))
+            now = ~mon.live[:: mon.block] & (silent_after == len(events))
+            silent_after[now] = t
 
-    for i in (2, 8, g.i_max):
-        solo = ThresholdInstance(
-            g,
-            tau=(1.0 + g.eps) ** i,
-            coin_seed=derive(g.seed, SALT_INSTANCE, i, 0, 0),
-            send_seed=derive(g.seed, SALT_INSTANCE, i, 0, 1),
-            eta_seed=derive(g.seed, SALT_INSTANCE, i, 0, 2),
-        )
-        for ev, c in with_site_counts(events, g.k):
-            solo_step(solo, c, ev)
-        assert_same_run(mon.copies[i * mon.a], solo)
+        pairs = {i * a + c for i in (2, 8, g.i_max) for c in range(a)}
+        dropping = {q for q, copy in enumerate(mon.copies) if copy.dropped}
+        mid_event_fires += len(dropping)
+        for pair in sorted(pairs | dropping):
+            i, c = divmod(pair, a)
+            solo = ThresholdInstance(
+                g,
+                tau=(1.0 + g.eps) ** i,
+                coin_seed=derive(g.seed, SALT_INSTANCE, i, c, 0),
+                send_seed=derive(g.seed, SALT_INSTANCE, i, c, 1),
+                eta_seed=derive(g.seed, SALT_INSTANCE, i, c, 2),
+            )
+            stop = silent_after[pair]
+            for t, (ev, cnt) in enumerate(with_site_counts(events, g.k)):
+                if t > stop:
+                    break
+                solo_step(solo, cnt, ev)
+            assert_same_run(mon.copies[pair], solo)
+    assert mid_event_fires > 0
 
 
 def test_one_rung_monitor_is_a_threshold_instance():
@@ -211,3 +239,22 @@ def test_live_mask_layout_matches_pair_blocks():
     for pair in range(len(mon.copies)):
         lo = pair * mon.block
         assert (mon.pair_of[lo : lo + mon.block] == pair).all()
+
+
+def test_dropped_monitor_is_freed_without_the_cycle_collector():
+    # copies hold no reference back to their Monitor, so dropping the last
+    # reference frees it at once; a threshold run keeps copies[0] only
+    g = monitor_params(a=3)
+    mon = Monitor(g)
+    drive(mon, gen_uniform_stream(g.m, g.k, 200, seed=4))
+    copy0 = mon.copies[0]
+    ref = weakref.ref(mon)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del mon
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert copy0.messages_received >= 0
