@@ -70,8 +70,8 @@ def gen_two_disj(nprime: int, beta: float, seed: int) -> TwoDisjInstance:
         x = np.sort(perm[:lp])
         y = np.sort(perm[lp : 2 * lp])
         witness = None
-    return TwoDisjInstance(nprime, beta, seed, tuple(int(v) for v in x),
-                           tuple(int(v) for v in y), intersecting, witness)
+    return TwoDisjInstance(nprime, beta, seed, tuple(x.tolist()),
+                           tuple(y.tolist()), intersecting, witness)
 
 
 def validate_two_disj(inst: TwoDisjInstance) -> None:
@@ -105,9 +105,9 @@ def sample_x_given_y(y: tuple[int, ...], nprime: int, beta: float,
         w = int(y[int(rng.integers(lp))])
         rest = rng.permutation(outside)[: lp - 1]
         x = np.sort(np.concatenate(([w], rest)))
-        return tuple(int(v) for v in x), 1
+        return tuple(x.tolist()), 1
     x = np.sort(rng.permutation(outside)[:lp])
-    return tuple(int(v) for v in x), 0
+    return tuple(x.tolist()), 0
 
 
 # -- k-site lift with shared reference set ----------------------------------
