@@ -12,12 +12,16 @@ driven by the same event loop.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import FanRows, GlobalParams, ThresholdInstance, fanout
+from .protocol import FanRows, GlobalParams, ThresholdInstance, fanout, member_mask
 from .sampling import SALT_INSTANCE, derive
+
+# next-crossing value of a counter past its last crossing
+NEVER = np.iinfo(np.int32).max
 
 
 @dataclass
@@ -25,7 +29,44 @@ class EventOutcome:
     """Per-event accounting from the monitor."""
 
     messages: int
-    newly_fired_instances: int
+
+
+class Columns:
+    """Per-coordinate counters of a ladder. For each coordinate j seen so
+    far, by_j[j] holds the ascending flat rows whose level set held j (among
+    the rows live when j first arrived) and, aligned with them, each row's
+    message count and the count at its next crossing. Holds no reference to
+    the copies or their Monitor, which both point here."""
+
+    def __init__(self, block: int, n_levels: int) -> None:
+        self.block, self.n_levels = block, n_levels
+        self.by_j: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.read_out: dict[int, dict[tuple[int, int, int], int]] | None = None
+
+    def counts_of(self, pair: int) -> dict[tuple[int, int, int], int]:
+        """(z, l, j) -> count for one copy, built for every copy on the first
+        read after the counters last moved."""
+        if self.read_out is None:
+            self.read_out = self._read_all()
+        return self.read_out.get(pair, {})
+
+    def _read_all(self) -> dict[int, dict[tuple[int, int, int], int]]:
+        parts = []
+        for j, (rows, count, _) in self.by_j.items():
+            nz = np.flatnonzero(count)
+            parts.append((rows[nz], count[nz], np.full(nz.size, j)))
+        if not parts:
+            return {}
+        rows, count, js = (np.concatenate(x) for x in zip(*parts))
+        order = np.argsort(rows, kind="stable")
+        pair, within = np.divmod(rows[order], self.block)
+        z, l = np.divmod(within, self.n_levels)
+        keys = list(zip((z + 1).tolist(), l.tolist(), js[order].tolist()))
+        values = count[order].tolist()
+        pairs, starts = np.unique(pair, return_index=True)
+        ends = [*starts[1:].tolist(), len(keys)]
+        return {p: dict(zip(keys[lo:hi], values[lo:hi]))
+                for p, lo, hi in zip(pairs.tolist(), starts.tolist(), ends)}
 
 
 class Monitor:
@@ -38,6 +79,11 @@ class Monitor:
     With tau given, the ladder is a single rung at tau with a single copy:
     a threshold run. Its (0, 0) seeds are ThresholdInstance's defaults, so
     copies[0] replays a standalone ThresholdInstance(params) exactly.
+
+    The coordinator is columnar: an event's fan-out and counter bumps run in
+    numpy over the rows whose level set holds its coordinate, and only a
+    message that reaches its counter's next crossing (ThresholdInstance.
+    crossings) goes through Python, to its copy's cross().
     """
 
     def __init__(self, params: GlobalParams, tau: float | None = None) -> None:
@@ -50,28 +96,43 @@ class Monitor:
         self.n_instances = len(self.taus)
         self.majority = self.a // 2 + 1
 
+        n_levels = params.l_max + 1
+        self.block = params.r * n_levels
+        self.columns = Columns(self.block, n_levels)
         self.copies: list[ThresholdInstance] = []
-        pair_rows: list[FanRows] = []
         for i in range(self.n_instances):
             for c in range(self.a):
-                inst = ThresholdInstance(
+                self.copies.append(ThresholdInstance(
                     params,
                     tau=self.taus[i],
                     coin_seed=derive(params.seed, SALT_INSTANCE, i, c, 0),
                     send_seed=derive(params.seed, SALT_INSTANCE, i, c, 1),
                     eta_seed=derive(params.seed, SALT_INSTANCE, i, c, 2),
-                )
-                self.copies.append(inst)
-                pair_rows.append(inst.rows)
+                    columns=self.columns,
+                    pair=len(self.copies),
+                ))
 
         # flat candidate rows over (instance, copy, z, l), canonical order
-        self.block = pair_rows[0].size
-        self.rows = _concat_rows(pair_rows)
+        self.rows = FanRows(params, [c.tau for c in self.copies],
+                            [c.coin for c in self.copies],
+                            [c.send_seed for c in self.copies])
         self.pair_of = np.repeat(
             np.arange(len(self.copies), dtype=np.int32), self.block
         )
         self.live = np.ones(self.rows.size, dtype=bool)
         self.live_pairs = len(self.copies)
+
+        # per (copy, level): the crossing counts and the readable buckets
+        # left and entered at each; and each flat row's first crossing
+        self.crossings = [
+            [(np.minimum(at, NEVER).tolist(), list(zip(left.tolist(), entered.tolist())))
+             for at, left, entered in c.crossings()]
+            for c in self.copies
+        ]
+        first = np.array([[at[0] if at else NEVER for at, _ in per]
+                          for per in self.crossings], dtype=np.int32)
+        self.first_crossing = np.broadcast_to(
+            first[:, None, :], (len(self.copies), params.r, n_levels)).ravel()
 
         self.fired_copies = [0] * self.n_instances
         self.instance_fired = [False] * self.n_instances
@@ -94,45 +155,69 @@ class Monitor:
             self.live[lo : lo + self.block] = False
             self.live_pairs -= 1
 
+    def _column(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coordinate j's column, made on its first event from the live rows
+        (a silent row never speaks again)."""
+        col = self.columns.by_j.get(j)
+        if col is None:
+            rows = np.flatnonzero(member_mask(self.rows, j) & self.live).astype(np.int32)
+            col = (rows, np.zeros(rows.size, dtype=np.int32), self.first_crossing[rows])
+            self.columns.by_j[j] = col
+        return col
+
     def on_event(self, count_after: int, j: int, ev: int) -> EventOutcome:
         """Run one site update against every live copy. Messages are
         delivered in flat canonical order; a copy that fires mid-event drops
         the rest of that event's messages addressed to it."""
         if not self.live_pairs:
-            return EventOutcome(messages=0, newly_fired_instances=0)
-        emit = fanout(self.rows, self.live, count_after, j, ev)
-        newly_fired = 0
-        if emit.size:
-            for pair, z, l in zip(self.pair_of[emit].tolist(),
-                                  self.rows.z_of[emit].tolist(),
-                                  self.rows.l_of[emit].tolist()):
-                inst = self.copies[pair]
-                if inst.apply(j, z, l):
-                    self._silence_pair(pair)
-                    i = pair // self.a
-                    self.fired_copies[i] += 1
-                    if (
-                        self.fired_copies[i] == self.majority
-                        and not self.instance_fired[i]
-                    ):
-                        self.instance_fired[i] = True
-                        newly_fired += 1
-                        if i > self.max_fired:
-                            self.max_fired = i
-                        for c in range(self.a):
-                            self._silence_pair(i * self.a + c)
-        return EventOutcome(messages=int(emit.size), newly_fired_instances=newly_fired)
+            return EventOutcome(messages=0)
+        col = self._column(j)
+        rows, count, nxt = col
+        sent = fanout(self.rows, self.live, count_after, j, ev, rows)
+        if sent.size:
+            self.columns.read_out = None
+            count[sent] += 1
+            hit = count[sent] >= nxt[sent]
+            if hit.any():
+                self._cross(col, sent, hit)
+        return EventOutcome(messages=int(sent.size))
 
+    def _cross(self, col, sent: np.ndarray, hit: np.ndarray) -> None:
+        """Deliver an event's crossing messages in canonical order, each
+        counter bumped in turn; a message that fires its copy drops the
+        copy's later messages of the event and takes back their bumps."""
+        rows, count, nxt = col
+        qs = sent[hit]
+        bumped = count[qs].tolist()
+        count[qs] -= 1
+        block, n_levels = self.block, self.columns.n_levels
+        for k, q, row, c in zip(np.flatnonzero(hit).tolist(), qs.tolist(),
+                                rows[qs].tolist(), bumped):
+            pair, within = divmod(row, block)
+            inst = self.copies[pair]
+            if inst.terminated:  # fired earlier in this event; counted below
+                continue
+            z, l = divmod(within, n_levels)
+            count[q] = c
+            self.columns.read_out = None
+            counts, moves = self.crossings[pair][l]
+            at = bisect_right(counts, c)
+            nxt[q] = counts[at] if at < len(counts) else NEVER
+            if inst.cross(z + 1, *moves[at - 1]):
+                end = int(np.searchsorted(rows[sent], (pair + 1) * block))
+                later = slice(k + 1, end)
+                count[sent[later][~hit[later]]] -= 1
+                self.columns.read_out = None
+                inst.dropped += end - k - 1
+                self._fire(pair)
 
-def _concat_rows(blocks: list[FanRows]) -> FanRows:
-    """Concatenate per-pair row arrays without recomputing keys."""
-    out = FanRows.__new__(FanRows)
-    out.size = sum(b.size for b in blocks)
-    out.z_of = np.concatenate([b.z_of for b in blocks])
-    out.l_of = np.concatenate([b.l_of for b in blocks])
-    out.coin_key = np.concatenate([b.coin_key for b in blocks])
-    out.send_key = np.concatenate([b.send_key for b in blocks])
-    out.member_thresh = np.concatenate([b.member_thresh for b in blocks])
-    out.guard = np.concatenate([b.guard for b in blocks])
-    out.qscaled = np.concatenate([b.qscaled for b in blocks])
-    return out
+    def _fire(self, pair: int) -> None:
+        self._silence_pair(pair)
+        i = pair // self.a
+        self.fired_copies[i] += 1
+        if self.fired_copies[i] == self.majority and not self.instance_fired[i]:
+            self.instance_fired[i] = True
+            if i > self.max_fired:
+                self.max_fired = i
+            for c in range(self.a):
+                self._silence_pair(i * self.a + c)

@@ -11,6 +11,7 @@ the coordinator a channel back to the sites.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,11 +19,13 @@ from typing import Optional
 import numpy as np
 
 from .sampling import (
+    SALT_COIN,
     SALT_INSTANCE,
     SALT_SEND,
     PublicCoin,
     coordinate_key,
     derive,
+    derive_np,
     level_of,
     member_threshold,
     mix64_np,
@@ -30,6 +33,7 @@ from .sampling import (
 )
 
 _TWO53 = 2.0**53
+_SLICE = 1 << 14
 
 
 def ceil_log2(x: int) -> int:
@@ -134,59 +138,78 @@ class Message:
 
 
 class FanRows:
-    """Per-(z, l) site-side arrays in canonical order (z-major, then l).
+    """Per-(z, l) site-side arrays in canonical order (z-major, then l), for
+    one instance or, block after block, for a ladder of instances.
 
     Shared by every site: the guard and thinning probability depend only on
     the instance, membership and send trials are keyed per (z, l) and hashed
-    with the coordinate and event keys at use time.
+    with the coordinate and event keys at use time. tau, coin and send_seed
+    are one instance's threshold, public coin and send seed, or equal-length
+    sequences of them, one block per instance.
     """
 
-    def __init__(self, params: GlobalParams, tau: float, coin: PublicCoin,
-                 send_seed: int) -> None:
-        r, lm = params.r, params.l_max
-        size = r * (lm + 1)
-        self.size = size
-        self.z_of = np.empty(size, dtype=np.int32)
-        self.l_of = np.empty(size, dtype=np.int32)
-        self.coin_key = np.empty(size, dtype=np.uint64)
-        self.send_key = np.empty(size, dtype=np.uint64)
-        self.member_thresh = np.empty(size, dtype=np.uint64)
-        self.guard = np.empty(size, dtype=np.float64)
-        self.qscaled = np.empty(size, dtype=np.float64)
-        root = tau ** (1.0 / params.p)
-        i = 0
-        for z in range(1, r + 1):
-            for l in range(lm + 1):
-                tau_l_root = root / 2.0 ** (l / params.p)
-                self.z_of[i] = z
-                self.l_of[i] = l
-                self.coin_key[i] = coin.key(z, l)
-                self.send_key[i] = derive(send_seed, SALT_SEND, z, l)
-                self.member_thresh[i] = member_threshold(l)
-                self.guard[i] = tau_l_root / (params.k * params.b)
-                self.qscaled[i] = min(params.b / tau_l_root, 1.0) * _TWO53
-                i += 1
+    def __init__(self, params: GlobalParams, tau, coin, send_seed) -> None:
+        if isinstance(coin, PublicCoin):
+            tau, coin, send_seed = [tau], [coin], [send_seed]
+        r, n_levels = params.r, params.l_max + 1
+        shape = (len(coin), r, n_levels)
+        self.size = shape[0] * r * n_levels
+        z = np.arange(1, r + 1, dtype=np.int32)[None, :, None]
+        l = np.arange(n_levels, dtype=np.int32)[None, None, :]
+        self.z_of = np.broadcast_to(z, shape).ravel()
+        self.l_of = np.broadcast_to(l, shape).ravel()
+        seeds = np.array([c.master_seed for c in coin], dtype=np.uint64)[:, None, None]
+        self.coin_key = derive_np(seeds, SALT_COIN, z, l).ravel()
+        seeds = np.array(send_seed, dtype=np.uint64)[:, None, None]
+        self.send_key = derive_np(seeds, SALT_SEND, z, l).ravel()
+        thresh = np.array([member_threshold(v) for v in range(n_levels)], dtype=np.uint64)
+        self.member_thresh = np.broadcast_to(thresh, shape).ravel()
+        # scalar powers in Python, the rest elementwise: the same IEEE
+        # operations, in the same order, as one row at a time
+        root = np.array([float(t) ** (1.0 / params.p) for t in tau])[:, None, None]
+        level_div = np.array([2.0 ** (v / params.p) for v in range(n_levels)])
+        tau_l_root = np.broadcast_to(root / level_div, shape)
+        self.guard = (tau_l_root / (params.k * params.b)).ravel()
+        self.qscaled = (np.minimum(params.b / tau_l_root, 1.0) * _TWO53).ravel()
+
+
+def member_mask(rows: FanRows, j: int) -> np.ndarray:
+    """Which rows' level sets hold coordinate j."""
+    jk = np.uint64(coordinate_key(j))
+    out = np.empty(rows.size, dtype=bool)
+    # in slices whose temporaries are 128 KiB: over a whole ladder, each
+    # temporary is a fresh block that the process has to fault in
+    for lo in range(0, rows.size, _SLICE):
+        hi = lo + _SLICE
+        out[lo:hi] = mix64_np(rows.coin_key[lo:hi] ^ jk) <= rows.member_thresh[lo:hi]
+    return out
 
 
 def fanout(rows: FanRows, live: Optional[np.ndarray], count_after: int,
-           j: int, ev: int) -> np.ndarray:
+           j: int, ev: int, cand: Optional[np.ndarray] = None) -> np.ndarray:
     """Flat indices of (z, l) rows that emit a message for this update:
-    the post-increment count clears the guard, the coordinate is in the
-    level set, and the keyed thinning trial succeeds."""
-    elig = count_after > rows.guard
-    if live is not None:
-        elig &= live
-    idx = np.flatnonzero(elig)
+    the post-increment count clears the guard, the row is live, the
+    coordinate is in the level set, and the keyed thinning trial succeeds.
+
+    cand, when given, holds the ascending flat indices of the rows whose
+    level set holds j; the membership hash is then skipped, and the result
+    is positions into cand."""
+    if cand is None:
+        elig = (count_after > rows.guard) & member_mask(rows, j)
+        if live is not None:
+            elig &= live
+        idx = flat = np.flatnonzero(elig)
+    else:
+        elig = count_after > rows.guard[cand]
+        if live is not None:
+            elig &= live[cand]
+        idx = np.flatnonzero(elig)
+        flat = cand[idx]
     if idx.size == 0:
         return idx
-    jk = np.uint64(coordinate_key(j))
-    hm = mix64_np(rows.coin_key[idx] ^ jk)
-    idx = idx[hm <= rows.member_thresh[idx]]
-    if idx.size == 0:
-        return idx
-    hb = mix64_np(rows.send_key[idx] ^ np.uint64(ev))
+    hb = mix64_np(rows.send_key[flat] ^ np.uint64(ev))
     u = (hb >> np.uint64(11)).astype(np.float64)
-    return idx[u < rows.qscaled[idx]]
+    return idx[u < rows.qscaled[flat]]
 
 
 @dataclass
@@ -235,15 +258,24 @@ class ThresholdInstance:
     [eta * (1+gamma)**h, eta * (1+gamma)**(h+1)), reads bucket h at the level
     matched to its sampling rate, takes the lower median over repetitions of
     2**l * |bucket population|, and sums medians weighted by
-    eta**p * (1+gamma)**(p h). The incremental path maintains histograms and
-    medians per message; literal_estimation rebuilds everything from the raw
-    counters on every message and must produce bit-identical results.
+    eta**p * (1+gamma)**(p h). Only a message that takes its counter into or
+    out of a readable bucket can move a median. At each such message the
+    incremental path moves one or two histograms and their medians, while
+    literal_estimation rebuilds everything from the raw counters; the two
+    must produce bit-identical results.
+
+    A standalone instance keeps its counters itself and takes messages
+    through apply(). A ladder copy's counters live in its Monitor's
+    per-coordinate columns (`columns`, at block `pair`): the Monitor bumps
+    them and calls cross() only at the counts that crossings() lists;
+    counts and messages_received are read out of the columns on demand.
     """
 
     def __init__(self, params: GlobalParams, tau: Optional[float] = None,
                  coin_seed: Optional[int] = None,
                  send_seed: Optional[int] = None,
-                 eta_seed: Optional[int] = None) -> None:
+                 eta_seed: Optional[int] = None,
+                 columns=None, pair: int = 0) -> None:
         self.params = params
         self.tau = params.tau if tau is None else tau
         if self.tau is None:
@@ -258,7 +290,7 @@ class ThresholdInstance:
             eta_seed = derive(params.seed, SALT_INSTANCE, 0, 0, 2)
         p, b, gamma = params.p, params.b, params.gamma
         self.coin = PublicCoin(coin_seed, params.r, params.l_max)
-        self.rows = FanRows(params, self.tau, self.coin, send_seed)
+        self.send_seed = send_seed
         self.eta = unit_open_zero(eta_seed)
         self.zeta = 1.0 + gamma
 
@@ -292,18 +324,39 @@ class ThresholdInstance:
         self.fire_line = (1.0 - params.c_fire * params.eps) * self.tau
         self._med_idx = (params.r - 1) // 2
 
-        self.counts: dict[tuple[int, int, int], int] = {}
-        self.hist: dict[int, np.ndarray] = {}
+        self._columns, self._pair = columns, pair
+        self._counts: dict[tuple[int, int, int], int] = {}
+        self._received = 0
+        self.hist: dict[int, list[int]] = {}
         self.med = np.zeros(self.h_cap + 1, dtype=np.float64)
         self.est = 0.0
         self.out = 0
         self.terminated = False
-        self.messages_received = 0
         self.dropped = 0
         self.est_decreases = 0
         self._bucket_cache: list[dict[int, int]] = [
             {} for _ in range(params.l_max + 1)
         ]
+
+    @functools.cached_property
+    def rows(self) -> FanRows:
+        """This instance's site-side rows; a Monitor keeps one flat array of
+        every copy's rows and never builds these."""
+        return FanRows(self.params, self.tau, self.coin, self.send_seed)
+
+    @property
+    def counts(self) -> dict[tuple[int, int, int], int]:
+        """(z, l, j) -> message count, for every counter that has one."""
+        if self._columns is None:
+            return self._counts
+        return self._columns.counts_of(self._pair)
+
+    @property
+    def messages_received(self) -> int:
+        """Messages delivered while live; each bumped one counter by one."""
+        if self._columns is None:
+            return self._received
+        return sum(self.counts.values())
 
     # -- bucket helpers ----------------------------------------------------
 
@@ -335,10 +388,9 @@ class ThresholdInstance:
         """Adjust |bucket h| for repetition z; True if the median moved."""
         arr = self.hist.get(h)
         if arr is None:
-            arr = np.zeros(self.params.r, dtype=np.int32)
-            self.hist[h] = arr
+            arr = self.hist[h] = [0] * self.params.r
         arr[z - 1] += delta
-        med_count = int(np.partition(arr, self._med_idx)[self._med_idx])
+        med_count = sorted(arr)[self._med_idx]
         new_med = float(med_count << int(self.lvl_of_h[h]))
         if new_med != self.med[h]:
             self.med[h] = new_med
@@ -384,6 +436,39 @@ class ThresholdInstance:
         """Estimate recomputed from scratch; equals estimate() exactly."""
         return self._full_pass()[1]
 
+    def crossings(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """For each level l: the ascending counts c >= 1 at which a level-l
+        counter going from c - 1 to c leaves or enters a bucket readable at
+        l, which are the only messages that move a histogram; and for each
+        such count, the readable bucket left and the one entered (-1 for
+        none). The lists end at the last bucket edge, so their length grows
+        with h_cap, not n."""
+        u = self.u[:, None]
+        edge = self.edge[None, :]  # buckets 0 .. h_cap + 1
+        # x[l, h]: the least count whose level-l value reaches edge h, in the
+        # float products _bucket_of_count takes
+        x = np.maximum(np.ceil(edge / u), 1.0)
+        while (low := x * u < edge).any():
+            x += low
+        while (high := (x > 1.0) & ((x - 1.0) * u >= edge)).any():
+            x -= high
+        # x is nondecreasing in h, and the bucket of count c is the last h
+        # with x[l, h] <= c; so the bucket changes only at the counts x
+        # takes, entering the last h of a run of equal x and leaving the
+        # bucket just before the run's first h
+        hs = np.arange(x.shape[1])
+        step = x[:, 1:] != x[:, :-1]
+        run_end = np.append(step, np.ones((x.shape[0], 1), dtype=bool), axis=1)
+        run_start = np.insert(step, 0, True, axis=1)
+        h_left = np.maximum.accumulate(np.where(run_start, hs, 0), axis=1) - 1
+        lvl = np.concatenate(([-1], self.lvl_of_h, [-1]))  # at h + 1, h = -1 .. h_cap + 1
+        levels = np.arange(x.shape[0])[:, None]
+        left = np.where(lvl[h_left + 1] == levels, h_left, -1)
+        entered = np.where(lvl[hs + 1] == levels, hs, -1)
+        keep = run_end & ((left >= 0) | (entered >= 0))
+        return [(x[l][keep[l]].astype(np.int64), left[l][keep[l]], entered[l][keep[l]])
+                for l in range(x.shape[0])]
+
     # -- message path ------------------------------------------------------
 
     def apply(self, j: int, z: int, l: int) -> bool:
@@ -399,23 +484,34 @@ class ThresholdInstance:
             raise ValueError(f"level {l} outside [0, {self.params.l_max}]")
         if not 0 <= j < self.params.m:
             raise ValueError(f"coordinate {j} outside [0, {self.params.m})")
-        self.messages_received += 1
+        self._received += 1
         key = (z, l, j)
-        c = self.counts.get(key, 0) + 1
-        self.counts[key] = c
+        c = self._counts.get(key, 0) + 1
+        self._counts[key] = c
+        h_old = self._bucket_of_count(l, c - 1)
+        h_new = self._bucket_of_count(l, c)
+        if h_old == h_new:
+            return False
+        left = h_old if self._readable(h_old, l) else -1
+        entered = h_new if self._readable(h_new, l) else -1
+        if left < 0 and entered < 0:
+            return False
+        return self.cross(z, left, entered)
 
+    def cross(self, z: int, left: int, entered: int) -> bool:
+        """A repetition-z counter has just left readable bucket `left` and
+        entered readable bucket `entered` (-1 for none): move the histograms,
+        medians and estimate. Returns True exactly when this fires the
+        output bit. A message that crosses no readable bucket edge changes
+        no median, so nothing else needs to come here."""
         if self.params.literal_estimation:
             self.med, new_est = self._full_pass()
         else:
-            h_new = self._bucket_of_count(l, c)
-            h_old = self._bucket_of_count(l, c - 1)
-            if h_old == h_new:
-                return False
             changed = False
-            if self._readable(h_old, l):
-                changed |= self._hist_set(h_old, z, -1)
-            if self._readable(h_new, l):
-                changed |= self._hist_set(h_new, z, +1)
+            if left >= 0:
+                changed |= self._hist_set(left, z, -1)
+            if entered >= 0:
+                changed |= self._hist_set(entered, z, +1)
             if not changed:
                 return False
             new_est = float(np.dot(self.med, self.weight))

@@ -38,13 +38,15 @@ def mix64(x: int) -> int:
 
 
 def mix64_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a uint64 array."""
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
+    """Vectorized mix64 over a uint64 array, into a new array."""
+    x = np.asarray(x, dtype=np.uint64)
+    t = x >> np.uint64(30)
+    x = np.bitwise_xor(x, t, out=t)
     x *= np.uint64(_M1)
-    x ^= x >> np.uint64(27)
+    t = x >> np.uint64(27)
+    x ^= t
     x *= np.uint64(_M2)
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=t)
     return x
 
 
@@ -53,6 +55,16 @@ def derive(seed: int, *labels: int) -> int:
     h = mix64(seed ^ GOLDEN)
     for lab in labels:
         h = mix64(h ^ mix64((lab + GOLDEN) & MASK64))
+    return h
+
+
+def derive_np(seed, *labels) -> np.ndarray:
+    """derive() element by element over broadcast uint64 arrays of seeds and
+    nonnegative labels."""
+    h = mix64_np(np.atleast_1d(np.asarray(seed, dtype=np.uint64)) ^ np.uint64(GOLDEN))
+    for lab in labels:
+        lab = np.atleast_1d(np.asarray(lab, dtype=np.uint64))
+        h = mix64_np(h ^ mix64_np(lab + np.uint64(GOLDEN)))
     return h
 
 

@@ -9,7 +9,13 @@ import numpy as np
 from fpmon.harness import gen_uniform_stream, gen_zipf_stream
 from fpmon.monitor import Monitor
 from fpmon.protocol import GlobalParams, ThresholdInstance, fanout
-from fpmon.sampling import SALT_INSTANCE, derive, event_key
+from fpmon.sampling import (
+    SALT_INSTANCE,
+    SALT_SEND,
+    derive,
+    event_key,
+    member_threshold,
+)
 
 
 def monitor_params(**kw):
@@ -258,3 +264,54 @@ def test_dropped_monitor_is_freed_without_the_cycle_collector():
         if was_enabled:
             gc.enable()
     assert copy0.messages_received >= 0
+
+
+def test_ladder_rows_equal_scalar_keys_and_formulas():
+    # the ladder's flat rows, built in numpy in one go, equal the row-at-a-
+    # time scalar definitions bit for bit, and each copy's own rows are its
+    # block of them
+    for p in (1.5, 2.0, 3.0):
+        g = monitor_params(a=3, p=p, r=3, b=3.0)
+        mon = Monitor(g)
+        rows, n_levels = mon.rows, g.l_max + 1
+        for flat in range(rows.size):
+            pair, within = divmod(flat, mon.block)
+            z, l = within // n_levels + 1, within % n_levels
+            copy = mon.copies[pair]
+            tau_l_root = copy.tau ** (1.0 / p) / 2.0 ** (l / p)
+            assert (rows.z_of[flat], rows.l_of[flat]) == (z, l)
+            assert int(rows.coin_key[flat]) == copy.coin.key(z, l)
+            assert int(rows.send_key[flat]) == derive(copy.send_seed, SALT_SEND, z, l)
+            assert int(rows.member_thresh[flat]) == member_threshold(l)
+            assert rows.guard[flat] == tau_l_root / (g.k * g.b)
+            assert rows.qscaled[flat] == min(g.b / tau_l_root, 1.0) * 2.0**53
+        for pair in (0, len(mon.copies) // 2, len(mon.copies) - 1):
+            own, lo = mon.copies[pair].rows, pair * mon.block
+            for name in ("z_of", "l_of", "coin_key", "send_key", "member_thresh",
+                         "guard", "qscaled"):
+                block = getattr(rows, name)[lo : lo + mon.block]
+                assert np.array_equal(getattr(own, name), block), name
+
+
+def test_crossings_equal_a_scan_of_every_count():
+    # a crossing is a count c at which a counter going from c - 1 to c leaves
+    # or enters a bucket readable at its level; the table lists exactly those,
+    # with the readable bucket left and the one entered
+    for p in (1.5, 2.0, 3.0):
+        g = monitor_params(a=1, p=p)
+        mon = Monitor(g)
+        for copy in mon.copies:
+            table = copy.crossings()
+            assert len(table) == g.l_max + 1
+            for l, (counts, left, entered) in enumerate(table):
+                scan = []
+                h_prev = copy._bucket_of_count(l, 0)
+                for c in range(1, g.n + 1):
+                    h = copy._bucket_of_count(l, c)
+                    out = h_prev if copy._readable(h_prev, l) else -1
+                    into = h if copy._readable(h, l) else -1
+                    if h != h_prev and (out >= 0 or into >= 0):
+                        scan.append((c, out, into))
+                    h_prev = h
+                got = list(zip(counts.tolist(), left.tolist(), entered.tolist()))
+                assert [x for x in got if x[0] <= g.n] == scan, (copy.tau, l)
