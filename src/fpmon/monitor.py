@@ -124,14 +124,14 @@ class Monitor:
 
         # per (copy, level): the crossing counts and the readable buckets
         # left and entered at each; and each flat row's first crossing
-        self.crossings = [
-            [(np.minimum(at, NEVER).tolist(), list(zip(left.tolist(), entered.tolist())))
+        self._crossings = [
+            [(at.tolist(), list(zip(left.tolist(), entered.tolist())))
              for at, left, entered in c.crossings()]
             for c in self.copies
         ]
         first = np.array([[at[0] if at else NEVER for at, _ in per]
-                          for per in self.crossings], dtype=np.int32)
-        self.first_crossing = np.broadcast_to(
+                          for per in self._crossings], dtype=np.int32)
+        self._first_crossing = np.broadcast_to(
             first[:, None, :], (len(self.copies), params.r, n_levels)).ravel()
 
         self.fired_copies = [0] * self.n_instances
@@ -161,7 +161,7 @@ class Monitor:
         col = self.columns.by_j.get(j)
         if col is None:
             rows = np.flatnonzero(member_mask(self.rows, j) & self.live).astype(np.int32)
-            col = (rows, np.zeros(rows.size, dtype=np.int32), self.first_crossing[rows])
+            col = (rows, np.zeros(rows.size, dtype=np.int32), self._first_crossing[rows])
             self.columns.by_j[j] = col
         return col
 
@@ -200,9 +200,9 @@ class Monitor:
             z, l = divmod(within, n_levels)
             count[q] = c
             self.columns.read_out = None
-            counts, moves = self.crossings[pair][l]
-            at = bisect_right(counts, c)
-            nxt[q] = counts[at] if at < len(counts) else NEVER
+            table, moves = self._crossings[pair][l]
+            at = bisect_right(table, c)
+            nxt[q] = table[at] if at < len(table) else NEVER
             if inst.cross(z + 1, *moves[at - 1]):
                 end = int(np.searchsorted(rows[sent], (pair + 1) * block))
                 later = slice(k + 1, end)

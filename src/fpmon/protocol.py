@@ -441,14 +441,16 @@ class ThresholdInstance:
         counter going from c - 1 to c leaves or enters a bucket readable at
         l, which are the only messages that move a histogram; and for each
         such count, the readable bucket left and the one entered (-1 for
-        none). The lists end at the last bucket edge, so their length grows
-        with h_cap, not n."""
+        none). Counts stop at n, since a counter takes at most one message
+        per update of its coordinate; the lists are built from the bucket
+        edges, so their length grows with h_cap, not n."""
         u = self.u[:, None]
         edge = self.edge[None, :]  # buckets 0 .. h_cap + 1
         # x[l, h]: the least count whose level-l value reaches edge h, in the
-        # float products _bucket_of_count takes
-        x = np.maximum(np.ceil(edge / u), 1.0)
-        while (low := x * u < edge).any():
+        # float products _bucket_of_count takes, or n + 1 if none up to n does
+        past = float(self.params.n + 1)
+        x = np.clip(np.ceil(edge / u), 1.0, past)
+        while (low := (x < past) & (x * u < edge)).any():
             x += low
         while (high := (x > 1.0) & ((x - 1.0) * u >= edge)).any():
             x -= high
@@ -465,7 +467,7 @@ class ThresholdInstance:
         levels = np.arange(x.shape[0])[:, None]
         left = np.where(lvl[h_left + 1] == levels, h_left, -1)
         entered = np.where(lvl[hs + 1] == levels, hs, -1)
-        keep = run_end & ((left >= 0) | (entered >= 0))
+        keep = run_end & ((left >= 0) | (entered >= 0)) & (x < past)
         return [(x[l][keep[l]].astype(np.int64), left[l][keep[l]], entered[l][keep[l]])
                 for l in range(x.shape[0])]
 

@@ -314,4 +314,4 @@ def test_crossings_equal_a_scan_of_every_count():
                         scan.append((c, out, into))
                     h_prev = h
                 got = list(zip(counts.tolist(), left.tolist(), entered.tolist()))
-                assert [x for x in got if x[0] <= g.n] == scan, (copy.tau, l)
+                assert got == scan, (copy.tau, l)
