@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -148,7 +148,9 @@ class FanRows:
     sequences of them, one block per instance.
     """
 
-    def __init__(self, params: GlobalParams, tau, coin, send_seed) -> None:
+    def __init__(self, params: GlobalParams, tau: float | Sequence[float],
+                 coin: PublicCoin | Sequence[PublicCoin],
+                 send_seed: int | Sequence[int]) -> None:
         if isinstance(coin, PublicCoin):
             tau, coin, send_seed = [tau], [coin], [send_seed]
         r, n_levels = params.r, params.l_max + 1
