@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from fpmon.sampling import (
     SALT_SEND,
     derive,
     event_key,
+    level_of,
     member_threshold,
 )
 
@@ -315,3 +317,30 @@ def test_crossings_equal_a_scan_of_every_count():
                     h_prev = h
                 got = list(zip(counts.tolist(), left.tolist(), entered.tolist()))
                 assert got == scan, (copy.tau, l)
+
+
+def test_bucket_tables_equal_scalar_formulas():
+    # every copy's increments, bucket cap, edges, weights and bucket levels
+    # equal the one-copy scalar definitions bit for bit, on a ladder at
+    # p in {1.5, 2, 3} and on the one-rung threshold ladder
+    for p, tau in itertools.product((1.5, 2.0, 3.0), (None, 2000.0)):
+        g = monitor_params(a=3, p=p, tau=tau, n=3000, b=3.0)
+        mon = Monitor(g) if tau is None else Monitor(g, tau=g.tau)
+        for copy in mon.copies:
+            gamma, zeta, eta, t = g.gamma, 1.0 + g.gamma, copy.eta, copy.tau
+            root = t ** (1.0 / p)
+            u = np.array([max(root / 2.0 ** (l / p) / g.b, 1.0)
+                          for l in range(g.l_max + 1)])
+            h_full = math.ceil((1.0 / gamma) * math.log(g.n / eta**p, zeta))
+            top = g.n * float(u[0])
+            h_reach = (int(math.floor(math.log(top / eta, zeta))) + 2
+                       if top >= eta else 1)
+            h_cap = min(h_full, h_reach)
+            hs = np.arange(h_cap + 2, dtype=np.float64)
+            assert np.array_equal(copy.u, u)
+            assert copy.h_cap == h_cap
+            assert np.array_equal(copy.edge, eta * zeta**hs)
+            assert np.array_equal(copy.weight, eta**p * zeta ** (p * hs[: h_cap + 1]))
+            levels = [level_of(h, eta, gamma, p, t, g.b, g.l_max)
+                      for h in range(h_cap + 1)]
+            assert copy.lvl_of_h.tolist() == levels
