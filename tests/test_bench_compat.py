@@ -2,6 +2,7 @@
 name; removing or renaming one of them must fail here, in tier-1."""
 
 import importlib.util
+import sys
 import types
 from pathlib import Path
 
@@ -9,7 +10,9 @@ from fpmon import hardgen, harness, monitor, protocol, reductions, sampling
 from fpmon.harness import gen_uniform_stream, simulate
 from fpmon.protocol import GlobalParams
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
+RUN = BENCH / "run.py"
 
 
 def load_tracing():
@@ -43,3 +46,27 @@ def test_bench_tracer_installs_runs_and_restores():
     assert tr.calls("protocol.fanout") > 0
     # the traced run is the untraced one
     assert simulate(events, g, mode="monitor")[0] == rows
+
+
+def test_bench_hist_moves_counts_every_crossing(monkeypatch):
+    # bench/run.py recomputes each copy's histogram moves from its final
+    # counters; the sum over copies is the number of crossing messages the
+    # Monitor sent through ThresholdInstance.cross
+    monkeypatch.setitem(sys.modules, "tracing", load_tracing())
+    spec = importlib.util.spec_from_file_location("fpmon_bench_run", RUN)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+
+    calls = 0
+    cross = protocol.ThresholdInstance.cross
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return cross(self, *args)
+
+    monkeypatch.setattr(protocol.ThresholdInstance, "cross", counted)
+    g = GlobalParams(k=4, m=64, n=400, p=2.0, eps=0.5, b=8.0, r=3, seed=1, a=3)
+    _, mon = simulate(gen_uniform_stream(g.m, g.k, 400, seed=2), g, mode="monitor")
+    assert calls > 0 and sum(c.dropped for c in mon.copies) > 0
+    assert sum(run.hist_moves(c) for c in mon.copies) == calls

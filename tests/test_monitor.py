@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 
-from fpmon.harness import gen_uniform_stream, gen_zipf_stream
+from fpmon.harness import gen_uniform_stream, gen_zipf_stream, simulate
 from fpmon.monitor import Monitor
 from fpmon.protocol import GlobalParams, ThresholdInstance, fanout
 from fpmon.sampling import (
@@ -344,3 +344,21 @@ def test_bucket_tables_equal_scalar_formulas():
             levels = [level_of(h, eta, gamma, p, t, g.b, g.l_max)
                       for h in range(h_cap + 1)]
             assert copy.lvl_of_h.tolist() == levels
+
+
+def test_ladder_literal_path_replays_the_incremental_one():
+    # the full pass from raw counters, run at every crossing message of every
+    # copy, gives the incremental path's trace and per-copy state, through
+    # mid-event fires, at p in {1.5, 2, 3} on a skewed stream
+    for p in (1.5, 2.0, 3.0):
+        events = gen_zipf_stream(64, 4, 300, seed=5, s=1.1)
+        runs = [simulate(events, monitor_params(p=p, n=300, literal_estimation=lit),
+                         mode="monitor")
+                for lit in (False, True)]
+        (rows, fast), (lit_rows, slow) = runs
+        assert lit_rows == rows
+        assert sum(c.dropped for c in fast.copies) > 0
+        for a, b in zip(fast.copies, slow.copies):
+            assert (a.est, a.est_decreases, a.dropped) == (b.est, b.est_decreases, b.dropped)
+            assert np.array_equal(a.med, b.med)
+            assert a.counts == b.counts
