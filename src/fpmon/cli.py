@@ -35,7 +35,12 @@ def _parse_bool(text: str) -> bool:
 
 def load_config(path: str) -> dict[str, str]:
     """key=value lines; blank lines and # comments ignored."""
-    out: dict[str, str] = {}
+    return {key: val for key, (_, val) in _config_lines(path).items()}
+
+
+def _config_lines(path: str) -> dict[str, tuple[int, str]]:
+    """key -> (line number, value) of a key=value config file."""
+    out: dict[str, tuple[int, str]] = {}
     with open(path, "r") as fh:
         for i, line in enumerate(fh, start=1):
             line = line.strip()
@@ -44,7 +49,7 @@ def load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}: line {i}: expected key=value, got {line!r}")
             key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+            out[key.strip().replace("-", "_")] = (i, val.strip())
     return out
 
 
@@ -69,11 +74,15 @@ class Options:
         self.info[action.dest] = (_parse_bool, False, False)
 
     def resolve(self, args: argparse.Namespace) -> None:
-        config = load_config(args.config) if args.config else {}
+        config = _config_lines(args.config) if args.config else {}
         for dest, (conv, default, required) in self.info.items():
             if getattr(args, dest) is None:
                 if dest in config:
-                    setattr(args, dest, conv(config[dest]))
+                    line, text = config[dest]
+                    try:
+                        setattr(args, dest, conv(text))
+                    except ValueError as exc:
+                        raise ValueError(f"{args.config}: line {line}: {dest}: {exc}") from None
                 else:
                     if required:
                         raise ValueError(f"missing required option --{dest.replace('_', '-')}")
@@ -106,8 +115,9 @@ def _common_run_options(opts: Options, monitor: bool) -> None:
     opts.add("--c-fire", type=float, default=0.25,
              help="fire when estimate exceeds (1 - c_fire*eps)*tau")
     opts.add("--stride", type=int, default=1, help="trace row subsampling")
-    opts.flag("--literal", help="rebuild the estimate from raw counters "
-                                "on every message (slow reference path)")
+    opts.flag("--literal", help="rebuild the estimate from raw counters at "
+                                "every message that crosses a readable "
+                                "bucket edge (slow reference path)")
     if monitor:
         opts.add("--a", type=int, help="odd amplification copies per rung")
         opts.add("--c-a", type=float, default=0.15)

@@ -12,16 +12,19 @@ driven by the same event loop.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import FanRows, GlobalParams, ThresholdInstance, fanout, member_mask
-from .sampling import SALT_INSTANCE, derive
-
-# next-crossing value of a counter past its last crossing
-NEVER = np.iinfo(np.int32).max
+from .protocol import (
+    Buckets,
+    FanRows,
+    GlobalParams,
+    ThresholdInstance,
+    fanout,
+    member_mask,
+)
+from .sampling import SALT_INSTANCE, derive, unit_open_zero
 
 
 @dataclass
@@ -81,9 +84,11 @@ class Monitor:
     copies[0] replays a standalone ThresholdInstance(params) exactly.
 
     The coordinator is columnar: an event's fan-out and counter bumps run in
-    numpy over the rows whose level set holds its coordinate, and only a
-    message that reaches its counter's next crossing (ThresholdInstance.
-    crossings) goes through Python, to its copy's cross().
+    numpy over the rows whose level set holds its coordinate. The copies'
+    bucket tables and crossing table are one Buckets, built in one pass;
+    the messages that reach their counters' next crossings look up the
+    buckets they leave and enter there in one search, and only they go
+    through Python, to their copies' cross().
     """
 
     def __init__(self, params: GlobalParams, tau: float | None = None) -> None:
@@ -99,40 +104,32 @@ class Monitor:
         n_levels = params.l_max + 1
         self.block = params.r * n_levels
         self.columns = Columns(self.block, n_levels)
-        self.copies: list[ThresholdInstance] = []
-        for i in range(self.n_instances):
-            for c in range(self.a):
-                self.copies.append(ThresholdInstance(
-                    params,
-                    tau=self.taus[i],
-                    coin_seed=derive(params.seed, SALT_INSTANCE, i, c, 0),
-                    send_seed=derive(params.seed, SALT_INSTANCE, i, c, 1),
-                    eta_seed=derive(params.seed, SALT_INSTANCE, i, c, 2),
-                    columns=self.columns,
-                    pair=len(self.copies),
-                ))
+        seeds = [[derive(params.seed, SALT_INSTANCE, i, c, s) for s in range(3)]
+                 for i in range(self.n_instances) for c in range(self.a)]
+        taus = [tau for tau in self.taus for _ in range(self.a)]
+        self._buckets = Buckets(params, taus, [unit_open_zero(s[2]) for s in seeds])
+        self.copies = [
+            ThresholdInstance(params, tau=tau, coin_seed=coin, send_seed=send,
+                              eta_seed=eta, columns=self.columns, pair=pair,
+                              buckets=self._buckets)
+            for pair, (tau, (coin, send, eta)) in enumerate(zip(taus, seeds))
+        ]
 
         # flat candidate rows over (instance, copy, z, l), canonical order
-        self.rows = FanRows(params, [c.tau for c in self.copies],
-                            [c.coin for c in self.copies],
+        self.rows = FanRows(params, taus, [c.coin for c in self.copies],
                             [c.send_seed for c in self.copies])
         self.pair_of = np.repeat(
             np.arange(len(self.copies), dtype=np.int32), self.block
         )
         self.live = np.ones(self.rows.size, dtype=bool)
         self.live_pairs = len(self.copies)
-
-        # per (copy, level): the crossing counts and the readable buckets
-        # left and entered at each; and each flat row's first crossing
-        self._crossings = [
-            [(at.tolist(), list(zip(left.tolist(), entered.tolist())))
-             for at, left, entered in c.crossings()]
-            for c in self.copies
-        ]
-        first = np.array([[at[0] if at else NEVER for at, _ in per]
-                          for per in self._crossings], dtype=np.int32)
+        # each flat row's first crossing count, and its (copy, level) key
+        # as the crossing table's `at` values count it: key * (n + 1)
+        table, shape = self._buckets.crossings, (len(self.copies), params.r, n_levels)
         self._first_crossing = np.broadcast_to(
-            first[:, None, :], (len(self.copies), params.r, n_levels)).ravel()
+            table.first.reshape(-1, 1, n_levels), shape).ravel()
+        key = np.arange(table.first.size, dtype=np.int64) * (params.n + 1)
+        self._row_at = np.broadcast_to(key.reshape(-1, 1, n_levels), shape).ravel()
 
         self.fired_copies = [0] * self.n_instances
         self.instance_fired = [False] * self.n_instances
@@ -188,23 +185,28 @@ class Monitor:
         copy's later messages of the event and takes back their bumps."""
         rows, count, nxt = col
         qs = sent[hit]
-        bumped = count[qs].tolist()
-        count[qs] -= 1
+        at, bumped = rows[qs], count[qs]
+        table = self._buckets.crossings
+        e = table.at.searchsorted(self._row_at[at] + bumped)
+        nxt[qs] = table.next[e]
+        # only the literal full pass reads counters while an event is delivered
+        literal = self.params.literal_estimation
+        if literal:
+            count[qs] = bumped - 1
         block, n_levels = self.block, self.columns.n_levels
-        for k, q, row, c in zip(np.flatnonzero(hit).tolist(), qs.tolist(),
-                                rows[qs].tolist(), bumped):
+        for q, row, c, out, into in zip(qs.tolist(), at.tolist(), bumped.tolist(),
+                                        table.left[e].tolist(), table.entered[e].tolist()):
             pair, within = divmod(row, block)
             inst = self.copies[pair]
             if inst.terminated:  # fired earlier in this event; counted below
+                count[q], nxt[q] = c - 1, c
                 continue
-            z, l = divmod(within, n_levels)
-            count[q] = c
-            self.columns.read_out = None
-            table, moves = self._crossings[pair][l]
-            at = bisect_right(table, c)
-            nxt[q] = table[at] if at < len(table) else NEVER
-            if inst.cross(z + 1, *moves[at - 1]):
-                end = int(np.searchsorted(rows[sent], (pair + 1) * block))
+            if literal:
+                count[q] = c
+                self.columns.read_out = None
+            if inst.cross(within // n_levels + 1, out, into):
+                k = int(sent.searchsorted(q))
+                end = int(rows[sent].searchsorted((pair + 1) * block))
                 later = slice(k + 1, end)
                 count[sent[later][~hit[later]]] -= 1
                 self.columns.read_out = None

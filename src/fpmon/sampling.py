@@ -147,3 +147,14 @@ def level_of(h: int, eta: float, gamma: float, p: float, tau: float,
     while l > 0 and 2.0**l > ratio:
         l -= 1
     return min(l, l_max)
+
+
+def level_of_np(tau, denom, l_max: int) -> np.ndarray:
+    """level_of over arrays, given each bucket's denominator
+    eta**p * (1+gamma)**(p*h) * b. The exponent frexp returns is
+    floor(log2(ratio)) + 1 exactly, so no boundary correction is needed."""
+    denom = np.asarray(denom, dtype=np.float64)
+    ok = np.isfinite(denom) & (denom > 0.0)
+    ratio = tau / np.where(ok, denom, np.inf)
+    level = np.minimum(np.frexp(ratio)[1] - 1, l_max)
+    return np.where(ratio >= 1.0, level, 0).astype(np.int32)

@@ -250,3 +250,16 @@ def test_trace_provenance_reproduces_run(tmp_path):
     with open(second, "rb") as fh:
         d2 = fh.read()
     assert d1 == d2
+
+
+def test_bad_config_value_names_file_line_and_key(tmp_path, capsys):
+    stream = str(tmp_path / "s.txt")
+    run("gen-stream", "--kind", "uniform", "--m", "16", "--k", "2",
+        "--n", "50", "--out", stream)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("p=2\n# resolution\nb=abc\neps=0.5\n")
+    code = run("run-monitor", "--stream", stream, "--config", str(cfg),
+               "--out", str(tmp_path / "m.csv"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}: line 3: b: " in err and "'abc'" in err

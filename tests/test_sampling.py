@@ -12,6 +12,7 @@ from fpmon.sampling import (
     PublicCoin,
     derive,
     level_of,
+    level_of_np,
     member_threshold,
     mix64,
     mix64_np,
@@ -138,6 +139,21 @@ def test_level_of_clamps_and_power_of_two_edges():
     for e in range(0, 12):
         assert level_of(0, 1.0, 0.1, 2.0, float(2**e), 1.0, 64) == e
     assert level_of(0, 1.0, 0.1, 2.0, 2.0**40, 1.0, 12) == 12
+
+
+def test_array_level_rule_matches_the_scalar_cases():
+    # level_of_np takes each bucket's denominator eta**p (1+gamma)**(p h) b;
+    # here eta = b = 1 and h = 0, so the denominator is 1 and the ratio tau
+    taus = [10.0, 0.5, 1.0] + [float(2**e) for e in range(12)]
+    assert level_of_np(np.array(taus), np.ones(len(taus)), 64).tolist() == [
+        level_of(0, 1.0, 0.1, 2.0, t, 1.0, 64) for t in taus]
+    assert level_of_np(np.array([2.0**40]), np.ones(1), 12).tolist() == [12]
+    # one ulp either side of each power of two
+    powers = np.array([2.0**e for e in range(1, 12)])
+    assert level_of_np(np.nextafter(powers, 0.0), np.ones(11), 64).tolist() == list(range(11))
+    assert level_of_np(np.nextafter(powers, np.inf), np.ones(11), 64).tolist() == list(range(1, 12))
+    # a denominator that is not finite and positive reads level 0
+    assert level_of_np(np.full(3, 8.0), np.array([np.inf, 0.0, -1.0]), 64).tolist() == [0] * 3
 
 
 @given(st.integers(min_value=0, max_value=400))
