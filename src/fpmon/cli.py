@@ -33,13 +33,9 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"cannot parse boolean from {text!r}")
 
 
-def load_config(path: str) -> dict[str, str]:
-    """key=value lines; blank lines and # comments ignored."""
-    return {key: val for key, (_, val) in _config_lines(path).items()}
-
-
-def _config_lines(path: str) -> dict[str, tuple[int, str]]:
-    """key -> (line number, value) of a key=value config file."""
+def load_config(path: str) -> dict[str, tuple[int, str]]:
+    """key=value lines, as key -> (line number, value); blank lines and
+    # comments ignored."""
     out: dict[str, tuple[int, str]] = {}
     with open(path, "r") as fh:
         for i, line in enumerate(fh, start=1):
@@ -74,7 +70,7 @@ class Options:
         self.info[action.dest] = (_parse_bool, False, False)
 
     def resolve(self, args: argparse.Namespace) -> None:
-        config = _config_lines(args.config) if args.config else {}
+        config = load_config(args.config) if args.config else {}
         for dest, (conv, default, required) in self.info.items():
             if getattr(args, dest) is None:
                 if dest in config:

@@ -16,14 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import (
-    Buckets,
-    FanRows,
-    GlobalParams,
-    ThresholdInstance,
-    fanout,
-    member_mask,
-)
+from .buckets import Buckets
+from .protocol import FanRows, GlobalParams, ThresholdInstance, fanout, member_mask
 from .sampling import SALT_INSTANCE, derive, unit_open_zero
 
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .buckets import Buckets
 from .sampling import (
     SALT_COIN,
     SALT_INSTANCE,
@@ -26,7 +27,6 @@ from .sampling import (
     coordinate_key,
     derive,
     derive_np,
-    level_of_np,
     member_threshold,
     mix64_np,
     unit_open_zero,
@@ -34,8 +34,6 @@ from .sampling import (
 
 _TWO53 = 2.0**53
 _SLICE = 1 << 14
-# next-crossing count of a counter past its last crossing
-NEVER = np.iinfo(np.int32).max
 
 
 def ceil_log2(x: int) -> int:
@@ -175,118 +173,6 @@ class FanRows:
         tau_l_root = np.broadcast_to(root / level_div, shape)
         self.guard = (tau_l_root / (params.k * params.b)).ravel()
         self.qscaled = (np.minimum(params.b / tau_l_root, 1.0) * _TWO53).ravel()
-
-
-class Crossings(NamedTuple):
-    """A crossing table, keyed by key = copy * n_levels + level: at each
-    crossing, at = key * (n + 1) + count, in ascending order."""
-
-    at: np.ndarray
-    left: np.ndarray  # the readable bucket left, -1 for none
-    entered: np.ndarray  # the readable bucket entered, -1 for none
-    next: np.ndarray  # the key's next crossing count, NEVER past its last
-    first: np.ndarray  # by key: the first crossing count, NEVER for none
-
-
-class Buckets:
-    """Bucket machinery of one threshold instance or, copy after copy, of a
-    ladder's instances, built in one numpy pass: each copy's per-level
-    counter increments u, bucket cap h_cap, and bucket edges, weights and
-    levels; and, on first use, one crossing table for every copy.
-
-    Copy c owns slots off[c] .. off[c] + h_cap[c] + 1 of the flat bucket
-    arrays; its last slot holds only edge h_cap + 1, and level -1. Scalar
-    powers and logs run in Python, once per copy or once per h, and the
-    rest elementwise: the same IEEE operations, in the same order, as one
-    copy at a time (`sampling.level_of` for the levels).
-    """
-
-    def __init__(self, params: GlobalParams, tau: Sequence[float],
-                 eta: Sequence[float]) -> None:
-        p, b, gamma, n = params.p, params.b, params.gamma, params.n
-        zeta, self.n_levels, self.n = 1.0 + gamma, params.l_max + 1, n
-        root = np.array([t ** (1.0 / p) for t in tau])
-        level_div = np.array([2.0 ** (l / p) for l in range(self.n_levels)])
-        self.u = np.maximum(root[:, None] / level_div / b, 1.0)
-        eta_p = [e**p for e in eta]
-        self.h_cap = []
-        for e, e_p, top in zip(eta, eta_p, (n * self.u[:, 0]).tolist()):
-            h_full = math.ceil((1.0 / gamma) * math.log(n / e_p, zeta))
-            h_reach = int(math.floor(math.log(top / e, zeta))) + 2 if top >= e else 1
-            self.h_cap.append(min(h_full, h_reach))
-
-        sizes = np.array(self.h_cap) + 2
-        self.off = np.concatenate(([0], np.cumsum(sizes)))
-        # powers of zeta, once per h: numpy's for edges and weights, and
-        # Python's for the levels, as in level_of
-        hs = np.arange(sizes.max(), dtype=np.float64)
-        zeta_h, zeta_ph = zeta**hs, zeta ** (p * hs)
-        level_ph = np.array([zeta ** (p * h) for h in range(hs.size)])
-        tau, eta, eta_p = np.array(tau), np.array(eta), np.array(eta_p)
-        self.edge = np.empty(self.off[-1])
-        self.weight = np.empty(self.off[-1])
-        self.lvl = np.empty(self.off[-1], dtype=np.int32)
-        for run, copy, h in self._chunks():
-            self.edge[run] = eta[copy] * zeta_h[h]
-            self.weight[run] = eta_p[copy] * zeta_ph[h]
-            self.lvl[run] = level_of_np(tau[copy], eta_p[copy] * level_ph[h] * b,
-                                       params.l_max)
-        self.lvl[self.off[1:] - 1] = -1
-
-    def _chunks(self):
-        """Runs of whole copies of about _SLICE slots each, so that no
-        temporary spans the ladder: the run's slots, and each slot's copy
-        and h."""
-        first = np.unique(self.off[:-1] // _SLICE, return_index=True)[1].tolist()
-        for lo, hi in zip(first, [*first[1:], len(self.h_cap)]):
-            lo_slot, hi_slot = int(self.off[lo]), int(self.off[hi])
-            copy = np.repeat(np.arange(lo, hi), np.diff(self.off[lo : hi + 1]))
-            yield slice(lo_slot, hi_slot), copy, np.arange(lo_slot, hi_slot) - self.off[copy]
-
-    @functools.cached_property
-    def crossings(self) -> Crossings:
-        """Every copy's crossings: for each (copy, level), the ascending
-        counts c in 1..n at which a counter of that level going from c - 1
-        to c leaves or enters a bucket readable at the level, and at each,
-        the readable bucket left and the one entered.
-
-        Only the edges of readable buckets are solved: x is the least count
-        whose value reaches the edge, in the float products that
-        bucket_of_value is given. Counts in [x(h), x(h + 1)) lie in bucket
-        h; the nonempty such ranges of one level's readable buckets are
-        disjoint, and a count is a crossing exactly when it starts or ends
-        one of them."""
-        stride, past = self.n + 1, float(self.n + 1)
-        parts = []
-        for run, copy, h in self._chunks():
-            level = self.lvl[run]
-            readable = level >= 0
-            slot = np.flatnonzero(readable) + run.start
-            level, copy, h = level[readable], copy[readable], h[readable]
-            u = np.tile(self.u[copy, level], 2)
-            edge = self.edge[np.concatenate((slot, slot + 1))]
-            x = np.clip(np.ceil(edge / u), 1.0, past)
-            while (low := (x < past) & (x * u < edge)).any():
-                x += low
-            while (high := (x > 1.0) & ((x - 1.0) * u >= edge)).any():
-                x -= high
-            lo, hi = np.split(x.astype(np.int64), 2)
-            key = (copy * self.n_levels + level) * stride
-            enter, leave = (lo < hi) & (lo < past), (lo < hi) & (hi < past)
-            parts.append((key[enter] + lo[enter], h[enter], key[leave] + hi[leave], h[leave]))
-        at_enter, h_enter, at_leave, h_leave = map(np.concatenate, zip(*parts))
-        at = np.sort(np.concatenate((at_enter, at_leave)))
-        at = at[np.append(True, at[1:] != at[:-1])]
-        left = np.full(at.size, -1, dtype=np.int32)
-        left[np.searchsorted(at, at_leave)] = h_leave
-        entered = np.full(at.size, -1, dtype=np.int32)
-        entered[np.searchsorted(at, at_enter)] = h_enter
-        key, count = np.divmod(at, stride)
-        head = np.append(True, key[1:] != key[:-1])
-        nxt = np.append(np.where(head[1:], NEVER, count[1:]), NEVER).astype(np.int32)
-        first = np.full(len(self.h_cap) * self.n_levels, NEVER, dtype=np.int32)
-        first[key[head]] = count[head]
-        return Crossings(at, left, entered, nxt, first)
 
 
 def member_mask(rows: FanRows, j: int) -> np.ndarray:
