@@ -25,13 +25,15 @@ NEVER = np.iinfo(np.int32).max
 
 
 class Crossings(NamedTuple):
-    """A crossing table, keyed by key = copy * n_levels + level: at each
-    crossing, at = key * (n + 1) + count, in ascending order."""
+    """A crossing table: one entry per crossing, in ascending order of
+    at = base + count, where base[copy * n_levels + level] spaces the
+    (copy, level) keys n + 1 apart, a copy's levels in descending order."""
 
     at: np.ndarray
     left: np.ndarray  # the readable bucket left, -1 for none
     entered: np.ndarray  # the readable bucket entered, -1 for none
     next: np.ndarray  # the key's next crossing count, NEVER past its last
+    base: np.ndarray  # by key
     first: np.ndarray  # by key: the first crossing count, NEVER for none
 
 
@@ -83,7 +85,7 @@ class Buckets:
     def _chunks(self):
         """Runs of whole copies of about _CHUNK slots: the run's slots, and
         each slot's copy and h."""
-        first = np.unique(self.off[:-1] // _CHUNK, return_index=True)[1].tolist()
+        first = np.flatnonzero(np.diff(self.off[:-1] // _CHUNK, prepend=-1)).tolist()
         for lo, hi in zip(first, [*first[1:], len(self.h_cap)]):
             lo_slot, hi_slot = int(self.off[lo]), int(self.off[hi])
             copy = np.repeat(np.arange(lo, hi), np.diff(self.off[lo : hi + 1]))
@@ -99,37 +101,49 @@ class Buckets:
         Only the edges of readable buckets are solved: x is the least count
         whose value reaches the edge, in the float products that
         bucket_of_value is given. Counts in [x(h), x(h + 1)) lie in bucket
-        h; the nonempty such ranges of one level's readable buckets are
-        disjoint, and a count is a crossing exactly when it starts or ends
-        one of them."""
-        stride, past = self.n + 1, float(self.n + 1)
+        h, and at one level these ranges ascend with h. A count is a
+        crossing exactly when it starts or ends the nonempty range of a
+        readable bucket; a range that ends where the next one starts makes
+        one crossing. A copy's bucket levels never rise with h (level_of is
+        nonincreasing in h), so with its keys in descending level order the
+        buckets list their crossings in slot order already sorted."""
+        n_levels, stride, past = self.n_levels, self.n + 1, float(self.n + 1)
         parts = []
         for run, copy, h in self._chunks():
             level = self.lvl[run]
-            readable = level >= 0
-            slot = np.flatnonzero(readable) + run.start
+            readable = np.flatnonzero(level >= 0)
+            slot = readable + run.start
             level, copy, h = level[readable], copy[readable], h[readable]
-            u = np.tile(self.u[copy, level], 2)
+            u = self.u[copy, level]
+            u = np.concatenate((u, u))
             edge = self.edge[np.concatenate((slot, slot + 1))]
             x = np.clip(np.ceil(edge / u), 1.0, past)
             while (low := (x < past) & (x * u < edge)).any():
                 x += low
             while (high := (x > 1.0) & ((x - 1.0) * u >= edge)).any():
                 x -= high
-            lo, hi = np.split(x.astype(np.int64), 2)
-            key = (copy * self.n_levels + level) * stride
-            enter, leave = (lo < hi) & (lo < past), (lo < hi) & (hi < past)
-            parts.append((key[enter] + lo[enter], h[enter], key[leave] + hi[leave], h[leave]))
-        at_enter, h_enter, at_leave, h_leave = map(np.concatenate, zip(*parts))
-        at = np.sort(np.concatenate((at_enter, at_leave)))
-        at = at[np.append(True, at[1:] != at[:-1])]
-        left = np.full(at.size, -1, dtype=np.int32)
-        left[np.searchsorted(at, at_leave)] = h_leave
-        entered = np.full(at.size, -1, dtype=np.int32)
-        entered[np.searchsorted(at, at_enter)] = h_enter
-        key, count = np.divmod(at, stride)
+            # each nonempty readable bucket: entered at x(h), left at x(h + 1)
+            full = np.flatnonzero(x[: slot.size] < x[slot.size :])
+            count = np.empty(2 * full.size)
+            count[0::2], count[1::2] = x[full], x[full + slot.size]
+            copy, level, h = (np.repeat(v[full], 2) for v in (copy, level, h))
+            key = copy * n_levels + level
+            at = (copy * n_levels + n_levels - 1 - level) * stride + count.astype(np.int64)
+            left = np.full(count.size, -1, dtype=np.int32)
+            entered = left.copy()
+            left[1::2], entered[0::2] = h[1::2], h[0::2]
+            keep = np.flatnonzero(count < past)
+            at, left, entered, key, count = (v[keep] for v in (at, left, entered, key, count))
+            # a leave and an enter at the same count are one crossing
+            new = np.append(True, at[1:] != at[:-1])
+            merged = np.flatnonzero(~new)
+            entered[merged - 1] = entered[merged]
+            parts.append((at[new], left[new], entered[new], key[new].astype(np.int32),
+                          count[new].astype(np.int32)))
+        at, left, entered, key, count = map(np.concatenate, zip(*parts))
         head = np.append(True, key[1:] != key[:-1])
         nxt = np.append(np.where(head[1:], NEVER, count[1:]), NEVER).astype(np.int32)
-        first = np.full(len(self.h_cap) * self.n_levels, NEVER, dtype=np.int32)
+        first = np.full(len(self.h_cap) * n_levels, NEVER, dtype=np.int32)
         first[key[head]] = count[head]
-        return Crossings(at, left, entered, nxt, first)
+        base = np.arange(len(self.h_cap))[:, None] * n_levels + np.arange(n_levels)[::-1]
+        return Crossings(at, left, entered, nxt, base.ravel() * stride, first)

@@ -117,13 +117,12 @@ class Monitor:
         )
         self.live = np.ones(self.rows.size, dtype=bool)
         self.live_pairs = len(self.copies)
-        # each flat row's first crossing count, and its (copy, level) key
-        # as the crossing table's `at` values count it: key * (n + 1)
+        # each flat row's first crossing count, and its (copy, level) key's
+        # base in the crossing table's `at` values
         table, shape = self._buckets.crossings, (len(self.copies), params.r, n_levels)
         self._first_crossing = np.broadcast_to(
             table.first.reshape(-1, 1, n_levels), shape).ravel()
-        key = np.arange(table.first.size, dtype=np.int64) * (params.n + 1)
-        self._row_at = np.broadcast_to(key.reshape(-1, 1, n_levels), shape).ravel()
+        self._row_at = np.broadcast_to(table.base.reshape(-1, 1, n_levels), shape).ravel()
 
         self.fired_copies = [0] * self.n_instances
         self.instance_fired = [False] * self.n_instances

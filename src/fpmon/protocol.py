@@ -431,12 +431,12 @@ class ThresholdInstance:
         none). Counts stop at n, since a counter takes at most one message
         per update of its coordinate. Views of this copy's part of its
         Buckets' crossing table."""
-        b = self._buckets
-        t, stride = b.crossings, b.n + 1
-        keys = self._pair * b.n_levels + np.arange(b.n_levels + 1)
-        cut = np.searchsorted(t.at, keys * stride).tolist()
-        return [(t.at[lo:hi] - key * stride, t.left[lo:hi], t.entered[lo:hi])
-                for key, lo, hi in zip(keys.tolist(), cut, cut[1:])]
+        t, n_levels = self._buckets.crossings, self._buckets.n_levels
+        base = t.base[self._pair * n_levels : (self._pair + 1) * n_levels]
+        lo = t.at.searchsorted(base).tolist()
+        hi = t.at.searchsorted(base + self._buckets.n + 1).tolist()
+        return [(t.at[a:b] - k, t.left[a:b], t.entered[a:b])
+                for k, a, b in zip(base.tolist(), lo, hi)]
 
     # -- message path ------------------------------------------------------
 

@@ -344,6 +344,8 @@ def test_bucket_tables_equal_scalar_formulas():
             levels = [level_of(h, eta, gamma, p, t, g.b, g.l_max)
                       for h in range(h_cap + 1)]
             assert copy.lvl_of_h.tolist() == levels
+        # the crossing table is built in bucket order and must come out sorted
+        assert (np.diff(mon._buckets.crossings.at) > 0).all()
 
 
 def test_ladder_literal_path_replays_the_incremental_one():
