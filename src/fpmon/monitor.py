@@ -178,16 +178,16 @@ class Monitor:
         copy's later messages of the event and takes back their bumps."""
         rows, count, nxt = col
         qs = sent[hit]
-        at, bumped = rows[qs], count[qs]
+        crossed, bumped = rows[qs], count[qs]
         table = self._buckets.crossings
-        e = table.at.searchsorted(self._row_at[at] + bumped)
+        e = table.at.searchsorted(self._row_at[crossed] + bumped)
         nxt[qs] = table.next[e]
         # only the literal full pass reads counters while an event is delivered
         literal = self.params.literal_estimation
         if literal:
             count[qs] = bumped - 1
         block, n_levels = self.block, self.columns.n_levels
-        for q, row, c, out, into in zip(qs.tolist(), at.tolist(), bumped.tolist(),
+        for q, row, c, out, into in zip(qs.tolist(), crossed.tolist(), bumped.tolist(),
                                         table.left[e].tolist(), table.entered[e].tolist()):
             pair, within = divmod(row, block)
             inst = self.copies[pair]
