@@ -12,14 +12,11 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .sampling import level_of_np
+from .sampling import SLICE, level_of_np
 
 if TYPE_CHECKING:
     from .protocol import GlobalParams
 
-# bucket slots per run of copies built together, so that no temporary spans
-# the ladder
-_CHUNK = 1 << 14
 # next-crossing count of a counter past its last crossing
 NEVER = np.iinfo(np.int32).max
 
@@ -39,7 +36,8 @@ class Crossings(NamedTuple):
 
 class Buckets:
     """Bucket machinery of one threshold instance or, copy after copy, of a
-    ladder's instances, built in one numpy pass: each copy's per-level
+    ladder's instances, built in numpy a run of whole copies at a time (see
+    _runs): each copy's per-level
     counter increments u, bucket cap h_cap, and bucket edges, weights and
     levels; and, on first use, one crossing table for every copy.
 
@@ -72,24 +70,28 @@ class Buckets:
         zeta_h, zeta_ph = zeta**hs, zeta ** (p * hs)
         level_ph = np.array([zeta ** (p * h) for h in range(hs.size)])
         tau, eta, eta_p = np.array(tau), np.array(eta), np.array(eta_p)
-        self.edge = np.empty(self.off[-1])
-        self.weight = np.empty(self.off[-1])
+        self.edge, self.weight = np.empty(self.off[-1]), np.empty(self.off[-1])
         self.lvl = np.empty(self.off[-1], dtype=np.int32)
-        for run, copy, h in self._chunks():
+        for lo, hi in self._runs():
+            run = slice(self.off[lo], self.off[hi])
+            copy, h = self._slots(lo, hi)
             self.edge[run] = eta[copy] * zeta_h[h]
             self.weight[run] = eta_p[copy] * zeta_ph[h]
             self.lvl[run] = level_of_np(tau[copy], eta_p[copy] * level_ph[h] * b,
-                                       params.l_max)
+                                        params.l_max)
         self.lvl[self.off[1:] - 1] = -1
 
-    def _chunks(self):
-        """Runs of whole copies of about _CHUNK slots: the run's slots, and
-        each slot's copy and h."""
-        first = np.flatnonzero(np.diff(self.off[:-1] // _CHUNK, prepend=-1)).tolist()
-        for lo, hi in zip(first, [*first[1:], len(self.h_cap)]):
-            lo_slot, hi_slot = int(self.off[lo]), int(self.off[hi])
-            copy = np.repeat(np.arange(lo, hi), np.diff(self.off[lo : hi + 1]))
-            yield slice(lo_slot, hi_slot), copy, np.arange(lo_slot, hi_slot) - self.off[copy]
+    def _runs(self) -> list[tuple[int, int]]:
+        """Runs of whole copies lo .. hi - 1 of about SLICE bucket slots,
+        over which the tables are built: over a whole ladder at once, the
+        build's temporaries raise the peak RSS by several MB."""
+        runs = np.flatnonzero(np.diff(self.off[:-1] // SLICE, prepend=-1)).tolist()
+        return list(zip(runs, [*runs[1:], len(self.h_cap)]))
+
+    def _slots(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each bucket slot's copy and h, over copies lo .. hi - 1."""
+        copy = np.repeat(np.arange(lo, hi), np.diff(self.off[lo : hi + 1]))
+        return copy, np.arange(self.off[lo], self.off[hi]) - self.off[copy]
 
     @functools.cached_property
     def crossings(self) -> Crossings:
@@ -98,52 +100,59 @@ class Buckets:
         to c leaves or enters a bucket readable at the level, and at each,
         the readable bucket left and the one entered.
 
+        A copy's bucket levels never rise with h (level_of is nonincreasing
+        in h), so with its keys in descending level order the runs list
+        their crossings in slot order already sorted."""
+        parts = [self._solve(lo, hi) for lo, hi in self._runs()]
+        at, left, entered, key, count = map(np.concatenate, zip(*parts))
+        head = np.diff(key, prepend=-1) != 0
+        nxt = np.full(count.size, NEVER, dtype=np.int32)
+        nxt[:-1] = np.where(head[1:], NEVER, count[1:])
+        first = np.full(len(self.h_cap) * self.n_levels, NEVER, dtype=np.int32)
+        first[key[head]] = count[head]
+        base = (np.arange(len(self.h_cap))[:, None] * self.n_levels
+                + np.arange(self.n_levels)[::-1])
+        return Crossings(at, left, entered, nxt, base.ravel() * (self.n + 1), first)
+
+    def _solve(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        """The crossings of copies lo .. hi - 1, in order: at, left, entered,
+        (copy, level) key and count.
+
         Only the edges of readable buckets are solved: x is the least count
         whose value reaches the edge, in the float products that
         bucket_of_value is given. Counts in [x(h), x(h + 1)) lie in bucket
         h, and at one level these ranges ascend with h. A count is a
         crossing exactly when it starts or ends the nonempty range of a
         readable bucket; a range that ends where the next one starts makes
-        one crossing. A copy's bucket levels never rise with h (level_of is
-        nonincreasing in h), so with its keys in descending level order the
-        buckets list their crossings in slot order already sorted."""
+        one crossing."""
         n_levels, stride, past = self.n_levels, self.n + 1, float(self.n + 1)
-        parts = []
-        for run, copy, h in self._chunks():
-            level = self.lvl[run]
-            readable = np.flatnonzero(level >= 0)
-            slot = readable + run.start
-            level, copy, h = level[readable], copy[readable], h[readable]
-            u = self.u[copy, level]
-            u = np.concatenate((u, u))
-            edge = self.edge[np.concatenate((slot, slot + 1))]
-            x = np.clip(np.ceil(edge / u), 1.0, past)
-            while (low := (x < past) & (x * u < edge)).any():
-                x += low
-            while (high := (x > 1.0) & ((x - 1.0) * u >= edge)).any():
-                x -= high
-            # each nonempty readable bucket: entered at x(h), left at x(h + 1)
-            full = np.flatnonzero(x[: slot.size] < x[slot.size :])
-            count = np.empty(2 * full.size)
-            count[0::2], count[1::2] = x[full], x[full + slot.size]
-            copy, level, h = (np.repeat(v[full], 2) for v in (copy, level, h))
-            key = copy * n_levels + level
-            at = (copy * n_levels + n_levels - 1 - level) * stride + count.astype(np.int64)
-            left = np.full(count.size, -1, dtype=np.int32)
-            entered = left.copy()
-            left[1::2], entered[0::2] = h[1::2], h[0::2]
-            keep = np.flatnonzero(count < past)
-            at, left, entered, key, count = (v[keep] for v in (at, left, entered, key, count))
-            # a leave and an enter at the same count are one crossing
-            new = np.append(True, at[1:] != at[:-1])
-            merged = np.flatnonzero(~new)
-            entered[merged - 1] = entered[merged]
-            parts.append((at[new], left[new], entered[new], key[new].astype(np.int32),
-                          count[new].astype(np.int32)))
-        at, left, entered, key, count = map(np.concatenate, zip(*parts))
-        head = np.append(True, key[1:] != key[:-1])
-        nxt = np.append(np.where(head[1:], NEVER, count[1:]), NEVER).astype(np.int32)
-        first = np.full(len(self.h_cap) * n_levels, NEVER, dtype=np.int32)
-        first[key[head]] = count[head]
-        base = np.arange(len(self.h_cap))[:, None] * n_levels + np.arange(n_levels)[::-1]
-        return Crossings(at, left, entered, nxt, base.ravel() * stride, first)
+        copy, h = self._slots(lo, hi)
+        readable = np.flatnonzero(self.lvl[self.off[lo] : self.off[hi]] >= 0)
+        slot = readable + self.off[lo]
+        level, copy, h = self.lvl[slot], copy[readable], h[readable]
+        u = self.u[copy, level]
+        u = np.concatenate((u, u))
+        edge = self.edge[np.concatenate((slot, slot + 1))]
+        x = np.clip(np.ceil(edge / u), 1.0, past)
+        while (low := (x < past) & (x * u < edge)).any():
+            x += low
+        while (high := (x > 1.0) & ((x - 1.0) * u >= edge)).any():
+            x -= high
+        # each nonempty readable bucket: entered at x(h), left at x(h + 1)
+        full = np.flatnonzero(x[: slot.size] < x[slot.size :])
+        count = np.empty(2 * full.size)
+        count[0::2], count[1::2] = x[full], x[full + slot.size]
+        copy, level, h = (np.repeat(v[full], 2) for v in (copy, level, h))
+        at = (copy * n_levels + n_levels - 1 - level) * stride + count.astype(np.int64)
+        left = np.full(count.size, -1, dtype=np.int32)
+        entered = left.copy()
+        left[1::2], entered[0::2] = h[1::2], h[0::2]
+        keep = np.flatnonzero(count < past)
+        at, left, entered = at[keep], left[keep], entered[keep]
+        key = (copy * n_levels + level)[keep].astype(np.int32)
+        count = count[keep].astype(np.int32)
+        # a leave and an enter at the same count are one crossing
+        new = np.diff(at, prepend=-1) != 0
+        merged = np.flatnonzero(~new)
+        entered[merged - 1] = entered[merged]
+        return tuple(v[new] for v in (at, left, entered, key, count))

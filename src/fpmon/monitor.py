@@ -182,21 +182,17 @@ class Monitor:
         table = self._buckets.crossings
         e = table.at.searchsorted(self._row_at[crossed] + bumped)
         nxt[qs] = table.next[e]
-        # only the literal full pass reads counters while an event is delivered
-        literal = self.params.literal_estimation
-        if literal:
-            count[qs] = bumped - 1
+        count[qs] = bumped - 1
         block, n_levels = self.block, self.columns.n_levels
         for q, row, c, out, into in zip(qs.tolist(), crossed.tolist(), bumped.tolist(),
                                         table.left[e].tolist(), table.entered[e].tolist()):
             pair, within = divmod(row, block)
             inst = self.copies[pair]
             if inst.terminated:  # fired earlier in this event; counted below
-                count[q], nxt[q] = c - 1, c
+                nxt[q] = c
                 continue
-            if literal:
-                count[q] = c
-                self.columns.read_out = None
+            count[q] = c
+            self.columns.read_out = None
             if inst.cross(within // n_levels + 1, out, into):
                 k = int(sent.searchsorted(q))
                 end = int(rows[sent].searchsorted((pair + 1) * block))

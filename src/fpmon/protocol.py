@@ -23,6 +23,7 @@ from .sampling import (
     SALT_COIN,
     SALT_INSTANCE,
     SALT_SEND,
+    SLICE,
     PublicCoin,
     coordinate_key,
     derive,
@@ -33,7 +34,6 @@ from .sampling import (
 )
 
 _TWO53 = 2.0**53
-_SLICE = 1 << 14
 
 
 def ceil_log2(x: int) -> int:
@@ -179,10 +179,9 @@ def member_mask(rows: FanRows, j: int) -> np.ndarray:
     """Which rows' level sets hold coordinate j."""
     jk = np.uint64(coordinate_key(j))
     out = np.empty(rows.size, dtype=bool)
-    # in slices whose temporaries are 128 KiB: over a whole ladder, each
-    # temporary is a fresh block that the process has to fault in
-    for lo in range(0, rows.size, _SLICE):
-        hi = lo + _SLICE
+    # in slices whose temporaries are 128 KiB
+    for lo in range(0, rows.size, SLICE):
+        hi = lo + SLICE
         out[lo:hi] = mix64_np(rows.coin_key[lo:hi] ^ jk) <= rows.member_thresh[lo:hi]
     return out
 

@@ -25,6 +25,11 @@ SALT_HARD = 0x4841524406
 SALT_EMBED = 0x454D424407
 SALT_EVENT = 0x45564E5408
 
+# elements per slice of a numpy pass over a whole ladder: larger temporaries
+# are fresh blocks that the process has to fault in, and they raise its
+# peak RSS
+SLICE = 1 << 14
+
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 

@@ -348,6 +348,24 @@ def test_bucket_tables_equal_scalar_formulas():
         assert (np.diff(mon._buckets.crossings.at) > 0).all()
 
 
+def test_threshold_run_with_no_crossing_at_all():
+    # with n = 2 and tau far above what two messages can show, no count of
+    # any level reaches a bucket readable at that level (seed 4 draws such
+    # an eta): the crossing table is empty, and the run never fires
+    g = GlobalParams(k=4, m=16, n=2, p=1.5, eps=0.9, b=1.0, tau=1e9, seed=4)
+    mon = Monitor(g, tau=g.tau)
+    copy = mon.copies[0]
+    for l in range(g.l_max + 1):
+        hs = [copy._bucket_of_count(l, c) for c in range(g.n + 1)]
+        assert not any(copy._readable(h, l) for h in hs if h >= 0)
+    table = mon._buckets.crossings
+    assert table.at.size == 0 and (table.first == np.iinfo(np.int32).max).all()
+    assert all(counts.size == 0 for counts, _, _ in copy.crossings())
+    events = gen_uniform_stream(16, 4, 2, seed=1)
+    rows, inst = simulate(events, g, mode="threshold")
+    assert [row.estimate for row in rows] == [0.0, 0.0] and not inst.terminated
+
+
 def test_ladder_literal_path_replays_the_incremental_one():
     # the full pass from raw counters, run at every crossing message of every
     # copy, gives the incremental path's trace and per-copy state, through
