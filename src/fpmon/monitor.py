@@ -18,7 +18,8 @@ import numpy as np
 
 from .buckets import Buckets
 from .protocol import FanRows, GlobalParams, ThresholdInstance, fanout, member_mask
-from .sampling import SALT_INSTANCE, derive, unit_open_zero
+# derive stays bound here: bench/tracing.py wraps monitor.derive
+from .sampling import MASK64, SALT_INSTANCE, derive, derive_np, unit_open_zero
 
 
 @dataclass
@@ -98,8 +99,11 @@ class Monitor:
         n_levels = params.l_max + 1
         self.block = params.r * n_levels
         self.columns = Columns(self.block, n_levels)
-        seeds = [[derive(params.seed, SALT_INSTANCE, i, c, s) for s in range(3)]
-                 for i in range(self.n_instances) for c in range(self.a)]
+        # (coin, send, eta) seeds of copy (i, c): derive(seed, SALT_INSTANCE, i, c, s)
+        seeds = derive_np(params.seed & MASK64, SALT_INSTANCE,
+                          np.arange(self.n_instances)[:, None, None],
+                          np.arange(self.a)[None, :, None],
+                          np.arange(3)[None, None, :]).reshape(-1, 3).tolist()
         taus = [tau for tau in self.taus for _ in range(self.a)]
         self._buckets = Buckets(params, taus, [unit_open_zero(s[2]) for s in seeds])
         self.copies = [
@@ -112,9 +116,6 @@ class Monitor:
         # flat candidate rows over (instance, copy, z, l), canonical order
         self.rows = FanRows(params, taus, [c.coin for c in self.copies],
                             [c.send_seed for c in self.copies])
-        self.pair_of = np.repeat(
-            np.arange(len(self.copies), dtype=np.int32), self.block
-        )
         self.live = np.ones(self.rows.size, dtype=bool)
         self.live_pairs = len(self.copies)
         # each flat row's first crossing count, and its (copy, level) key's
@@ -173,34 +174,42 @@ class Monitor:
         return EventOutcome(messages=int(sent.size))
 
     def _cross(self, col, sent: np.ndarray, hit: np.ndarray) -> None:
-        """Deliver an event's crossing messages in canonical order, each
-        counter bumped in turn; a message that fires its copy drops the
-        copy's later messages of the event and takes back their bumps."""
+        """Deliver an event's crossing messages to their copies in canonical
+        order. The counters stay bumped and each crossing row's next crossing
+        count is set up front; a message that fires its copy takes back the
+        bumps of the copy's later messages of the event, which it drops.
+        Under literal_estimation each crossing bump waits for its own
+        message, so that every full pass reads the counters delivered so
+        far."""
         rows, count, nxt = col
         qs = sent[hit]
         crossed, bumped = rows[qs], count[qs]
         table = self._buckets.crossings
         e = table.at.searchsorted(self._row_at[crossed] + bumped)
         nxt[qs] = table.next[e]
-        count[qs] = bumped - 1
-        block, n_levels = self.block, self.columns.n_levels
-        for q, row, c, out, into in zip(qs.tolist(), crossed.tolist(), bumped.tolist(),
-                                        table.left[e].tolist(), table.entered[e].tolist()):
-            pair, within = divmod(row, block)
-            inst = self.copies[pair]
-            if inst.terminated:  # fired earlier in this event; counted below
-                nxt[q] = c
+        pair, z = np.divmod(crossed // self.columns.n_levels, self.params.r)
+        literal = self.params.literal_estimation
+        if literal:
+            count[qs] = bumped - 1
+        copies, columns = self.copies, self.columns
+        for i, (p, zi, out, into) in enumerate(zip(
+                pair.tolist(), (z + 1).tolist(), table.left[e].tolist(),
+                table.entered[e].tolist())):
+            inst = copies[p]
+            if inst.terminated:  # fired earlier in this event
                 continue
-            count[q] = c
-            self.columns.read_out = None
-            if inst.cross(within // n_levels + 1, out, into):
-                k = int(sent.searchsorted(q))
-                end = int(rows[sent].searchsorted((pair + 1) * block))
-                later = slice(k + 1, end)
-                count[sent[later][~hit[later]]] -= 1
-                self.columns.read_out = None
+            if literal:
+                count[qs[i]] += 1
+                columns.read_out = None
+            if inst.cross(zi, out, into):
+                k = int(sent.searchsorted(qs[i]))
+                end = int(rows[sent].searchsorted((p + 1) * self.block))
+                later, crossing = sent[k + 1 : end], hit[k + 1 : end]
+                count[later[~crossing] if literal else later] -= 1
+                nxt[later[crossing]] = count[later[crossing]] + 1
+                columns.read_out = None
                 inst.dropped += end - k - 1
-                self._fire(pair)
+                self._fire(p)
 
     def _fire(self, pair: int) -> None:
         self._silence_pair(pair)

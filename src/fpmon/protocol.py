@@ -79,6 +79,10 @@ class GlobalParams:
     l_max: int = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("p", "tau", "b", "c_b", "c_a"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.k < 1 or (self.k & (self.k - 1)) != 0:
             raise ValueError(f"k must be a power of two, got {self.k}")
         if self.m < 2:
@@ -308,7 +312,7 @@ class ThresholdInstance:
         self.weight = buckets.weight[lo : lo + self.h_cap + 1]
         self.lvl_of_h = buckets.lvl[lo : lo + self.h_cap + 1]
         self.fire_line = (1.0 - params.c_fire * params.eps) * self.tau
-        self._med_idx = (params.r - 1) // 2
+        self._r, self._med_idx = params.r, (params.r - 1) // 2
 
         self._columns, self._pair = columns, pair
         self._counts: dict[tuple[int, int, int], int] = {}
@@ -371,16 +375,40 @@ class ThresholdInstance:
     # -- estimation --------------------------------------------------------
 
     def _hist_set(self, h: int, z: int, delta: int) -> bool:
-        """Adjust |bucket h| for repetition z; True if the median moved."""
+        """Step |bucket h| for repetition z by delta = +-1; True if the
+        median moved.
+
+        hist[h] holds the r counts, then the lower median m (sorted index
+        (r-1)//2), then how many counts lie below m and at or below it. A
+        step moves m by at most one: up when a count at m rises and too few
+        stay at or below it, down when a count at m falls and too many lie
+        below it."""
+        r, k = self._r, self._med_idx
         arr = self.hist.get(h)
         if arr is None:
-            arr = self.hist[h] = [0] * self.params.r
-        arr[z - 1] += delta
-        med_count = sorted(arr)[self._med_idx]
-        new_med = float(med_count << int(self.lvl_of_h[h]))
-        if new_med != self.med[h]:
-            self.med[h] = new_med
-            return True
+            arr = self.hist[h] = [0] * r + [0, 0, r]
+        v = arr[z - 1]
+        arr[z - 1] = v + delta
+        m = arr[r]
+        if delta > 0:
+            if v == m - 1:
+                arr[r + 1] -= 1
+            elif v == m:
+                arr[r + 2] -= 1
+                if arr[r + 2] == k:
+                    m += 1
+                    arr[r : r + 3] = m, k, k + arr[:r].count(m)
+                    self.med[h] = float(m << int(self.lvl_of_h[h]))
+                    return True
+        elif v == m + 1:
+            arr[r + 2] += 1
+        elif v == m:
+            arr[r + 1] += 1
+            if arr[r + 1] == k + 1:
+                m -= 1
+                arr[r : r + 3] = m, k + 1 - arr[:r].count(m), k + 1
+                self.med[h] = float(m << int(self.lvl_of_h[h]))
+                return True
         return False
 
     def _full_pass(self) -> tuple[np.ndarray, float]:

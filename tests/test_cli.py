@@ -263,3 +263,19 @@ def test_bad_config_value_names_file_line_and_key(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert f"{cfg}: line 3: b: " in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--tau", "nan"), ("--tau", "inf"),
+                                        ("--b", "nan"), ("--p", "inf")])
+def test_non_finite_parameter_is_an_error_line(tmp_path, capsys, flag, value):
+    stream = str(tmp_path / "s.txt")
+    run("gen-stream", "--kind", "uniform", "--m", "16", "--k", "2",
+        "--n", "50", "--out", stream)
+    args = {"--p": "2", "--eps": "0.5", "--tau": "100", "--b": "8", flag: value}
+    out = tmp_path / "t.csv"
+    code = run("run-threshold", "--stream", stream, "--r", "3",
+               *[x for kv in args.items() for x in kv], "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[2:] in err
+    assert not out.exists()

@@ -6,7 +6,9 @@ import math
 import weakref
 
 import numpy as np
+import pytest
 
+from fpmon.buckets import NEVER
 from fpmon.harness import gen_uniform_stream, gen_zipf_stream, simulate
 from fpmon.monitor import Monitor
 from fpmon.protocol import GlobalParams, ThresholdInstance, fanout
@@ -17,6 +19,7 @@ from fpmon.sampling import (
     event_key,
     level_of,
     member_threshold,
+    unit_open_zero,
 )
 
 
@@ -239,14 +242,39 @@ def test_copies_use_disjoint_randomness():
 
 
 def test_live_mask_layout_matches_pair_blocks():
+    # silencing a copy clears exactly its block of flat rows, once
     g = monitor_params(a=3, r=3)
     mon = Monitor(g)
     assert mon.block == 3 * (g.l_max + 1)
-    assert mon.pair_of.shape == (mon.rows.size,)
-    assert (np.diff(mon.pair_of) >= 0).all()
+    assert mon.live.shape == (mon.rows.size,) == (len(mon.copies) * mon.block,)
     for pair in range(len(mon.copies)):
         lo = pair * mon.block
-        assert (mon.pair_of[lo : lo + mon.block] == pair).all()
+        before = mon.live.copy()
+        mon._silence_pair(pair)
+        assert mon.live_pairs == len(mon.copies) - pair - 1
+        assert not mon.live[lo : lo + mon.block].any()
+        assert (mon.live[lo + mon.block :] == before[lo + mon.block :]).all()
+        assert (mon.live[:lo] == before[:lo]).all()
+        mon._silence_pair(pair)
+        assert mon.live_pairs == len(mon.copies) - pair - 1
+    assert not mon.live.any()
+
+
+@pytest.mark.parametrize("seed", [0, 17, -5, 2**64 + 3])
+def test_copy_seeds_equal_scalar_derive(seed):
+    g = monitor_params(a=3, seed=seed)
+    mon = Monitor(g)
+    assert len(mon.copies) == (g.i_max + 1) * 3
+    for pair, inst in enumerate(mon.copies):
+        i, c = divmod(pair, 3)
+        coin, send, eta = (derive(seed, SALT_INSTANCE, i, c, s) for s in range(3))
+        assert inst.coin.master_seed == coin
+        assert inst.send_seed == send
+        assert inst.eta == unit_open_zero(eta)
+        assert inst.tau == mon.taus[i]
+    solo = Monitor(g, tau=10.0).copies[0]
+    assert solo.coin.master_seed == derive(seed, SALT_INSTANCE, 0, 0, 0)
+    assert solo.send_seed == derive(seed, SALT_INSTANCE, 0, 0, 1)
 
 
 def test_dropped_monitor_is_freed_without_the_cycle_collector():
@@ -382,3 +410,21 @@ def test_ladder_literal_path_replays_the_incremental_one():
             assert (a.est, a.est_decreases, a.dropped) == (b.est, b.est_decreases, b.dropped)
             assert np.array_equal(a.med, b.med)
             assert a.counts == b.counts
+
+
+def test_columns_keep_each_counters_next_crossing():
+    # after mid-event fires, every column row's next crossing count is still
+    # the first crossing of its (copy, level) above its count, on both the
+    # incremental and the literal path
+    for lit in (False, True):
+        g = monitor_params(p=3.0, n=300, literal_estimation=lit)
+        _, mon = simulate(gen_zipf_stream(64, 4, 300, seed=5, s=1.1), g, mode="monitor")
+        assert sum(c.dropped for c in mon.copies) > 0
+        n_levels = g.l_max + 1
+        tables = [copy.crossings() for copy in mon.copies]
+        for rows, count, nxt in mon.columns.by_j.values():
+            for row, c, want in zip(rows.tolist(), count.tolist(), nxt.tolist()):
+                pair, within = divmod(row, mon.block)
+                at = tables[pair][within % n_levels][0]
+                above = at[at > c]
+                assert want == (int(above[0]) if above.size else NEVER)

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpmon.protocol import (
     FanRows,
@@ -52,6 +54,13 @@ def test_params_validation():
         small_params(c_fire=0.0)
     with pytest.raises(ValueError):
         small_params(a=4)
+
+
+@pytest.mark.parametrize("field", ["p", "tau", "b", "c_b", "c_a"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got "):
+        small_params(**{field: value})
 
 
 def test_params_defaults_resolve():
@@ -242,6 +251,28 @@ def test_class_estimate_matches_maintained_median():
         inst.apply(j, z, rng.randrange(g.l_max + 1))
     for h in range(inst.h_cap + 1):
         assert inst.class_estimate(h) == inst.med[h]
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.sampled_from([1, 2, 3, 4, 15]), data=st.data())
+def test_incremental_median_matches_a_sort(r, data):
+    # random +-1 walks of the r repetition counts of one bucket, never below
+    # zero: after each step the kept state is the sorted lower median
+    inst = ThresholdInstance(small_params(r=r))
+    h = data.draw(st.integers(0, inst.h_cap), label="h")
+    shift, k = int(inst.lvl_of_h[h]), (r - 1) // 2
+    counts = [0] * r
+    for _ in range(data.draw(st.integers(1, 200), label="steps")):
+        z = data.draw(st.integers(1, r), label="z")
+        delta = 1 if counts[z - 1] == 0 else data.draw(st.sampled_from([1, -1]))
+        before = sorted(counts)[k]
+        counts[z - 1] += delta
+        med = sorted(counts)[k]
+        assert inst._hist_set(h, z, delta) == (med != before)
+        below = sum(c < med for c in counts)
+        at_or_below = sum(c <= med for c in counts)
+        assert inst.hist[h] == [*counts, med, below, at_or_below]
+        assert inst.med[h] == float(med << shift)
 
 
 def test_bucket_interval_semantics():
