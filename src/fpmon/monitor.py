@@ -17,9 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .buckets import Buckets
-from .protocol import FanRows, GlobalParams, ThresholdInstance, fanout, member_mask
+from .protocol import FanRows, GlobalParams, ThresholdInstance, check_tau, fanout
+from .sampling import (GOLDEN, MASK64, SALT_INSTANCE, SLICE, derive_np, mix64_np,
+                       unit_open_zero)
 # derive stays bound here: bench/tracing.py wraps monitor.derive
-from .sampling import MASK64, SALT_INSTANCE, derive, derive_np, unit_open_zero
+from .sampling import derive  # noqa: F401
 
 
 @dataclass
@@ -32,9 +34,10 @@ class EventOutcome:
 class Columns:
     """Per-coordinate counters of a ladder. For each coordinate j seen so
     far, by_j[j] holds the ascending flat rows whose level set held j (among
-    the rows live when j first arrived) and, aligned with them, each row's
-    message count and the count at its next crossing. Holds no reference to
-    the copies or their Monitor, which both point here."""
+    the rows live when the run of events that first reached j was fanned
+    out) and, aligned with them, each row's message count and the count at
+    its next crossing. Holds no reference to the copies or their Monitor,
+    which both point here."""
 
     def __init__(self, block: int, n_levels: int) -> None:
         self.block, self.n_levels = block, n_levels
@@ -84,6 +87,14 @@ class Monitor:
     the messages that reach their counters' next crossings look up the
     buckets they leave and enter there in one search, and only they go
     through Python, to their copies' cross().
+
+    An event's messages depend only on the event and on which rows are
+    live, and rows only ever fall silent. So on_event fans out a run of
+    upcoming events at once when the stream has been handed over through
+    plan(): max(1, SLICE // live rows) of them, in one numpy pass over the
+    rows live at the run's start. Each event then drops its messages from
+    rows that have fallen silent since. Without a plan, each event is a
+    run of one.
     """
 
     def __init__(self, params: GlobalParams, tau: float | None = None) -> None:
@@ -92,6 +103,7 @@ class Monitor:
             self.a = params.a
             self.taus = [(1.0 + params.eps) ** i for i in range(params.i_max + 1)]
         else:
+            check_tau(tau)
             self.a, self.taus = 1, [tau]
         self.n_instances = len(self.taus)
         self.majority = self.a // 2 + 1
@@ -118,6 +130,15 @@ class Monitor:
                             [c.send_seed for c in self.copies])
         self.live = np.ones(self.rows.size, dtype=bool)
         self.live_pairs = len(self.copies)
+        # the live rows' flat indices and coin keys (one block of keys per
+        # live pair), built when a column is next made after a pair falls
+        # silent
+        self._live_keys: tuple[np.ndarray, np.ndarray] | None = None
+        # the stream's (count_after, j, ev) arrays, the index of the next
+        # planned event, and the run fanned out so far (see _fan_run)
+        self._plan: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._at = 0
+        self._run: tuple | None = None
         # each flat row's first crossing count, and its (copy, level) key's
         # base in the crossing table's `at` values
         table, shape = self._buckets.crossings, (len(self.copies), params.r, n_levels)
@@ -145,26 +166,103 @@ class Monitor:
         if self.live[lo]:
             self.live[lo : lo + self.block] = False
             self.live_pairs -= 1
+            self._live_keys = None
 
-    def _column(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Coordinate j's column, made on its first event from the live rows
-        (a silent row never speaks again)."""
-        col = self.columns.by_j.get(j)
-        if col is None:
-            rows = np.flatnonzero(member_mask(self.rows, j) & self.live).astype(np.int32)
-            col = (rows, np.zeros(rows.size, dtype=np.int32), self._first_crossing[rows])
-            self.columns.by_j[j] = col
-        return col
+    def plan(self, count_after: np.ndarray, js: np.ndarray, evs: np.ndarray) -> None:
+        """Hand over the (count_after, j, ev) of every event still to come,
+        as aligned arrays; on_event must then be called with exactly these
+        events, in order."""
+        self._plan = (np.asarray(count_after, dtype=np.int64),
+                      np.asarray(js, dtype=np.int64), np.asarray(evs, dtype=np.uint64))
+        self._at, self._run = 0, None
+
+    def _build_columns(self, js: list[int]) -> None:
+        """Columns of new coordinates js, from one membership hash over
+        (js x live rows), in slices whose temporaries are 128 KiB. A silent
+        row never speaks again, so it gets no column entry."""
+        block = self.block
+        if self._live_keys is None:
+            pairs = np.flatnonzero(self.live[::block]).astype(np.int32)
+            flat = (pairs[:, None] * block + np.arange(block, dtype=np.int32)).ravel()
+            self._live_keys = flat, self.rows.coin_key.reshape(-1, block)[pairs]
+        # live rows are whole pair blocks, and a row's member threshold
+        # depends only on its place in the block
+        flat, key = self._live_keys
+        thresh = self.rows.member_thresh[:block]
+        jk = (np.array(js, dtype=np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
+        jk = jk[:, None, None]
+        member = np.empty((len(js), *key.shape), dtype=bool)
+        step = max(1, SLICE // (len(js) * block))  # live pairs per slice
+        for lo in range(0, key.shape[0], step):
+            hi = lo + step
+            member[:, lo:hi] = mix64_np(key[lo:hi] ^ jk) <= thresh
+        at = np.flatnonzero(member)
+        rows = np.take(flat, at, mode="wrap")  # at % flat.size: the live row
+        count = np.zeros(rows.size, dtype=np.int32)
+        nxt = self._first_crossing[rows]
+        ends = at.searchsorted(np.arange(1, len(js) + 1) * flat.size).tolist()
+        by_j, lo = self.columns.by_j, 0
+        for j, hi in zip(js, ends):
+            by_j[j] = (rows[lo:hi], count[lo:hi], nxt[lo:hi])
+            lo = hi
+
+    def _fan_run(self, count_after: int, j: int, ev: int) -> tuple:
+        """Fan out the run of events that starts at this one: the planned
+        ones, or this event alone without a plan. Returns (start, events,
+        columns, sent, live pairs): for each event its (count_after, j, ev),
+        its coordinate's column and its messages as ascending positions
+        into that column, computed over the rows live now."""
+        start = self._at
+        if self._plan is None:
+            events = [(count_after, j, ev)]
+        else:
+            counts, js, evs = self._plan
+            stop = min(start + max(1, SLICE // (self.live_pairs * self.block)), js.size)
+            if start == stop:
+                raise ValueError(f"event {start} is past the end of the plan")
+            events = list(zip(counts[start:stop].tolist(), js[start:stop].tolist(),
+                              evs[start:stop].tolist()))
+        by_j = self.columns.by_j
+        new = [x for x in dict.fromkeys(e[1] for e in events) if x not in by_j]
+        if new:
+            self._build_columns(new)
+        cols = [by_j[e[1]] for e in events]
+        if len(events) == 1:
+            (c, j, ev), = events
+            sent = [fanout(self.rows, self.live, c, j, ev, cols[0][0])]
+        else:
+            sizes = [col[0].size for col in cols]
+            pos = fanout(self.rows, self.live, np.repeat(counts[start:stop], sizes), None,
+                         np.repeat(evs[start:stop], sizes),
+                         np.concatenate([col[0] for col in cols]))
+            ends = np.cumsum(sizes)
+            cut = pos.searchsorted(ends)
+            pos -= np.repeat(ends - sizes, np.diff(cut, prepend=0))
+            cut = [0, *cut.tolist()]
+            sent = [pos[lo:hi] for lo, hi in zip(cut, cut[1:])]
+        return start, events, cols, sent, self.live_pairs
 
     def on_event(self, count_after: int, j: int, ev: int) -> EventOutcome:
         """Run one site update against every live copy. Messages are
         delivered in flat canonical order; a copy that fires mid-event drops
-        the rest of that event's messages addressed to it."""
+        the rest of that event's messages addressed to it. With a plan, an
+        event other than the next planned one raises ValueError."""
         if not self.live_pairs:
             return EventOutcome(messages=0)
-        col = self._column(j)
+        run = self._run
+        if run is None or self._at - run[0] == len(run[1]):
+            run = self._run = self._fan_run(count_after, j, ev)
+        start, events, cols, sents, live_pairs = run
+        i = self._at - start
+        if events[i] != (count_after, j, ev):
+            raise ValueError(f"event {self._at} is {(count_after, j, ev)}, "
+                             f"planned as {events[i]}")
+        self._at += 1
+        col = cols[i]
         rows, count, nxt = col
-        sent = fanout(self.rows, self.live, count_after, j, ev, rows)
+        sent = sents[i]
+        if self.live_pairs < live_pairs:
+            sent = sent[self.live[rows[sent]]]
         if sent.size:
             self.columns.read_out = None
             count[sent] += 1

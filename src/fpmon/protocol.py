@@ -23,7 +23,6 @@ from .sampling import (
     SALT_COIN,
     SALT_INSTANCE,
     SALT_SEND,
-    SLICE,
     PublicCoin,
     coordinate_key,
     derive,
@@ -41,6 +40,12 @@ def ceil_log2(x: int) -> int:
     if x < 1:
         raise ValueError(f"ceil_log2 needs x >= 1, got {x}")
     return (x - 1).bit_length()
+
+
+def check_tau(tau: float) -> None:
+    """Reject a threshold that is not a finite number >= 1."""
+    if not 1.0 <= tau < math.inf:
+        raise ValueError(f"threshold tau must be finite and >= 1, got {tau}")
 
 
 @dataclass
@@ -93,8 +98,8 @@ class GlobalParams:
             raise ValueError(f"moment order p must exceed 1, got {self.p}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.tau is not None and self.tau < 1.0:
-            raise ValueError(f"threshold tau must be >= 1, got {self.tau}")
+        if self.tau is not None:
+            check_tau(self.tau)
         if self.gamma is None:
             self.gamma = self.eps / 10.0
         if not 0.0 < self.gamma < 1.0:
@@ -179,28 +184,22 @@ class FanRows:
         self.qscaled = (np.minimum(params.b / tau_l_root, 1.0) * _TWO53).ravel()
 
 
-def member_mask(rows: FanRows, j: int) -> np.ndarray:
-    """Which rows' level sets hold coordinate j."""
-    jk = np.uint64(coordinate_key(j))
-    out = np.empty(rows.size, dtype=bool)
-    # in slices whose temporaries are 128 KiB
-    for lo in range(0, rows.size, SLICE):
-        hi = lo + SLICE
-        out[lo:hi] = mix64_np(rows.coin_key[lo:hi] ^ jk) <= rows.member_thresh[lo:hi]
-    return out
-
-
-def fanout(rows: FanRows, live: Optional[np.ndarray], count_after: int,
-           j: int, ev: int, cand: Optional[np.ndarray] = None) -> np.ndarray:
+def fanout(rows: FanRows, live: Optional[np.ndarray], count_after, j: int,
+           ev, cand: Optional[np.ndarray] = None) -> np.ndarray:
     """Flat indices of (z, l) rows that emit a message for this update:
     the post-increment count clears the guard, the row is live, the
     coordinate is in the level set, and the keyed thinning trial succeeds.
 
-    cand, when given, holds the ascending flat indices of the rows whose
-    level set holds j; the membership hash is then skipped, and the result
-    is positions into cand."""
+    cand, when given, holds flat indices of rows whose level set holds the
+    update's coordinate; the membership hash is then skipped, j is not
+    read, and the result is ascending positions into cand. count_after and
+    ev are one update's scalars, or, with cand, arrays aligned with cand
+    that give each candidate its own update: then the result is the union
+    of the per-update calls, each shifted to its candidates' positions."""
     if cand is None:
-        elig = (count_after > rows.guard) & member_mask(rows, j)
+        jk = np.uint64(coordinate_key(j))
+        elig = (count_after > rows.guard) & (mix64_np(rows.coin_key ^ jk)
+                                             <= rows.member_thresh)
         if live is not None:
             elig &= live
         idx = flat = np.flatnonzero(elig)
@@ -212,7 +211,8 @@ def fanout(rows: FanRows, live: Optional[np.ndarray], count_after: int,
         flat = cand[idx]
     if idx.size == 0:
         return idx
-    hb = mix64_np(rows.send_key[flat] ^ np.uint64(ev))
+    ev = np.asarray(ev, dtype=np.uint64)
+    hb = mix64_np(rows.send_key[flat] ^ (ev[idx] if ev.ndim else ev))
     u = (hb >> np.uint64(11)).astype(np.float64)
     return idx[u < rows.qscaled[flat]]
 
@@ -287,8 +287,7 @@ class ThresholdInstance:
         self.tau = params.tau if tau is None else tau
         if self.tau is None:
             raise ValueError("threshold tau is required")
-        if self.tau < 1.0:
-            raise ValueError(f"threshold tau must be >= 1, got {self.tau}")
+        check_tau(self.tau)
         if coin_seed is None:
             coin_seed = derive(params.seed, SALT_INSTANCE, 0, 0, 0)
         if send_seed is None:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import fpmon.monitor
 from fpmon.harness import (
     TRACE_HEADER,
     StreamEvent,
@@ -12,6 +13,7 @@ from fpmon.harness import (
     gen_uniform_stream,
     gen_zipf_stream,
     params_provenance,
+    plan_events,
     read_stream,
     read_trace,
     simulate,
@@ -21,6 +23,7 @@ from fpmon.harness import (
 )
 from fpmon.oracles import FreqVector, exact_fp
 from fpmon.protocol import GlobalParams
+from fpmon.sampling import event_key
 
 
 def sim_params(**kw):
@@ -202,6 +205,44 @@ def test_threshold_run_fires_and_freezes_traffic():
     tail = rows[fire_pos:]
     assert all(row.cum_messages == tail[0].cum_messages for row in tail)
     assert inst.out == 1 and inst.terminated
+
+
+def test_plan_events_match_the_per_event_definitions():
+    # site counts after each update, coordinates, and keys equal to the
+    # scalar event_key, on a whole stream and with a time past 2**64
+    events = gen_uniform_stream(64, 4, 500, seed=3)
+    events.append(StreamEvent(2**64 + 5, 2, events[0].j))
+    counts, js, keys = plan_events(events, 4)
+    site_counts = [dict() for _ in range(4)]
+    want = []
+    for ev in events:
+        d = site_counts[ev.site]
+        d[ev.j] = d.get(ev.j, 0) + 1
+        want.append(d[ev.j])
+    assert counts.tolist() == want and max(want) > 1
+    assert js.tolist() == [ev.j for ev in events]
+    assert keys.tolist() == [event_key(ev.site, ev.t) for ev in events]
+    assert [a.size for a in plan_events([], 4)] == [0, 0, 0]
+
+
+def test_threshold_run_fans_out_runs_of_events(monkeypatch):
+    # a one-copy run has few live rows, so each fanout call covers a run of
+    # many planned events; one call per event means the plan was lost
+    calls = 0
+    fanout = fpmon.monitor.fanout
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return fanout(*args)
+
+    monkeypatch.setattr(fpmon.monitor, "fanout", counted)
+    g = sim_params()
+    events = gen_uniform_stream(g.m, g.k, 2000, seed=7)
+    rows, inst = simulate(events, g)
+    fire_pos = next(i for i, row in enumerate(rows) if row.fired_instances == 1)
+    assert inst.terminated and fire_pos > 500
+    assert 0 < calls <= fire_pos // 50
 
 
 def test_monitor_mode_accounting():

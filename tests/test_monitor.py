@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fpmon.buckets import NEVER
-from fpmon.harness import gen_uniform_stream, gen_zipf_stream, simulate
+from fpmon.harness import gen_uniform_stream, gen_zipf_stream, plan_events, simulate
 from fpmon.monitor import Monitor
 from fpmon.protocol import GlobalParams, ThresholdInstance, fanout
 from fpmon.sampling import (
@@ -162,6 +162,64 @@ def test_one_rung_monitor_is_a_threshold_instance():
         assert_same_run(mon.copies[0], solo)
         assert mon.fired_count() == solo.out
     assert solo.out == 1 and solo.dropped > 0  # the run crosses tau mid-event
+
+
+def test_planned_runs_replay_unplanned_events(monkeypatch):
+    # simulate hands the Monitor the stream and fans out runs of events over
+    # the rows live at each run's start; bare on_event calls fan out one
+    # event at a time. Both send the same messages at every event and leave
+    # every copy in the same state, also when pairs fall silent inside a run
+    on_event = Monitor.on_event
+    log = []
+
+    def spy(self, *args):
+        before = self.live_pairs
+        out = on_event(self, *args)
+        log.append((self._run, before, self.live_pairs))
+        return out
+
+    for p, stream in itertools.product((1.5, 2.0, 3.0), ("uniform", "zipf")):
+        g = monitor_params(a=3, p=p)
+        if stream == "zipf":
+            events = gen_zipf_stream(g.m, g.k, 600, seed=9, s=1.1)
+        else:
+            events = gen_uniform_stream(g.m, g.k, 600, seed=9)
+        with monkeypatch.context() as mp:
+            mp.setattr(Monitor, "on_event", spy)
+            rows, planned = simulate(events, g, mode="monitor")
+        bare = Monitor(g)
+        msgs = [m for m, _, _ in drive(bare, events)]
+        cum = [row.cum_messages for row in rows]
+        assert [b - a for a, b in zip([0] + cum, cum)] == msgs
+        for a, b in zip(planned.copies, bare.copies):
+            assert (a.est, a.est_decreases, a.dropped) == (b.est, b.est_decreases, b.dropped)
+            assert a.counts == b.counts
+            assert np.array_equal(a.med, b.med)
+    # the same run serves the next event after a pair fell silent
+    assert any(now[0] is nxt[0] and now[2] < now[1] for now, nxt in zip(log, log[1:]))
+
+
+def test_on_event_off_the_plan_is_an_error():
+    g = monitor_params(a=3)
+    events = gen_uniform_stream(g.m, g.k, 40, seed=4)
+    counts, js, keys = plan_events(events, g.k)
+    mon = Monitor(g)
+    mon.plan(counts, js, keys)
+    c, j, ev = int(counts[0]), int(js[0]), int(keys[0])
+    for wrong in ((c + 1, j, ev), (c, (j + 1) % g.m, ev), (c, j, ev ^ 1)):
+        with pytest.raises(ValueError, match="planned"):
+            mon.on_event(*wrong)
+    planned = [mon.on_event(*e).messages for e in zip(counts.tolist(), js.tolist(),
+                                                       keys.tolist())]
+    assert planned == [m for m, _, _ in drive(Monitor(g), events)]
+    with pytest.raises(ValueError, match="past the end"):
+        mon.on_event(c, j, ev)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.5])
+def test_monitor_rejects_bad_tau(tau):
+    with pytest.raises(ValueError, match="tau"):
+        Monitor(monitor_params(), tau=tau)
 
 
 def test_silent_monitor_skips_fanout(monkeypatch):

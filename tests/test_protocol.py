@@ -187,6 +187,34 @@ def test_q_one_levels_always_send_when_sampled():
             assert flat in fanout(inst.rows, row, count, int(j), ev=0)
 
 
+def test_fanout_of_several_updates_is_the_union_of_scalar_calls():
+    # count_after and ev given per candidate: the result is each update's
+    # own scalar call, shifted to its candidates' positions, with a live
+    # mask, binding guards and levels that thin
+    g = small_params(tau=65536.0)
+    inst = ThresholdInstance(g)
+    rows = inst.rows
+    live = np.random.default_rng(1).random(rows.size) < 0.8
+    rng = random.Random(3)
+    updates = [(rng.randrange(1, 40), rng.randrange(g.m), rng.randrange(2**64))
+               for _ in range(60)]
+    cands, want, offset = [], [], 0
+    for c, j, ev in updates:
+        cand = np.array([f for f in range(rows.size)
+                         if inst.coin.in_sample(int(rows.z_of[f]), int(rows.l_of[f]), j)])
+        sent = fanout(rows, live, c, j, ev, cand)
+        assert cand[sent].tolist() == fanout(rows, live, c, j, ev).tolist()
+        cands.append(cand)
+        want += (sent + offset).tolist()
+        offset += cand.size
+    sizes = [cand.size for cand in cands]
+    counts = np.repeat([c for c, _, _ in updates], sizes)
+    evs = np.repeat(np.array([ev for _, _, ev in updates], dtype=np.uint64), sizes)
+    got = fanout(rows, live, counts, None, evs, np.concatenate(cands))
+    assert got.tolist() == want
+    assert 0 < len(want) < sum(sizes)
+
+
 def test_apply_order_invariance_without_fire():
     # counters commute; with no fire inside the sequence, any delivery order
     # yields identical final counters and estimate
@@ -327,6 +355,9 @@ def test_tau_required_and_positive():
         ThresholdInstance(g)
     with pytest.raises(ValueError):
         ThresholdInstance(g, tau=0.25)
+    for tau in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tau"):
+            ThresholdInstance(g, tau=tau)
 
 
 def test_site_state_has_no_receive_channel():
