@@ -24,15 +24,6 @@ from .protocol import GlobalParams
 from .sampling import SALT_STREAM, derive
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"cannot parse boolean from {text!r}")
-
-
 def load_config(path: str) -> dict[str, tuple[int, str]]:
     """key=value lines, as key -> (line number, value); blank lines and
     # comments ignored."""
@@ -64,13 +55,11 @@ class Options:
         action = self.parser.add_argument(*flags, type=type, default=None, **kw)
         self.info[action.dest] = (type, default, required)
 
-    def flag(self, *flags: str, **kw) -> None:
-        action = self.parser.add_argument(*flags, action="store_const", const=True,
-                                          default=None, **kw)
-        self.info[action.dest] = (_parse_bool, False, False)
-
     def resolve(self, args: argparse.Namespace) -> None:
         config = load_config(args.config) if args.config else {}
+        for key, (line, _) in config.items():
+            if key not in self.info:
+                raise ValueError(f"{args.config}: line {line}: {key}: no such option")
         for dest, (conv, default, required) in self.info.items():
             if getattr(args, dest) is None:
                 if dest in config:
@@ -88,8 +77,7 @@ class Options:
 def _params_from_args(args: argparse.Namespace, m: int, k: int, n: int,
                       tau: Optional[float]) -> GlobalParams:
     kw = dict(k=k, m=m, n=n, p=args.p, eps=args.eps, tau=tau, seed=args.seed,
-              c_fire=args.c_fire,
-              literal_estimation=bool(getattr(args, "literal", False)))
+              c_fire=args.c_fire)
     for name in ("gamma", "b", "c_b", "r", "c_r", "a", "c_a", "i_max"):
         val = getattr(args, name, None)
         if val is not None:
@@ -111,9 +99,6 @@ def _common_run_options(opts: Options, monitor: bool) -> None:
     opts.add("--c-fire", type=float, default=0.25,
              help="fire when estimate exceeds (1 - c_fire*eps)*tau")
     opts.add("--stride", type=int, default=1, help="trace row subsampling")
-    opts.flag("--literal", help="rebuild the estimate from raw counters at "
-                                "every message that crosses a readable "
-                                "bucket edge (slow reference path)")
     if monitor:
         opts.add("--a", type=int, help="odd amplification copies per rung")
         opts.add("--c-a", type=float, default=0.15)

@@ -178,8 +178,10 @@ def gen_zipf_stream(m: int, k: int, n: int, seed: int,
 
 
 def params_provenance(params: GlobalParams, mode: str) -> dict[str, object]:
-    """Fully resolved configuration; a trace is reproducible from this."""
-    return {
+    """Fully resolved configuration; a trace is reproducible from this. The
+    ladder's a and i_max are left out of threshold mode, which reads
+    neither."""
+    prov: dict[str, object] = {
         "mode": mode,
         "k": params.k,
         "m": params.m,
@@ -191,11 +193,11 @@ def params_provenance(params: GlobalParams, mode: str) -> dict[str, object]:
         "b": params.b,
         "r": params.r,
         "c_fire": params.c_fire,
-        "a": params.a,
-        "i_max": params.i_max,
         "seed": params.seed,
-        "literal_estimation": params.literal_estimation,
     }
+    if mode == "monitor":
+        prov.update(a=params.a, i_max=params.i_max)
+    return prov
 
 
 def plan_events(events: list[StreamEvent],
@@ -266,8 +268,7 @@ def simulate(events: list[StreamEvent], params: GlobalParams,
         agg[ev.j] = c_agg
         true_fp += fp_power(c_agg, params.p) - fp_power(c_agg - 1, params.p)
 
-        outcome = monitor.on_event(c_site, ev.j, key)
-        cum_messages += outcome.messages
+        cum_messages += monitor.on_event(c_site, ev.j, key)
 
         if pos % stride == 0 or pos == last:
             rows.append(TraceRow(ev.t, float(true_fp), float(estimate()),

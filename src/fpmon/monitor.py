@@ -12,8 +12,6 @@ driven by the same event loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .buckets import Buckets
@@ -22,13 +20,6 @@ from .sampling import (GOLDEN, MASK64, SALT_INSTANCE, SLICE, derive_np, mix64_np
                        unit_open_zero)
 # derive stays bound here: bench/tracing.py wraps monitor.derive
 from .sampling import derive  # noqa: F401
-
-
-@dataclass
-class EventOutcome:
-    """Per-event accounting from the monitor."""
-
-    messages: int
 
 
 class Columns:
@@ -242,13 +233,14 @@ class Monitor:
             sent = [pos[lo:hi] for lo, hi in zip(cut, cut[1:])]
         return start, events, cols, sent, self.live_pairs
 
-    def on_event(self, count_after: int, j: int, ev: int) -> EventOutcome:
-        """Run one site update against every live copy. Messages are
-        delivered in flat canonical order; a copy that fires mid-event drops
-        the rest of that event's messages addressed to it. With a plan, an
-        event other than the next planned one raises ValueError."""
+    def on_event(self, count_after: int, j: int, ev: int) -> int:
+        """Run one site update against every live copy and return the number
+        of messages it sent. Messages are delivered in flat canonical order;
+        a copy that fires mid-event drops the rest of that event's messages
+        addressed to it. With a plan, an event other than the next planned
+        one raises ValueError."""
         if not self.live_pairs:
-            return EventOutcome(messages=0)
+            return 0
         run = self._run
         if run is None or self._at - run[0] == len(run[1]):
             run = self._run = self._fan_run(count_after, j, ev)
@@ -269,16 +261,13 @@ class Monitor:
             hit = count[sent] >= nxt[sent]
             if hit.any():
                 self._cross(col, sent, hit)
-        return EventOutcome(messages=int(sent.size))
+        return int(sent.size)
 
     def _cross(self, col, sent: np.ndarray, hit: np.ndarray) -> None:
         """Deliver an event's crossing messages to their copies in canonical
         order. The counters stay bumped and each crossing row's next crossing
         count is set up front; a message that fires its copy takes back the
-        bumps of the copy's later messages of the event, which it drops.
-        Under literal_estimation each crossing bump waits for its own
-        message, so that every full pass reads the counters delivered so
-        far."""
+        bumps of the copy's later messages of the event, which it drops."""
         rows, count, nxt = col
         qs = sent[hit]
         crossed, bumped = rows[qs], count[qs]
@@ -286,26 +275,19 @@ class Monitor:
         e = table.at.searchsorted(self._row_at[crossed] + bumped)
         nxt[qs] = table.next[e]
         pair, z = np.divmod(crossed // self.columns.n_levels, self.params.r)
-        literal = self.params.literal_estimation
-        if literal:
-            count[qs] = bumped - 1
-        copies, columns = self.copies, self.columns
+        copies = self.copies
         for i, (p, zi, out, into) in enumerate(zip(
                 pair.tolist(), (z + 1).tolist(), table.left[e].tolist(),
                 table.entered[e].tolist())):
             inst = copies[p]
             if inst.terminated:  # fired earlier in this event
                 continue
-            if literal:
-                count[qs[i]] += 1
-                columns.read_out = None
             if inst.cross(zi, out, into):
                 k = int(sent.searchsorted(qs[i]))
                 end = int(rows[sent].searchsorted((p + 1) * self.block))
                 later, crossing = sent[k + 1 : end], hit[k + 1 : end]
-                count[later[~crossing] if literal else later] -= 1
+                count[later] -= 1
                 nxt[later[crossing]] = count[later[crossing]] + 1
-                columns.read_out = None
                 inst.dropped += end - k - 1
                 self._fire(p)
 

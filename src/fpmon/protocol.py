@@ -80,7 +80,6 @@ class GlobalParams:
     a: Optional[int] = None
     c_a: float = 0.15
     i_max: Optional[int] = None
-    literal_estimation: bool = False
     l_max: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -264,10 +263,10 @@ class ThresholdInstance:
     matched to its sampling rate, takes the lower median over repetitions of
     2**l * |bucket population|, and sums medians weighted by
     eta**p * (1+gamma)**(p h). Only a message that takes its counter into or
-    out of a readable bucket can move a median. At each such message the
-    incremental path moves one or two histograms and their medians, while
-    literal_estimation rebuilds everything from the raw counters; the two
-    must produce bit-identical results.
+    out of a readable bucket can move a median, and each such message moves
+    one or two histograms and their medians. estimate_full() rebuilds the
+    estimate from the raw counters alone; it is the reference the tests
+    check the running estimate against, bit for bit.
 
     A standalone instance builds its own Buckets, keeps its counters itself
     and takes messages through apply(). A ladder copy is copy `pair` of its
@@ -428,19 +427,6 @@ class ThresholdInstance:
             med[h] = float(med_count << int(self.lvl_of_h[h]))
         return med, float(np.dot(med, self.weight))
 
-    def class_estimate(self, h: int) -> float:
-        """Fresh scan of the counters for one bucket: the lower median over
-        repetitions of 2**l(h) * |{j : f in bucket h}|."""
-        if not 0 <= h <= self.h_cap:
-            return 0.0
-        l = int(self.lvl_of_h[h])
-        cnt = np.zeros(self.params.r, dtype=np.int32)
-        for (z, ll, j), c in self.counts.items():
-            if ll == l and self._bucket_of_count(ll, c) == h:
-                cnt[z - 1] += 1
-        med_count = int(np.partition(cnt, self._med_idx)[self._med_idx])
-        return float(med_count << l)
-
     def estimate(self) -> float:
         """Current class-weighted sum of bucket medians."""
         return self.est
@@ -499,17 +485,14 @@ class ThresholdInstance:
         medians and estimate. Returns True exactly when this fires the
         output bit. A message that crosses no readable bucket edge changes
         no median, so nothing else needs to come here."""
-        if self.params.literal_estimation:
-            self.med, new_est = self._full_pass()
-        else:
-            changed = False
-            if left >= 0:
-                changed |= self._hist_set(left, z, -1)
-            if entered >= 0:
-                changed |= self._hist_set(entered, z, +1)
-            if not changed:
-                return False
-            new_est = float(np.dot(self.med, self.weight))
+        changed = False
+        if left >= 0:
+            changed |= self._hist_set(left, z, -1)
+        if entered >= 0:
+            changed |= self._hist_set(entered, z, +1)
+        if not changed:
+            return False
+        new_est = float(np.dot(self.med, self.weight))
         if new_est < self.est:
             self.est_decreases += 1
         self.est = new_est

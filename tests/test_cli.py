@@ -89,21 +89,6 @@ def test_run_threshold_and_rerun_byte_identity(tmp_path):
     assert rows[-1].fired_instances in (0, 1)
 
 
-def test_run_threshold_literal_flag_matches_incremental(tmp_path):
-    stream = str(tmp_path / "s.txt")
-    run("gen-stream", "--kind", "uniform", "--m", "64", "--k", "4",
-        "--n", "800", "--seed", "2", "--out", stream)
-    fast = str(tmp_path / "fast.csv")
-    slow = str(tmp_path / "slow.csv")
-    base = ["run-threshold", "--stream", stream, "--p", "2", "--eps", "0.5",
-            "--tau", "5000", "--b", "8", "--r", "5"]
-    assert run(*base, "--out", fast) == 0
-    assert run(*base, "--literal", "--out", slow) == 0
-    _, fast_rows = read_trace(fast)
-    _, slow_rows = read_trace(slow)
-    assert [r.estimate for r in fast_rows] == [r.estimate for r in slow_rows]
-
-
 def test_run_monitor(tmp_path):
     stream = str(tmp_path / "s.txt")
     run("gen-stream", "--kind", "uniform", "--m", "64", "--k", "4",
@@ -263,6 +248,24 @@ def test_bad_config_value_names_file_line_and_key(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert f"{cfg}: line 3: b: " in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("line", ["seeed = 7", "literal = 1"])
+def test_config_key_naming_no_option_is_an_error(tmp_path, capsys, line):
+    # a misspelt or retired key would otherwise be ignored, and the run
+    # would go ahead with the default in its place
+    stream = str(tmp_path / "s.txt")
+    run("gen-stream", "--kind", "uniform", "--m", "16", "--k", "2",
+        "--n", "50", "--out", stream)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"p=2\neps=0.5\ntau=100\n# typo below\n{line}\n")
+    out = tmp_path / "t.csv"
+    code = run("run-threshold", "--stream", stream, "--config", str(cfg),
+               "--out", str(out))
+    assert code == 1
+    key = line.split()[0]
+    assert f"{cfg}: line 5: {key}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--tau", "nan"), ("--tau", "inf"),

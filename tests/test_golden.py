@@ -3,7 +3,8 @@ per-copy counters must never change.
 
 Each case writes its trace with `params_provenance` only, so no file path
 enters the digest. The expected values were recorded once and are not to be
-edited; a change that alters one of them changes the protocol's behaviour.
+edited; a change that alters one of them changes the protocol's behaviour
+or what a trace records.
 """
 
 import hashlib
@@ -27,58 +28,40 @@ THRESHOLD_N, MONITOR_N = 1500, 300
 # est_decreases)
 GOLDEN = {
     "threshold-uniform-p1.5": (
-        "06ad5f0612764f3baf959dee22fce476f0b4fbd3c8bd757114339832a5e342de",
+        "89c81ef87037bcc0bec5587b3137105e71bdf6c1bdacd0c592406dde22e9293f",
         846, 1, 14),
     "threshold-uniform-p2": (
-        "3019dbcf8c5a9755b51515febbc9f96022e73f18829b96001957351cab505cca",
+        "cd1ac4e07d361bc83332b1d25c742c5aebf08fa48fb86c8d94e225eb117eff41",
         1902, 0, 10),
     "threshold-uniform-p3": (
-        "20f699c7d5621a660913e249194e23d133286f0e2d056d52479400d33546ef11",
+        "42c667b393654f1c82615c0e283788528c15286fc686e3abd21f85146dc11bbb",
         5561, 2, 18),
     "threshold-zipf-p1.5": (
-        "43b515d090bba68512f8843502046f038eb621c05543d61b2f1c5ee374d4da40",
+        "fb6fd9f714fe9bcdb68622de394317290c54dcf869051bdf852fb4b6543df557",
         1266, 0, 30),
     "threshold-zipf-p2": (
-        "d1df032d486ddf6ff82ff27e29fa7b031495f3ed5977c9ad226aa685c18efa79",
+        "04deb086eebdb3ce22bba3fc1a8418d194d6598620387e95e4a058a1f7f7f75d",
         635, 0, 14),
     "threshold-zipf-p3": (
-        "000726a92b6c80777c3e540eef51c9b68a37112e4c24e6e202b1117e1f385121",
-        572, 0, 5),
-    "threshold-uniform-p1.5-literal": (
-        "43117bc1c1075b81f9e3d297b0b89ec8b95a1943a4035fde0d33b86f898977b2",
-        846, 1, 14),
-    "threshold-uniform-p2-literal": (
-        "457bd663bc3e478cbb3bd8bc9a6cc512f16b8da03859eeedf8900c53aff5acc2",
-        1902, 0, 10),
-    "threshold-uniform-p3-literal": (
-        "5d8a05517e162a9f8a16cc6c7c7fbfba78de7f92b43c204102100e98bd83ad9c",
-        5561, 2, 18),
-    "threshold-zipf-p1.5-literal": (
-        "9c1cec597f4b65bb9c21ba59e6886a5b9abb170e880a07931853902616e0890c",
-        1266, 0, 30),
-    "threshold-zipf-p2-literal": (
-        "9bff84d5a55c26ab83f170b5fc6d271587e5e693eec8113e4d4f50271b5fb971",
-        635, 0, 14),
-    "threshold-zipf-p3-literal": (
-        "e281ad9ebad448d5b26b86d4bc2f8a41c1efde0550f293ab6ce58bfa25884956",
+        "6e43db4b5cffbed5d78f2bc710a60189254c7fac74e1d21ab6c084fa186aed10",
         572, 0, 5),
     "monitor-uniform-p1.5": (
-        "b920e41de7b8fbe580268396fb637afa80c79dcae25aa29446e043ddfbea551e",
+        "5ea11fe0c78d48ff5284f3bf0d30262649e0224d31958d344f7b41a029f8bf98",
         7, 6, 0),
     "monitor-uniform-p2": (
-        "fcb0bf98d80f4354fea34bf56d315e0e4b7135a03142bd4892e0d629812406f2",
+        "147a229fbf70528fd6deec590f3671d485495c6ac687401b405b99114a516d64",
         7, 6, 0),
     "monitor-uniform-p3": (
-        "2e0b1b869d2faa94e671d41203ea5e2891ece47a467e4440e4464fc0d51d892b",
+        "d73ff0fa02b96ea78b6d57427e8c7d22a1e593adf83dc4841cf5bcf25514b56e",
         7, 6, 0),
     "monitor-zipf-p1.5": (
-        "a88f2684dea61bc6dd95eeeba4329ecb5190d472d0fd3001525354b87d067ce3",
+        "4e5078d4a4bbbc33fa00cdf25de76fce6f30b9a0085edcbdcaf8e9af92883d05",
         4, 4, 0),
     "monitor-zipf-p2": (
-        "77ca7df1f3a03c3132a8019e0a0f2f582ffce0c0d91e3e90dd3c5958167daa3a",
+        "bac8c61d2668b65b7cd7a0318f1e3801e958b0b203454db7f61fd18434c3ab0a",
         4, 4, 0),
     "monitor-zipf-p3": (
-        "2a626ed6be46b1c167990bda2a0c2dafe8f942072930b2f6e93b94914021ef49",
+        "cf3a3e4b767364c552da1d2a82ba0327bd4ca0072f81457f4b4b2e1430868a09",
         4, 4, 0),
 }
 
@@ -86,14 +69,12 @@ GOLDEN = {
 def run_case(case: str, tmp_path):
     parts = case.split("-")
     mode, stream, p = parts[0], parts[1], float(parts[2][1:])
-    literal = parts[-1] == "literal"
     n = THRESHOLD_N if mode == "threshold" else MONITOR_N
     if stream == "zipf":
         events = gen_zipf_stream(M, K, n, seed=5, s=1.1)
     else:
         events = gen_uniform_stream(M, K, n, seed=5)
-    kw = dict(k=K, m=M, n=n, p=p, eps=0.5, b=16.0, r=5, seed=3,
-              literal_estimation=literal)
+    kw = dict(k=K, m=M, n=n, p=p, eps=0.5, b=16.0, r=5, seed=3)
     if mode == "threshold":
         kw.update(tau=float(exact_fp_of_events(events, p)) / 3.0, a=1)
     else:

@@ -304,3 +304,13 @@ def test_provenance_contains_resolved_config():
         assert key in prov
     assert prov["mode"] == "monitor"
     assert prov["b"] == 8.0
+
+
+def test_provenance_records_the_ladder_only_in_monitor_mode():
+    # a threshold run reads neither the amplification a nor the top rung
+    # i_max, so its trace does not record them; a monitor trace does
+    g = sim_params()
+    assert "a" not in params_provenance(g, "threshold")
+    assert "i_max" not in params_provenance(g, "threshold")
+    prov = params_provenance(g, "monitor")
+    assert (prov["a"], prov["i_max"]) == (g.a, g.i_max)

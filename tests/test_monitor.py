@@ -37,8 +37,8 @@ def drive(monitor: Monitor, events) -> list[tuple[int, float, int]]:
         d = site_counts[ev.site]
         c = d.get(ev.j, 0) + 1
         d[ev.j] = c
-        outcome = monitor.on_event(c, ev.j, event_key(ev.site, ev.t))
-        out.append((outcome.messages, monitor.estimate(), monitor.max_fired))
+        msgs = monitor.on_event(c, ev.j, event_key(ev.site, ev.t))
+        out.append((msgs, monitor.estimate(), monitor.max_fired))
     return out
 
 
@@ -157,8 +157,8 @@ def test_one_rung_monitor_is_a_threshold_instance():
     events = gen_uniform_stream(g.m, g.k, 600, seed=9)
     solo = ThresholdInstance(g)
     for ev, c in with_site_counts(events, g.k):
-        outcome = mon.on_event(c, ev.j, event_key(ev.site, ev.t))
-        assert outcome.messages == solo_step(solo, c, ev)
+        msgs = mon.on_event(c, ev.j, event_key(ev.site, ev.t))
+        assert msgs == solo_step(solo, c, ev)
         assert_same_run(mon.copies[0], solo)
         assert mon.fired_count() == solo.out
     assert solo.out == 1 and solo.dropped > 0  # the run crosses tau mid-event
@@ -209,8 +209,7 @@ def test_on_event_off_the_plan_is_an_error():
     for wrong in ((c + 1, j, ev), (c, (j + 1) % g.m, ev), (c, j, ev ^ 1)):
         with pytest.raises(ValueError, match="planned"):
             mon.on_event(*wrong)
-    planned = [mon.on_event(*e).messages for e in zip(counts.tolist(), js.tolist(),
-                                                       keys.tolist())]
+    planned = [mon.on_event(*e) for e in zip(counts.tolist(), js.tolist(), keys.tolist())]
     assert planned == [m for m, _, _ in drive(Monitor(g), events)]
     with pytest.raises(ValueError, match="past the end"):
         mon.on_event(c, j, ev)
@@ -453,36 +452,45 @@ def test_threshold_run_with_no_crossing_at_all():
 
 
 def test_ladder_literal_path_replays_the_incremental_one():
-    # the full pass from raw counters, run at every crossing message of every
-    # copy, gives the incremental path's trace and per-copy state, through
-    # mid-event fires, at p in {1.5, 2, 3} on a skewed stream
-    for p in (1.5, 2.0, 3.0):
-        events = gen_zipf_stream(64, 4, 300, seed=5, s=1.1)
-        runs = [simulate(events, monitor_params(p=p, n=300, literal_estimation=lit),
-                         mode="monitor")
-                for lit in (False, True)]
-        (rows, fast), (lit_rows, slow) = runs
-        assert lit_rows == rows
-        assert sum(c.dropped for c in fast.copies) > 0
-        for a, b in zip(fast.copies, slow.copies):
-            assert (a.est, a.est_decreases, a.dropped) == (b.est, b.est_decreases, b.dropped)
-            assert np.array_equal(a.med, b.med)
-            assert a.counts == b.counts
+    # the literal recomputation (the full pass, which rebuilds medians and
+    # estimate from the raw counters alone) agrees bit for bit with the running state of every
+    # copy whose estimate moved or that fired in an event, right after that
+    # event, through mid-event fires, at p in {1.5, 2, 3} on a uniform and a
+    # skewed stream
+    checked = dropped = 0
+    for p, stream in itertools.product((1.5, 2.0, 3.0), ("uniform", "zipf")):
+        g = monitor_params(p=p, n=300)
+        if stream == "zipf":
+            events = gen_zipf_stream(g.m, g.k, g.n, seed=5, s=1.1)
+        else:
+            events = gen_uniform_stream(g.m, g.k, g.n, seed=5)
+        mon = Monitor(g)
+        planned = plan_events(events, g.k)
+        mon.plan(*planned)
+        for c, j, ev in zip(*(x.tolist() for x in planned)):
+            before = [(copy.est, copy.terminated) for copy in mon.copies]
+            mon.on_event(c, j, ev)
+            for copy, was in zip(mon.copies, before):
+                if (copy.est, copy.terminated) != was:
+                    med, est = copy._full_pass()
+                    assert copy.est == est == copy.estimate_full()
+                    assert np.array_equal(copy.med, med)
+                    checked += 1
+        dropped += sum(copy.dropped > 0 for copy in mon.copies)
+    assert checked > 0 and dropped > 0
 
 
 def test_columns_keep_each_counters_next_crossing():
     # after mid-event fires, every column row's next crossing count is still
-    # the first crossing of its (copy, level) above its count, on both the
-    # incremental and the literal path
-    for lit in (False, True):
-        g = monitor_params(p=3.0, n=300, literal_estimation=lit)
-        _, mon = simulate(gen_zipf_stream(64, 4, 300, seed=5, s=1.1), g, mode="monitor")
-        assert sum(c.dropped for c in mon.copies) > 0
-        n_levels = g.l_max + 1
-        tables = [copy.crossings() for copy in mon.copies]
-        for rows, count, nxt in mon.columns.by_j.values():
-            for row, c, want in zip(rows.tolist(), count.tolist(), nxt.tolist()):
-                pair, within = divmod(row, mon.block)
-                at = tables[pair][within % n_levels][0]
-                above = at[at > c]
-                assert want == (int(above[0]) if above.size else NEVER)
+    # the first crossing of its (copy, level) above its count
+    g = monitor_params(p=3.0, n=300)
+    _, mon = simulate(gen_zipf_stream(64, 4, 300, seed=5, s=1.1), g, mode="monitor")
+    assert sum(c.dropped for c in mon.copies) > 0
+    n_levels = g.l_max + 1
+    tables = [copy.crossings() for copy in mon.copies]
+    for rows, count, nxt in mon.columns.by_j.values():
+        for row, c, want in zip(rows.tolist(), count.tolist(), nxt.tolist()):
+            pair, within = divmod(row, mon.block)
+            at = tables[pair][within % n_levels][0]
+            above = at[at > c]
+            assert want == (int(above[0]) if above.size else NEVER)
