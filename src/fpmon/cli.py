@@ -46,28 +46,36 @@ class Options:
 
     def __init__(self, parser: argparse.ArgumentParser) -> None:
         self.parser = parser
-        self.info: dict[str, tuple[Callable[[str], object], object, bool]] = {}
+        self.info: dict[str, tuple[Callable[[str], object], object, bool,
+                                   Optional[tuple]]] = {}
         parser.add_argument("--config", default=None,
                             help="key=value file with defaults for any option")
 
     def add(self, *flags: str, type: Callable[[str], object] = str,
-            default: object = None, required: bool = False, **kw) -> None:
-        action = self.parser.add_argument(*flags, type=type, default=None, **kw)
-        self.info[action.dest] = (type, default, required)
+            default: object = None, required: bool = False,
+            choices: Optional[tuple] = None, **kw) -> None:
+        action = self.parser.add_argument(*flags, type=type, default=None,
+                                          choices=choices, **kw)
+        self.info[action.dest] = (type, default, required, choices)
 
     def resolve(self, args: argparse.Namespace) -> None:
         config = load_config(args.config) if args.config else {}
         for key, (line, _) in config.items():
             if key not in self.info:
                 raise ValueError(f"{args.config}: line {line}: {key}: no such option")
-        for dest, (conv, default, required) in self.info.items():
+        for dest, (conv, default, required, choices) in self.info.items():
             if getattr(args, dest) is None:
                 if dest in config:
                     line, text = config[dest]
                     try:
-                        setattr(args, dest, conv(text))
+                        value = conv(text)
                     except ValueError as exc:
                         raise ValueError(f"{args.config}: line {line}: {dest}: {exc}") from None
+                    if choices is not None and value not in choices:
+                        raise ValueError(
+                            f"{args.config}: line {line}: {dest}: {text!r} is not "
+                            f"one of {', '.join(map(str, choices))}")
+                    setattr(args, dest, value)
                 else:
                     if required:
                         raise ValueError(f"missing required option --{dest.replace('_', '-')}")
@@ -157,8 +165,10 @@ def cmd_gen_hard(args: argparse.Namespace) -> int:
         inst = hardgen.gen_btx(args.k, args.p, args.eps, args.seed)
     elif t == "gap-maj":
         inst = hardgen.gen_gap_maj(args.k, args.seed)
-    else:
+    elif t == "quantile":
         inst = hardgen.gen_quantile_instance(args.k, args.eps, args.seed)
+    else:
+        raise ValueError(f"unknown instance type {t!r}")
     hardgen.write_instance(args.out, inst)
     return 0
 
@@ -206,10 +216,7 @@ def cmd_verify_reduction(args: argparse.Namespace) -> int:
             inst = hardgen.gen_bit_disj(args.k, nprime, args.beta,
                                         derive(args.seed, 12, t))
             n_true = sum(inst.z)
-            union: set[int] = set()
-            for x in inst.xs:
-                union.update(x)
-            w = float(len(union))
+            w = float(np.unique(inst.xs).size)
             lam = (reductions.collision_rate(n_true, lprime)
                    if n_true >= 1 else 0.0)
             est = reductions.bit_from_f0(w, nprime, lprime, lam)

@@ -11,9 +11,10 @@ and a line-oriented serialization with hidden structure in a #meta section.
 from __future__ import annotations
 
 import math
+import os
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -40,19 +41,49 @@ def _check_beta(beta: float) -> None:
 # -- promise disjointness pair ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoDisjInstance:
+def _frozen_ints(values) -> np.ndarray:
+    """values as a read-only int64 array (a view: the caller's array stays
+    writable)."""
+    a = np.asarray(values, dtype=np.int64).view()
+    a.flags.writeable = False
+    return a
+
+
+class _ValueEq:
+    """Field-by-field equality that compares array fields by shape and
+    values, so instances read back from a file equal the ones written."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(a, np.ndarray):
+                if not (a.shape == b.shape and np.array_equal(a, b)):
+                    return False
+            elif a != b:
+                return False
+        return True
+
+
+@dataclass(frozen=True, eq=False)
+class TwoDisjInstance(_ValueEq):
     """Pair of size-l sets over [nprime] with |x ∩ y| in {0, 1}; the
     intersecting branch is taken with probability beta (analysis regime
-    beta <= 1/4; larger values are accepted for direct testing)."""
+    beta <= 1/4; larger values are accepted for direct testing). x and y
+    are read-only int64 arrays."""
 
     nprime: int
     beta: float
     seed: int
-    x: tuple[int, ...]
-    y: tuple[int, ...]
+    x: np.ndarray
+    y: np.ndarray
     intersecting: bool
     witness: Optional[int]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "x", _frozen_ints(self.x))
+        object.__setattr__(self, "y", _frozen_ints(self.y))
 
 
 def gen_two_disj(nprime: int, beta: float, seed: int) -> TwoDisjInstance:
@@ -70,67 +101,75 @@ def gen_two_disj(nprime: int, beta: float, seed: int) -> TwoDisjInstance:
         x = np.sort(perm[:lp])
         y = np.sort(perm[lp : 2 * lp])
         witness = None
-    return TwoDisjInstance(nprime, beta, seed, tuple(x.tolist()),
-                           tuple(y.tolist()), intersecting, witness)
+    return TwoDisjInstance(nprime, beta, seed, x, y, intersecting, witness)
+
+
+def _check_set(name: str, s: np.ndarray, lp: int, nprime: int) -> None:
+    srt = np.sort(s)
+    if len(srt) != lp or (np.diff(srt) == 0).any():
+        raise ValueError(f"{name} must hold {lp} distinct elements")
+    if srt[0] < 0 or srt[-1] >= nprime:
+        raise ValueError(f"{name} has an element outside [0, {nprime})")
 
 
 def validate_two_disj(inst: TwoDisjInstance) -> None:
     lp = _check_nprime(inst.nprime)
     _check_beta(inst.beta)
-    for name, s in (("x", inst.x), ("y", inst.y)):
-        if len(s) != lp or len(set(s)) != lp:
-            raise ValueError(f"{name} must hold {lp} distinct elements")
-        if any(not 0 <= v < inst.nprime for v in s):
-            raise ValueError(f"{name} has an element outside [0, {inst.nprime})")
-    inter = set(inst.x) & set(inst.y)
+    _check_set("x", inst.x, lp, inst.nprime)
+    _check_set("y", inst.y, lp, inst.nprime)
+    inter = np.intersect1d(inst.x, inst.y).tolist()
     if inst.intersecting:
-        if len(inter) != 1 or inst.witness not in inter:
+        if inter != [inst.witness]:
             raise ValueError("intersecting instance must share exactly the witness")
     else:
         if inter or inst.witness is not None:
             raise ValueError("disjoint instance must share no element")
 
 
-def sample_x_given_y(y: tuple[int, ...], nprime: int, beta: float,
+def sample_x_given_y(y: np.ndarray, nprime: int, beta: float,
                      rng: np.random.Generator,
                      outside: Optional[np.ndarray] = None
-                     ) -> tuple[tuple[int, ...], int]:
+                     ) -> tuple[np.ndarray, int]:
     """Draw x from the conditional pair law given y: with probability beta,
     one uniform element of y plus |y|-1 uniform elements outside y; else |y|
-    uniform elements outside y. Returns (x, intersect_bit)."""
+    uniform elements outside y. Returns (sorted x, intersect_bit)."""
     lp = len(y)
     if outside is None:
-        outside = np.setdiff1d(np.arange(nprime), np.asarray(y))
+        outside = np.setdiff1d(np.arange(nprime), y)
     if bool(rng.random() < beta):
-        w = int(y[int(rng.integers(lp))])
+        w = y[int(rng.integers(lp))]
         rest = rng.permutation(outside)[: lp - 1]
-        x = np.sort(np.concatenate(([w], rest)))
-        return tuple(x.tolist()), 1
-    x = np.sort(rng.permutation(outside)[:lp])
-    return tuple(x.tolist()), 0
+        return np.sort(np.concatenate(([w], rest))), 1
+    return np.sort(rng.permutation(outside)[:lp]), 0
 
 
 # -- k-site lift with shared reference set ----------------------------------
 
 
-@dataclass(frozen=True)
-class BitDisjInstance:
+@dataclass(frozen=True, eq=False)
+class BitDisjInstance(_ValueEq):
     """k sets over [nprime], each drawn from the pair law conditioned on a
-    single shared y; z_i records whether site i intersects y."""
+    single shared y; z_i records whether site i intersects y. y is a
+    read-only int64 array and xs a read-only (k, l') int64 array whose row
+    i is site i's set, sorted."""
 
     k: int
     nprime: int
     beta: float
     seed: int
-    y: tuple[int, ...]
-    xs: tuple[tuple[int, ...], ...]
+    y: np.ndarray
+    xs: np.ndarray
     z: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "y", _frozen_ints(self.y))
+        object.__setattr__(self, "xs", _frozen_ints(self.xs))
 
 
 def gen_bit_disj(k: int, nprime: int, beta: float, seed: int) -> BitDisjInstance:
     if k < 2:
         raise ValueError(f"need at least 2 sites, got {k}")
-    _check_nprime(nprime)
+    lp = _check_nprime(nprime)
     _check_beta(beta)
     if beta * k < 8:
         warnings.warn(
@@ -138,34 +177,51 @@ def gen_bit_disj(k: int, nprime: int, beta: float, seed: int) -> BitDisjInstance
             "small for the concentration regime", stacklevel=2)
     first = gen_two_disj(nprime, beta, derive(seed, 2))
     y = first.y
-    xs = [first.x]
+    xs = np.empty((k, lp), dtype=np.int64)
+    xs[0] = first.x
     z = [1 if first.intersecting else 0]
-    outside = np.setdiff1d(np.arange(nprime), np.asarray(y))
+    outside = np.setdiff1d(np.arange(nprime), y)
     rng = _rng(seed, 3)
-    for _ in range(k - 1):
-        x, bit = sample_x_given_y(y, nprime, beta, rng, outside=outside)
-        xs.append(x)
+    for i in range(1, k):
+        xs[i], bit = sample_x_given_y(y, nprime, beta, rng, outside=outside)
         z.append(bit)
-    return BitDisjInstance(k, nprime, beta, seed, y, tuple(xs), tuple(z))
+    return BitDisjInstance(k, nprime, beta, seed, y, xs, tuple(z))
 
 
 def validate_bit_disj(inst: BitDisjInstance) -> None:
+    """Checks every site at once; the error names the first site that
+    fails, with the first of its checks that fails."""
     lp = _check_nprime(inst.nprime)
     _check_beta(inst.beta)
-    if len(inst.xs) != inst.k or len(inst.z) != inst.k:
-        raise ValueError("need one set and one bit per site")
-    if len(inst.y) != lp or len(set(inst.y)) != lp:
-        raise ValueError(f"y must hold {lp} distinct elements")
-    ys = set(inst.y)
-    for i, (x, bit) in enumerate(zip(inst.xs, inst.z)):
-        if len(x) != lp or len(set(x)) != lp:
-            raise ValueError(f"site {i}: set must hold {lp} distinct elements")
-        if any(not 0 <= v < inst.nprime for v in x):
-            raise ValueError(f"site {i}: element outside [0, {inst.nprime})")
-        if len(ys.intersection(x)) != bit:
-            raise ValueError(f"site {i}: |x ∩ y| must equal z_i = {bit}")
-        if bit not in (0, 1):
-            raise ValueError(f"site {i}: z_i must be 0 or 1")
+    xs, z = inst.xs, np.asarray(inst.z)
+    if xs.ndim != 2:
+        raise ValueError(f"xs must be a (k, {lp}) array, got shape {xs.shape}")
+    if len(xs) != inst.k or len(z) != inst.k:
+        raise ValueError(f"site {min(len(xs), len(z), inst.k)}: need one set and "
+                         f"one bit per site, got {len(xs)} sets and {len(z)} "
+                         f"bits for k = {inst.k}")
+    _check_set("y", inst.y, lp, inst.nprime)
+    if xs.shape[1] != lp:
+        raise ValueError(f"site 0: set must hold {lp} distinct elements")
+    srt = xs if (np.diff(xs, axis=1) > 0).all() else np.sort(xs, axis=1)
+    # |x ∩ y| by lookup in a membership table of [0, nprime); an element
+    # out of range is clipped, and its site fails the range check first
+    in_y = np.zeros(inst.nprime, dtype=bool)
+    in_y[inst.y] = True
+    hits = in_y.take(srt, mode="clip").sum(axis=1)
+    checks = [
+        ((np.diff(srt, axis=1) == 0).any(axis=1),
+         f"set must hold {lp} distinct elements"),
+        ((srt[:, 0] < 0) | (srt[:, -1] >= inst.nprime),
+         f"element outside [0, {inst.nprime})"),
+        (hits != z, "|x ∩ y| must equal z_i = {bit}"),
+        ((z != 0) & (z != 1), "z_i must be 0 or 1"),
+    ]
+    bad = np.logical_or.reduce([failed for failed, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        msg = next(text for failed, text in checks if failed[i])
+        raise ValueError(f"site {i}: " + msg.format(bit=inst.z[i]))
 
 
 # -- blockwise XOR instances -------------------------------------------------
@@ -407,115 +463,185 @@ def quantile_recover(inst: QuantileInstance) -> list[int]:
 # -- serialization ------------------------------------------------------------
 
 
-def _site_lines(rows: list[tuple[int, ...]]) -> list[str]:
-    return [f"{i}: " + " ".join(str(v) for v in row) for i, row in enumerate(rows)]
+def _decimal(values) -> bytes:
+    """Integers as space-separated decimals, byte for byte what
+    " ".join(map(str, values)) writes, formatted a whole row at a time."""
+    row = np.asarray(values, dtype=np.int64)
+    mag = np.abs(row).astype(np.uint64)     # abs(-2**63) wraps; the cast mends it
+    width = len(str(int(mag.max()))) if row.size else 0
+    # one column for the sign, width for the digits, one for the separator;
+    # NUL marks a byte to drop (no sign, a zero left of the leading digit)
+    buf = np.empty((row.size, width + 2), dtype=np.uint8)
+    buf[:, 0] = np.where(row < 0, ord("-"), 0)
+    buf[:, -1] = ord(" ")
+    for col in range(width, 0, -1):
+        q = mag // np.uint64(10)
+        digit = mag - q * np.uint64(10) + np.uint64(ord("0"))
+        buf[:, col] = digit if col == width else np.where(mag > 0, digit, 0)
+        mag = q
+    return buf.tobytes().translate(None, b"\0")[:-1]
+
+
+_I64 = np.iinfo(np.int64)
+
+
+def _ints(text: bytes) -> np.ndarray:
+    """Space-separated tokens of the form -?[0-9]+ as an int64 array, parsed
+    a whole row at a time; ValueError for any other token."""
+    if text.translate(None, b"0123456789 -") or b"-" in text and (
+            b"--" in text or b"- " in text or text.endswith(b"-")
+            or text.count(b"-") != text.count(b" -") + text.startswith(b"-")):
+        raise ValueError("expected integers separated by spaces")
+    if not text.strip(b" "):
+        return np.empty(0, dtype=np.int64)
+    vals = np.fromstring(text, dtype=np.int64, sep=" ")
+    # fromstring saturates out-of-range values at the int64 limits
+    if vals.max() == _I64.max or vals.min() == _I64.min:
+        raise ValueError(f"integer outside ({_I64.min}, {_I64.max})")
+    return vals
 
 
 def write_instance(path: str, inst: object) -> None:
     """Serialize any instance: a "TYPE k n eps seed" header, one "site: items"
-    row per site, then hidden structure in #meta lines."""
-    lines: list[str] = []
+    row per site, then hidden structure in "#meta key value" lines. Integer
+    rows are written whole, from arrays."""
     if isinstance(inst, TwoDisjInstance):
-        lines.append(f"TWODISJ 2 {inst.nprime} {inst.beta!r} {inst.seed}")
-        lines += _site_lines([inst.x, inst.y])
-        lines.append(f"#meta intersecting {int(inst.intersecting)}")
-        lines.append(f"#meta witness {-1 if inst.witness is None else inst.witness}")
+        header = f"TWODISJ 2 {inst.nprime} {inst.beta!r} {inst.seed}"
+        rows: Iterable = (inst.x, inst.y)
+        meta: list[tuple[str, object]] = [
+            ("intersecting", str(int(inst.intersecting))),
+            ("witness", str(-1 if inst.witness is None else inst.witness))]
     elif isinstance(inst, BitDisjInstance):
-        lines.append(f"BITDISJ {inst.k} {inst.nprime} {inst.beta!r} {inst.seed}")
-        lines += _site_lines(list(inst.xs))
-        lines.append("#meta y " + " ".join(str(v) for v in inst.y))
-        lines.append("#meta z " + " ".join(str(v) for v in inst.z))
+        header = f"BITDISJ {inst.k} {inst.nprime} {inst.beta!r} {inst.seed}"
+        rows = inst.xs
+        meta = [("y", inst.y), ("z", inst.z)]
     elif isinstance(inst, BtxInstance):
-        lines.append(f"BTX {inst.k} {inst.n_cols} {inst.eps!r} {inst.seed}")
+        header = f"BTX {inst.k} {inst.n_cols} {inst.eps!r} {inst.seed}"
         rows = []
         for site in range(inst.k):
             blocks, cols = np.nonzero(inst.matrices[:, site, :])
-            rows.append(tuple((blocks * inst.n_cols + cols).tolist()))
-        lines += _site_lines(rows)
-        lines.append(f"#meta p {inst.p!r}")
-        lines.append(f"#meta blocks {inst.n_blocks}")
-        lines.append(f"#meta inv_eps {inst.inv_eps}")
-        lines.append("#meta specials " + " ".join(str(int(v)) for v in inst.specials))
-        lines.append("#meta types " + " ".join(inst.types))
-        for blk in range(inst.n_blocks):
-            lines.append(f"#meta owners{blk} "
-                         + " ".join(str(int(v)) for v in inst.owners[blk]))
+            rows.append(blocks * inst.n_cols + cols)
+        meta = [("p", repr(inst.p)), ("blocks", str(inst.n_blocks)),
+                ("inv_eps", str(inst.inv_eps)), ("specials", inst.specials),
+                ("types", " ".join(inst.types))]
+        meta += [(f"owners{blk}", inst.owners[blk]) for blk in range(inst.n_blocks)]
     elif isinstance(inst, GapMajInstance):
-        lines.append(f"GAPMAJ {inst.k} 1 0.5 {inst.seed}")
-        lines += _site_lines([(b,) for b in inst.z])
+        header = f"GAPMAJ {inst.k} 1 0.5 {inst.seed}"
+        rows = [(b,) for b in inst.z]
+        meta = []
     elif isinstance(inst, QuantileInstance):
-        lines.append(f"QUANTILE {inst.k} {2 * inst.l_rep} {inst.eps!r} {inst.seed}")
-        lines += _site_lines(list(inst.sites))
-        for i, row in enumerate(inst.z):
-            lines.append(f"#meta z{i} " + " ".join(str(v) for v in row))
+        header = f"QUANTILE {inst.k} {2 * inst.l_rep} {inst.eps!r} {inst.seed}"
+        rows = inst.sites
+        meta = [(f"z{i}", row) for i, row in enumerate(inst.z)]
     else:
         raise ValueError(f"cannot serialize {type(inst).__name__}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _parse_sites(body: list[str], path: str) -> list[tuple[int, ...]]:
-    rows = []
-    for line in body:
-        head, _, rest = line.partition(":")
-        try:
-            idx = int(head)
-        except ValueError:
-            raise ValueError(f"{path}: bad site row {line!r}")
-        if idx != len(rows):
-            raise ValueError(f"{path}: site rows out of order at {line!r}")
-        rows.append(tuple(int(v) for v in rest.split()))
-    return rows
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for i, row in enumerate(rows):
+            fh.write(b"%d: %s\n" % (i, _decimal(row)))
+        for key, value in meta:
+            text = value.encode() if isinstance(value, str) else _decimal(value)
+            fh.write(b"#meta %s %s\n" % (key.encode(), text))
 
 
 def read_instance(path: str):
-    """Parse a serialized instance back into its dataclass."""
-    with open(path, "r") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines:
-        raise ValueError(f"{path}: empty instance file")
-    head = lines[0].split()
-    if len(head) != 5:
-        raise ValueError(f"{path}: header must be 'TYPE k n eps seed'")
-    typ, k, n, eps, seed = (head[0], int(head[1]), int(head[2]),
-                            float(head[3]), int(head[4]))
-    body = [ln for ln in lines[1:] if not ln.startswith("#meta")]
-    meta: dict[str, str] = {}
-    for ln in lines[1:]:
-        if ln.startswith("#meta"):
-            parts = ln.split(None, 2)
-            meta[parts[1]] = parts[2] if len(parts) > 2 else ""
-    sites = _parse_sites(body, path)
+    """Parse a serialized instance back into its dataclass. A malformed file
+    raises a ValueError that names the path and the line."""
+
+    def fail(no: int, msg: str) -> ValueError:
+        return ValueError(f"{path}: line {no}: {msg}")
+
+    def parse(no: int, text: bytes, conv=_ints):
+        try:
+            return conv(text)
+        except ValueError as exc:
+            raise fail(no, str(exc)) from None
+
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        lines = ((no, ln.rstrip(b"\r\n")) for no, ln in enumerate(fh, 1))
+        lines = ((no, ln) for no, ln in lines if ln)
+        hno, header = next(lines, (0, b""))
+        if not header:
+            raise ValueError(f"{path}: empty instance file")
+        head = header.split()
+        if len(head) != 5:
+            raise fail(hno, "header must be 'TYPE k n eps seed'")
+        typ = head[0].decode(errors="replace")
+        try:
+            k, n, eps, seed = int(head[1]), int(head[2]), float(head[3]), int(head[4])
+            # the families whose rows all have one length
+            if typ in ("TWODISJ", "BITDISJ"):
+                width: Optional[int] = _check_nprime(n)
+            elif typ == "GAPMAJ":
+                width = 1
+            elif typ == "QUANTILE":
+                width = n // 2
+            elif typ == "BTX":
+                width = None
+            else:
+                raise ValueError(f"unknown instance type {typ!r}")
+        except ValueError as exc:
+            raise fail(hno, str(exc)) from None
+        if typ == "TWODISJ" and k != 2:
+            raise fail(hno, f"a TWODISJ instance has 2 sites, not {k}")
+        if width is not None and not 0 <= k * width <= size:
+            raise fail(hno, f"{k} rows of {width} items cannot fit in {size} bytes")
+
+        # rows go straight into one (k, width) array when they share a length
+        sites: list[np.ndarray] = []
+        table = None if width is None else np.empty((k, width), dtype=np.int64)
+        metas: dict[str, tuple[int, bytes]] = {}
+        no = hno
+        for no, ln in lines:
+            if ln.startswith(b"#meta"):
+                parts = ln.split(None, 2) + [b""]
+                if len(parts) < 3:
+                    raise fail(no, "#meta line without a key")
+                metas[parts[1].decode(errors="replace")] = (no, parts[2])
+                continue
+            lead, _, rest = ln.partition(b":")
+            if parse(no, lead, int) != len(sites):
+                raise fail(no, f"site rows out of order at site {int(lead)}")
+            row = parse(no, rest)
+            if table is not None:
+                if len(sites) == k:
+                    raise fail(no, f"more than k = {k} site rows")
+                if len(row) != width:
+                    raise fail(no, f"site {len(sites)} holds {len(row)} items, "
+                                   f"not {width}")
+                table[len(sites)] = row
+                row = table[len(sites)]
+            sites.append(row)
+    if table is not None and len(sites) != k:
+        raise fail(no, f"{len(sites)} site rows for k = {k}")
+
+    def meta(key: str, conv=_ints):
+        if key not in metas:
+            raise fail(hno, f"{typ} instance has no '#meta {key}' line")
+        return parse(*metas[key], conv)
 
     if typ == "TWODISJ":
-        witness = int(meta["witness"])
-        return TwoDisjInstance(n, eps, seed, sites[0], sites[1],
-                               bool(int(meta["intersecting"])),
+        witness = meta("witness", int)
+        return TwoDisjInstance(n, eps, seed, table[0], table[1],
+                               bool(meta("intersecting", int)),
                                None if witness < 0 else witness)
     if typ == "BITDISJ":
-        y = tuple(int(v) for v in meta["y"].split())
-        z = tuple(int(v) for v in meta["z"].split())
-        return BitDisjInstance(k, n, eps, seed, y, tuple(sites), z)
-    if typ == "BTX":
-        n_blocks = int(meta["blocks"])
-        p = float(meta["p"])
-        matrices = np.zeros((n_blocks, k, n), dtype=np.uint8)
-        for site, row in enumerate(sites):
-            for item in row:
-                matrices[item // n, site, item % n] = 1
-        owners = np.array(
-            [[int(v) for v in meta[f"owners{blk}"].split()]
-             for blk in range(n_blocks)], dtype=np.int32)
-        specials = np.array([int(v) for v in meta["specials"].split()],
-                            dtype=np.int32)
-        return BtxInstance(k, p, eps, seed, n, n_blocks, int(meta["inv_eps"]),
-                           matrices, owners, specials,
-                           tuple(meta["types"].split()))
+        return BitDisjInstance(k, n, eps, seed, meta("y"), table,
+                               tuple(meta("z").tolist()))
     if typ == "GAPMAJ":
-        return GapMajInstance(k, seed, tuple(row[0] for row in sites))
+        return GapMajInstance(k, seed, tuple(table[:, 0].tolist()))
     if typ == "QUANTILE":
-        l_rep = n // 2
-        z = tuple(
-            tuple(int(v) for v in meta[f"z{i}"].split()) for i in range(l_rep))
-        return QuantileInstance(k, eps, seed, l_rep, z, tuple(sites))
-    raise ValueError(f"{path}: unknown instance type {typ!r}")
+        z = tuple(tuple(meta(f"z{i}").tolist()) for i in range(width))
+        return QuantileInstance(k, eps, seed, width, z,
+                                tuple(map(tuple, table.tolist())))
+    n_blocks = meta("blocks", int)
+    matrices = np.zeros((n_blocks, k, n), dtype=np.uint8)
+    for site, row in enumerate(sites):
+        matrices[row // n, site, row % n] = 1
+    owners = np.array([meta(f"owners{blk}") for blk in range(n_blocks)],
+                      dtype=np.int32)
+    return BtxInstance(k, meta("p", float), eps, seed, n, n_blocks,
+                       meta("inv_eps", int), matrices, owners,
+                       meta("specials").astype(np.int32),
+                       tuple(meta("types", bytes.decode).split()))

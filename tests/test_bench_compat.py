@@ -48,14 +48,19 @@ def test_bench_tracer_installs_runs_and_restores():
     assert simulate(events, g, mode="monitor")[0] == rows
 
 
-def test_bench_hist_moves_counts_every_crossing(monkeypatch):
-    # bench/run.py recomputes each copy's histogram moves from its final
-    # counters; the sum over copies is the number of crossing messages the
-    # Monitor sent through ThresholdInstance.cross
+def load_run(monkeypatch):
     monkeypatch.setitem(sys.modules, "tracing", load_tracing())
     spec = importlib.util.spec_from_file_location("fpmon_bench_run", RUN)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
+    return run
+
+
+def test_bench_hist_moves_counts_every_crossing(monkeypatch):
+    # bench/run.py recomputes each copy's histogram moves from its final
+    # counters; the sum over copies is the number of crossing messages the
+    # Monitor sent through ThresholdInstance.cross
+    run = load_run(monkeypatch)
 
     calls = 0
     cross = protocol.ThresholdInstance.cross
@@ -70,3 +75,20 @@ def test_bench_hist_moves_counts_every_crossing(monkeypatch):
     _, mon = simulate(gen_uniform_stream(g.m, g.k, 400, seed=2), g, mode="monitor")
     assert calls > 0 and sum(c.dropped for c in mon.copies) > 0
     assert sum(run.hist_moves(c) for c in mon.copies) == calls
+
+
+def test_bench_hardgen_workload_passes_its_checks_at_tiny_size(monkeypatch, tmp_path):
+    # the hardgen workload uses the instance types directly (back != inst,
+    # np.asarray over back.xs, sum(back.z)); a type change that breaks one
+    # of them fails the pass's checks here
+    run = load_run(monkeypatch)
+    fp = types.SimpleNamespace(harness=harness, hardgen=hardgen, monitor=monitor,
+                               protocol=protocol, reductions=reductions,
+                               sampling=sampling)
+    cfg = dict(run.WORKLOADS["hardgen"], **run.TINY["hardgen"])
+    wl = run.HardgenWorkload(fp, cfg, 3, tmp_path)
+    wl.make_inputs()
+    wl.after_pass(*wl.one_pass(run.Clock()))
+    assert wl.run.notes == [] and wl.run.failed == 0
+    assert wl.run.attempted == 1 + cfg["btx_batch"]
+    assert wl.info["hardgen.items"] > cfg["k"] * (cfg["nprime"] + 1) // 4

@@ -268,6 +268,21 @@ def test_config_key_naming_no_option_is_an_error(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,line", [("gen-hard", "type = bitdisj"),
+                                          ("gen-stream", "kind = unifrom")])
+def test_config_value_outside_choices_is_an_error(tmp_path, capsys, command, line):
+    # a config value skipped the option's choices, so gen-hard fell through
+    # to its last instance type and gen-stream to its btx branch
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"seed = 3\n{line}\n")
+    out = tmp_path / "out.txt"
+    assert run(command, "--config", str(cfg), "--out", str(out)) == 1
+    key, _, value = line.partition(" = ")
+    err = capsys.readouterr().err
+    assert f"{cfg}: line 2: {key}: '{value}' is not one of" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--tau", "nan"), ("--tau", "inf"),
                                         ("--b", "nan"), ("--p", "inf")])
 def test_non_finite_parameter_is_an_error_line(tmp_path, capsys, flag, value):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,11 +73,14 @@ def test_two_disj_validator_catches_mutations():
     bad = dataclasses.replace(inst, intersecting=False, witness=None)
     with pytest.raises(ValueError):
         validate_two_disj(bad)
-    bad = dataclasses.replace(inst, x=inst.x[:-1] + (inst.x[0],))  # duplicate
-    with pytest.raises(ValueError):
+    bad = dataclasses.replace(inst, x=np.append(inst.x[:-1], inst.x[0]))  # duplicate
+    with pytest.raises(ValueError, match="x must hold 6 distinct"):
         validate_two_disj(bad)
-    bad = dataclasses.replace(inst, x=inst.x[:-1] + (99,))  # out of range
-    with pytest.raises(ValueError):
+    bad = dataclasses.replace(inst, x=np.append(inst.x[:-1], 99))  # out of range
+    with pytest.raises(ValueError, match="x has an element outside"):
+        validate_two_disj(bad)
+    bad = dataclasses.replace(inst, y=inst.y[:-1])  # short
+    with pytest.raises(ValueError, match="y must hold 6 distinct"):
         validate_two_disj(bad)
     disj = gen_two_disj(23, 0.0, seed=3)
     bad = dataclasses.replace(disj, intersecting=True, witness=disj.x[0])
@@ -101,7 +105,8 @@ def test_conditional_sampler_matches_pair_law():
     bits = 0
     for _ in range(draws):
         x, bit = sample_x_given_y(y, nprime, beta, rng)
-        freq[x] = freq.get(x, 0) + 1
+        key = tuple(x.tolist())
+        freq[key] = freq.get(key, 0) + 1
         bits += bit
     outside = [v for v in range(nprime) if v not in y]
     expect: dict[tuple[int, ...], float] = {}
@@ -146,8 +151,46 @@ def test_bit_disj_validator_catches_mutations():
     bad = dataclasses.replace(inst, xs=inst.xs[:-1])
     with pytest.raises(ValueError):
         validate_bit_disj(bad)
-    bad = dataclasses.replace(inst, y=inst.y[:-1] + (inst.y[0],))
+    bad = dataclasses.replace(inst, y=np.append(inst.y[:-1], inst.y[0]))
     with pytest.raises(ValueError):
+        validate_bit_disj(bad)
+
+
+def _bit_disj_mutants():
+    inst = gen_bit_disj(k=64, nprime=43, beta=0.25, seed=9)  # l' = 11
+    xs, y, z = inst.xs, inst.y, inst.z
+
+    def mutant(cells=(), bits=()):
+        new_xs, new_z = xs.copy(), list(z)
+        for (site, col), value in cells:
+            new_xs[site, col] = value
+        for site, bit in bits:
+            new_z[site] = bit
+        return dataclasses.replace(inst, xs=new_xs, z=tuple(new_z))
+
+    s = z.index(0)  # a disjoint site that takes two elements of y
+    return [
+        pytest.param(mutant(cells=[((5, -1), xs[5, 0])]),
+                     "site 5: set must hold 11 distinct elements", id="duplicate"),
+        pytest.param(mutant(cells=[((6, -1), 43)]),
+                     "site 6: element outside [0, 43)", id="out of range"),
+        pytest.param(mutant(bits=[(7, 1 - z[7])]),
+                     f"site 7: |x ∩ y| must equal z_i = {1 - z[7]}",
+                     id="wrong intersection"),
+        pytest.param(mutant(cells=[((s, 0), y[0]), ((s, 1), y[1])], bits=[(s, 2)]),
+                     f"site {s}: z_i must be 0 or 1", id="z_i not a bit"),
+        pytest.param(dataclasses.replace(inst, xs=xs[:, :-1]),
+                     "site 0: set must hold 11 distinct elements", id="short rows"),
+        pytest.param(dataclasses.replace(inst, xs=xs[:-1]),
+                     "site 63: need one set and one bit per site", id="missing site"),
+        pytest.param(mutant(cells=[((9, -1), xs[9, 0]), ((3, -1), 43)]),
+                     "site 3: element outside [0, 43)", id="first failing site"),
+    ]
+
+
+@pytest.mark.parametrize("bad, message", _bit_disj_mutants())
+def test_bit_disj_validator_names_the_failing_site(bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         validate_bit_disj(bad)
 
 
@@ -386,6 +429,89 @@ def test_bit_disj_round_trip(tmp_path):
     path = str(tmp_path / "bd.txt")
     write_instance(path, inst)
     assert read_instance(path) == inst
+
+
+def test_disj_equality_sees_one_element_and_one_bit(tmp_path):
+    inst = gen_bit_disj(k=64, nprime=43, beta=0.25, seed=4)
+    path = str(tmp_path / "bd.txt")
+    write_instance(path, inst)
+    back = read_instance(path)
+    assert back == inst and not back != inst
+    assert back.xs.shape == (64, 11) and back.xs.dtype == np.int64
+    assert (np.diff(back.xs, axis=1) > 0).all()
+    with pytest.raises(ValueError):
+        back.xs[0, 0] = 1  # read-only
+    xs = back.xs.copy()
+    xs[17, 4] += 1
+    assert dataclasses.replace(back, xs=xs) != inst
+    y = back.y.copy()
+    y[0] += 1
+    assert dataclasses.replace(back, y=y) != inst
+    z = list(back.z)
+    z[5] = 1 - z[5]
+    assert dataclasses.replace(back, z=tuple(z)) != inst
+    pair = gen_two_disj(23, 0.5, seed=0)
+    x = pair.x.copy()
+    x[2] += 1
+    assert dataclasses.replace(pair, x=x) != pair
+    assert dataclasses.replace(pair, x=pair.x.copy()) == pair
+
+
+def test_disj_rows_are_written_as_str_writes_them(tmp_path):
+    # rows are formatted and parsed a whole array at a time; any int64 but
+    # the two extremes comes back as written, in the bytes str() gives it
+    xs = np.array([[0, 9, 10, 99, 100],
+                   [-1, -10, 2**63 - 2, -(2**63) + 2, 7]])
+    inst = BitDisjInstance(k=2, nprime=19, beta=0.25, seed=1,
+                           y=np.array([3, -4, 5, 6, 1000]), xs=xs, z=(0, 1))
+    path = str(tmp_path / "bd.txt")
+    write_instance(path, inst)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert lines[1:] == ["0: 0 9 10 99 100",
+                         "1: " + " ".join(map(str, xs[1].tolist())),
+                         "#meta y 3 -4 5 6 1000", "#meta z 0 1"]
+    assert read_instance(path) == inst
+
+
+def _edit_line(path, lineno, edit):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if edit is None:
+        del lines[lineno - 1]
+    else:
+        lines[lineno - 1] = edit(lines[lineno - 1])
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+# (instance, line number, edit of that line or None to delete it, line the
+# error names); line 1 is the header, lines 2.. the site rows
+_MALFORMED = {
+    "non-integer token": ("bit", 3, lambda ln: ln + " x", 3),
+    "plus sign": ("bit", 4, lambda ln: ln.replace(" ", " +", 1), 4),
+    "float token": ("bit", 2, lambda ln: ln + " 1.0", 2),
+    "no meta y": ("bit", 66, None, 1),
+    "no meta z": ("bit", 67, None, 1),
+    "bad header number": ("bit", 1, lambda ln: ln.replace(" 43 ", " 4x3 "), 1),
+    "bit row too short": ("bit", 5, lambda ln: ln.rsplit(" ", 1)[0], 5),
+    "bit row too long": ("bit", 65, lambda ln: ln + " 42", 65),
+    "missing bit row": ("bit", 65, None, 66),
+    "two row too short": ("two", 3, lambda ln: ln.rsplit(" ", 1)[0], 3),
+    "no meta witness": ("two", 5, None, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_disj_file_names_path_and_line(tmp_path, case):
+    kind, lineno, edit, named = _MALFORMED[case]
+    inst = (gen_bit_disj(k=64, nprime=43, beta=0.25, seed=4) if kind == "bit"
+            else gen_two_disj(23, 0.5, seed=0))
+    path = str(tmp_path / "inst.txt")
+    write_instance(path, inst)
+    _edit_line(path, lineno, edit)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {named}: ")):
+        read_instance(path)
 
 
 def test_btx_round_trip(tmp_path):
