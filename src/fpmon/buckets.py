@@ -1,7 +1,8 @@
 """Bucket machinery of threshold instances, for one instance or a whole
 ladder of copies at once: per-level counter increments, geometric bucket
-edges, weights and levels, and the crossing table in which the columnar
-coordinator looks up each message that moves a readable bucket.
+edges, weights and levels, the crossing table, and the per-coordinate
+counter columns that look up in it each message that moves a readable
+bucket.
 """
 
 from __future__ import annotations
@@ -156,3 +157,67 @@ class Buckets:
         merged = np.flatnonzero(~new)
         entered[merged - 1] = entered[merged]
         return tuple(v[new] for v in (at, left, entered, key, count))
+
+
+class Columns:
+    """Message counters of every copy of a Buckets, per coordinate. A flat
+    row is one (copy, z, l); by_j[j] holds the ascending flat rows that take
+    coordinate j's messages (a Monitor's: those whose level set held j among
+    the rows live when the run of events that first reached j was fanned
+    out; a standalone instance's: all) and, aligned with them, each row's
+    message count and the count at its next crossing. Building it builds the
+    crossing table, in which crossed() looks up every crossing. Holds no
+    reference to the copies or their Monitor, which point here."""
+
+    def __init__(self, buckets: Buckets, r: int) -> None:
+        n_levels = buckets.n_levels
+        self.buckets, self.n_levels, self.block = buckets, n_levels, r * n_levels
+        self.table = t = buckets.crossings
+        # each flat row's first crossing count, and its (copy, level) key's
+        # base in the crossing table's `at` values
+        shape = (len(buckets.h_cap), r, n_levels)
+        self.first = np.broadcast_to(t.first.reshape(-1, 1, n_levels), shape).ravel()
+        self.row_at = np.broadcast_to(t.base.reshape(-1, 1, n_levels), shape).ravel()
+        self.by_j: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.read_out: dict[int, dict[tuple[int, int, int], int]] | None = None
+
+    def add(self, js: Sequence[int], rows: np.ndarray, ends: Sequence[int]) -> None:
+        """Columns of new coordinates js, at count 0: js[i]'s rows are
+        rows[ends[i - 1]:ends[i]]."""
+        count, nxt = np.zeros(rows.size, dtype=np.int32), self.first[rows]
+        for j, lo, hi in zip(js, [0, *ends], ends):
+            self.by_j[j] = (rows[lo:hi], count[lo:hi], nxt[lo:hi])
+
+    def crossed(self, col, qs):
+        """Positions qs (an array, or one int) of column col have reached
+        their next crossing: set their next crossing counts, and return the
+        readable buckets they left and entered (-1 for none): lists, or ints."""
+        t, (rows, count, nxt) = self.table, col
+        e = t.at.searchsorted(self.row_at[rows[qs]] + count[qs])
+        nxt[qs] = t.next[e]
+        return t.left[e].tolist(), t.entered[e].tolist()
+
+    def counts_of(self, pair: int) -> dict[tuple[int, int, int], int]:
+        """(z, l, j) -> count for one copy, built for every copy on the first
+        read after the counters last moved."""
+        if self.read_out is None:
+            self.read_out = self._read_all()
+        return self.read_out.get(pair, {})
+
+    def _read_all(self) -> dict[int, dict[tuple[int, int, int], int]]:
+        parts = []
+        for j, (rows, count, _) in self.by_j.items():
+            nz = np.flatnonzero(count)
+            parts.append((rows[nz], count[nz], np.full(nz.size, j)))
+        if not parts:
+            return {}
+        rows, count, js = (np.concatenate(x) for x in zip(*parts))
+        order = np.argsort(rows, kind="stable")
+        pair, within = np.divmod(rows[order], self.block)
+        z, l = np.divmod(within, self.n_levels)
+        keys = list(zip((z + 1).tolist(), l.tolist(), js[order].tolist()))
+        values = count[order].tolist()
+        pairs, starts = np.unique(pair, return_index=True)
+        ends = [*starts[1:].tolist(), len(keys)]
+        return {p: dict(zip(keys[lo:hi], values[lo:hi]))
+                for p, lo, hi in zip(pairs.tolist(), starts.tolist(), ends)}

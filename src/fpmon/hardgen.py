@@ -590,6 +590,7 @@ def read_instance(path: str):
 
         # rows go straight into one (k, width) array when they share a length
         sites: list[np.ndarray] = []
+        site_nos: list[int] = []  # each site row's line, for the BTX checks
         table = None if width is None else np.empty((k, width), dtype=np.int64)
         metas: dict[str, tuple[int, bytes]] = {}
         no = hno
@@ -604,15 +605,16 @@ def read_instance(path: str):
             if parse(no, lead, int) != len(sites):
                 raise fail(no, f"site rows out of order at site {int(lead)}")
             row = parse(no, rest)
+            if len(sites) == k:
+                raise fail(no, f"more than k = {k} site rows")
             if table is not None:
-                if len(sites) == k:
-                    raise fail(no, f"more than k = {k} site rows")
                 if len(row) != width:
                     raise fail(no, f"site {len(sites)} holds {len(row)} items, "
                                    f"not {width}")
                 table[len(sites)] = row
                 row = table[len(sites)]
             sites.append(row)
+            site_nos.append(no)
     if table is not None and len(sites) != k:
         raise fail(no, f"{len(sites)} site rows for k = {k}")
 
@@ -637,7 +639,9 @@ def read_instance(path: str):
                                 tuple(map(tuple, table.tolist())))
     n_blocks = meta("blocks", int)
     matrices = np.zeros((n_blocks, k, n), dtype=np.uint8)
-    for site, row in enumerate(sites):
+    for site, (no, row) in enumerate(zip(site_nos, sites)):
+        if ((row < 0) | (row >= n_blocks * n)).any():
+            raise fail(no, f"site {site} holds an item outside [0, {n_blocks * n})")
         matrices[row // n, site, row % n] = 1
     owners = np.array([meta(f"owners{blk}") for blk in range(n_blocks)],
                       dtype=np.int32)

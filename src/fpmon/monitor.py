@@ -14,51 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .buckets import Buckets
+from .buckets import Buckets, Columns
 from .protocol import FanRows, GlobalParams, ThresholdInstance, check_tau, fanout
 from .sampling import (GOLDEN, MASK64, SALT_INSTANCE, SLICE, derive_np, mix64_np,
                        unit_open_zero)
 # derive stays bound here: bench/tracing.py wraps monitor.derive
 from .sampling import derive  # noqa: F401
-
-
-class Columns:
-    """Per-coordinate counters of a ladder. For each coordinate j seen so
-    far, by_j[j] holds the ascending flat rows whose level set held j (among
-    the rows live when the run of events that first reached j was fanned
-    out) and, aligned with them, each row's message count and the count at
-    its next crossing. Holds no reference to the copies or their Monitor,
-    which both point here."""
-
-    def __init__(self, block: int, n_levels: int) -> None:
-        self.block, self.n_levels = block, n_levels
-        self.by_j: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self.read_out: dict[int, dict[tuple[int, int, int], int]] | None = None
-
-    def counts_of(self, pair: int) -> dict[tuple[int, int, int], int]:
-        """(z, l, j) -> count for one copy, built for every copy on the first
-        read after the counters last moved."""
-        if self.read_out is None:
-            self.read_out = self._read_all()
-        return self.read_out.get(pair, {})
-
-    def _read_all(self) -> dict[int, dict[tuple[int, int, int], int]]:
-        parts = []
-        for j, (rows, count, _) in self.by_j.items():
-            nz = np.flatnonzero(count)
-            parts.append((rows[nz], count[nz], np.full(nz.size, j)))
-        if not parts:
-            return {}
-        rows, count, js = (np.concatenate(x) for x in zip(*parts))
-        order = np.argsort(rows, kind="stable")
-        pair, within = np.divmod(rows[order], self.block)
-        z, l = np.divmod(within, self.n_levels)
-        keys = list(zip((z + 1).tolist(), l.tolist(), js[order].tolist()))
-        values = count[order].tolist()
-        pairs, starts = np.unique(pair, return_index=True)
-        ends = [*starts[1:].tolist(), len(keys)]
-        return {p: dict(zip(keys[lo:hi], values[lo:hi]))
-                for p, lo, hi in zip(pairs.tolist(), starts.tolist(), ends)}
 
 
 class Monitor:
@@ -72,12 +33,12 @@ class Monitor:
     a threshold run. Its (0, 0) seeds are ThresholdInstance's defaults, so
     copies[0] replays a standalone ThresholdInstance(params) exactly.
 
-    The coordinator is columnar: an event's fan-out and counter bumps run in
-    numpy over the rows whose level set holds its coordinate. The copies'
-    bucket tables and crossing table are one Buckets, built in one pass;
-    the messages that reach their counters' next crossings look up the
-    buckets they leave and enter there in one search, and only they go
-    through Python, to their copies' cross().
+    The coordinator is columnar: the copies count in one Columns, and an
+    event's fan-out and counter bumps run in numpy over the rows whose level
+    set holds its coordinate. Their bucket and crossing tables are one
+    Buckets, built with the Monitor; the messages that reach their next
+    crossings look up the buckets they leave and enter in one
+    Columns.crossed() call, and only they go through Python, to cross().
 
     An event's messages depend only on the event and on which rows are
     live, and rows only ever fall silent. So on_event fans out a run of
@@ -99,9 +60,6 @@ class Monitor:
         self.n_instances = len(self.taus)
         self.majority = self.a // 2 + 1
 
-        n_levels = params.l_max + 1
-        self.block = params.r * n_levels
-        self.columns = Columns(self.block, n_levels)
         # (coin, send, eta) seeds of copy (i, c): derive(seed, SALT_INSTANCE, i, c, s)
         seeds = derive_np(params.seed & MASK64, SALT_INSTANCE,
                           np.arange(self.n_instances)[:, None, None],
@@ -109,10 +67,11 @@ class Monitor:
                           np.arange(3)[None, None, :]).reshape(-1, 3).tolist()
         taus = [tau for tau in self.taus for _ in range(self.a)]
         self._buckets = Buckets(params, taus, [unit_open_zero(s[2]) for s in seeds])
+        self.columns = Columns(self._buckets, params.r)
+        self.block = self.columns.block
         self.copies = [
             ThresholdInstance(params, tau=tau, coin_seed=coin, send_seed=send,
-                              eta_seed=eta, columns=self.columns, pair=pair,
-                              buckets=self._buckets)
+                              eta_seed=eta, columns=self.columns, pair=pair)
             for pair, (tau, (coin, send, eta)) in enumerate(zip(taus, seeds))
         ]
 
@@ -130,12 +89,6 @@ class Monitor:
         self._plan: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._at = 0
         self._run: tuple | None = None
-        # each flat row's first crossing count, and its (copy, level) key's
-        # base in the crossing table's `at` values
-        table, shape = self._buckets.crossings, (len(self.copies), params.r, n_levels)
-        self._first_crossing = np.broadcast_to(
-            table.first.reshape(-1, 1, n_levels), shape).ravel()
-        self._row_at = np.broadcast_to(table.base.reshape(-1, 1, n_levels), shape).ravel()
 
         self.fired_copies = [0] * self.n_instances
         self.instance_fired = [False] * self.n_instances
@@ -189,13 +142,7 @@ class Monitor:
             member[:, lo:hi] = mix64_np(key[lo:hi] ^ jk) <= thresh
         at = np.flatnonzero(member)
         rows = np.take(flat, at, mode="wrap")  # at % flat.size: the live row
-        count = np.zeros(rows.size, dtype=np.int32)
-        nxt = self._first_crossing[rows]
-        ends = at.searchsorted(np.arange(1, len(js) + 1) * flat.size).tolist()
-        by_j, lo = self.columns.by_j, 0
-        for j, hi in zip(js, ends):
-            by_j[j] = (rows[lo:hi], count[lo:hi], nxt[lo:hi])
-            lo = hi
+        self.columns.add(js, rows, at.searchsorted(np.arange(1, len(js) + 1) * flat.size))
 
     def _fan_run(self, count_after: int, j: int, ev: int) -> tuple:
         """Fan out the run of events that starts at this one: the planned
@@ -270,15 +217,11 @@ class Monitor:
         bumps of the copy's later messages of the event, which it drops."""
         rows, count, nxt = col
         qs = sent[hit]
-        crossed, bumped = rows[qs], count[qs]
-        table = self._buckets.crossings
-        e = table.at.searchsorted(self._row_at[crossed] + bumped)
-        nxt[qs] = table.next[e]
-        pair, z = np.divmod(crossed // self.columns.n_levels, self.params.r)
+        left, entered = self.columns.crossed(col, qs)
+        pair, z = np.divmod(rows[qs] // self.columns.n_levels, self.params.r)
         copies = self.copies
-        for i, (p, zi, out, into) in enumerate(zip(
-                pair.tolist(), (z + 1).tolist(), table.left[e].tolist(),
-                table.entered[e].tolist())):
+        for i, (p, zi, out, into) in enumerate(zip(pair.tolist(), (z + 1).tolist(),
+                                                   left, entered)):
             inst = copies[p]
             if inst.terminated:  # fired earlier in this event
                 continue

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .buckets import Buckets
+from .buckets import Buckets, Columns
 from .sampling import (
     SALT_COIN,
     SALT_INSTANCE,
@@ -268,20 +268,19 @@ class ThresholdInstance:
     estimate from the raw counters alone; it is the reference the tests
     check the running estimate against, bit for bit.
 
-    A standalone instance builds its own Buckets, keeps its counters itself
-    and takes messages through apply(). A ladder copy is copy `pair` of its
-    Monitor's Buckets, and its counters live in the Monitor's per-coordinate
-    columns (`columns`, at block `pair`): the Monitor bumps them and calls
-    cross() only at the counts that crossings() lists; counts and
-    messages_received are read out of the columns on demand.
+    Counters live in a buckets.Columns, and cross() is called only at the
+    counts that its crossing table lists. A ladder copy is copy `pair` of
+    its Monitor's Columns, which bumps them. A standalone instance is the
+    one-copy case: it builds its own Buckets, and on its first message its
+    own Columns, whose column for j holds every (z, l) row; apply() bumps
+    it. counts and messages_received are read out of the columns on demand.
     """
 
     def __init__(self, params: GlobalParams, tau: Optional[float] = None,
                  coin_seed: Optional[int] = None,
                  send_seed: Optional[int] = None,
                  eta_seed: Optional[int] = None,
-                 columns=None, pair: int = 0,
-                 buckets: Optional[Buckets] = None) -> None:
+                 columns: Optional[Columns] = None, pair: int = 0) -> None:
         self.params = params
         self.tau = params.tau if tau is None else tau
         if self.tau is None:
@@ -297,12 +296,14 @@ class ThresholdInstance:
         self.send_seed = send_seed
         self.eta = unit_open_zero(eta_seed)
         self.zeta = 1.0 + params.gamma
+        self._pair, self._ladder = pair, columns is not None
+        if self._ladder:
+            self.columns = columns
 
         # per-level counter increments u_l (subsampled levels have u_l > 1)
         # and the bucket machinery shared verbatim by both estimation passes
-        if buckets is None:
-            buckets = Buckets(params, [self.tau], [self.eta])
-        self._buckets = buckets
+        self._buckets = buckets = (columns.buckets if self._ladder else
+                                   Buckets(params, [self.tau], [self.eta]))
         self.u = buckets.u[pair]
         self.h_cap = buckets.h_cap[pair]
         lo = int(buckets.off[pair])
@@ -312,9 +313,6 @@ class ThresholdInstance:
         self.fire_line = (1.0 - params.c_fire * params.eps) * self.tau
         self._r, self._med_idx = params.r, (params.r - 1) // 2
 
-        self._columns, self._pair = columns, pair
-        self._counts: dict[tuple[int, int, int], int] = {}
-        self._received = 0
         self.hist: dict[int, list[int]] = {}
         self.med = np.zeros(self.h_cap + 1, dtype=np.float64)
         self.est = 0.0
@@ -322,9 +320,7 @@ class ThresholdInstance:
         self.terminated = False
         self.dropped = 0
         self.est_decreases = 0
-        self._bucket_cache: list[dict[int, int]] = [
-            {} for _ in range(params.l_max + 1)
-        ]
+        self._bucket_cache: dict[tuple[int, int], int] = {}
 
     @functools.cached_property
     def rows(self) -> FanRows:
@@ -332,18 +328,19 @@ class ThresholdInstance:
         every copy's rows and never builds these."""
         return FanRows(self.params, self.tau, self.coin, self.send_seed)
 
+    @functools.cached_property
+    def columns(self) -> Columns:
+        """The counters; a standalone instance builds its own on first use."""
+        return Columns(self._buckets, self.params.r)
+
     @property
     def counts(self) -> dict[tuple[int, int, int], int]:
         """(z, l, j) -> message count, for every counter that has one."""
-        if self._columns is None:
-            return self._counts
-        return self._columns.counts_of(self._pair)
+        return self.columns.counts_of(self._pair)
 
     @property
     def messages_received(self) -> int:
         """Messages delivered while live; each bumped one counter by one."""
-        if self._columns is None:
-            return self._received
         return sum(self.counts.values())
 
     # -- bucket helpers ----------------------------------------------------
@@ -354,14 +351,10 @@ class ThresholdInstance:
         return int(np.searchsorted(self.edge, value, side="right")) - 1
 
     def _bucket_of_count(self, l: int, count: int) -> int:
-        if count <= 0:
-            return -1
-        cache = self._bucket_cache[l]
-        h = cache.get(count)
-        if h is None:
-            h = self.bucket_of_value(count * float(self.u[l]))
-            cache[count] = h
-        return h
+        key = (l, count)
+        if key not in self._bucket_cache:
+            self._bucket_cache[key] = self.bucket_of_value(count * float(self.u[l]))
+        return self._bucket_cache[key]
 
     def _readable(self, h: int, l: int) -> bool:
         return 0 <= h <= self.h_cap and self.lvl_of_h[h] == l
@@ -441,21 +434,23 @@ class ThresholdInstance:
         l, which are the only messages that move a histogram; and for each
         such count, the readable bucket left and the one entered (-1 for
         none). Counts stop at n, since a counter takes at most one message
-        per update of its coordinate. Views of this copy's part of its
+        per update of its coordinate. Read out of this copy's keys in its
         Buckets' crossing table."""
         t, n_levels = self._buckets.crossings, self._buckets.n_levels
-        base = t.base[self._pair * n_levels : (self._pair + 1) * n_levels]
-        lo = t.at.searchsorted(base).tolist()
-        hi = t.at.searchsorted(base + self._buckets.n + 1).tolist()
-        return [(t.at[a:b] - k, t.left[a:b], t.entered[a:b])
-                for k, a, b in zip(base.tolist(), lo, hi)]
+        key, count = np.divmod(t.at, self._buckets.n + 1)
+        return [(count[sel], t.left[sel], t.entered[sel]) for sel in
+                (key == (self._pair + 1) * n_levels - 1 - l for l in range(n_levels))]
 
     # -- message path ------------------------------------------------------
 
     def apply(self, j: int, z: int, l: int) -> bool:
-        """Deliver one message. Returns True exactly when this message
-        fires the output bit. Messages for a terminated instance are dropped
-        and counted."""
+        """Deliver one message to a standalone instance. Returns True
+        exactly when this message fires the output bit. Messages for a
+        terminated instance are dropped and counted. A ladder copy's
+        messages go through its Monitor, so apply() on one raises."""
+        if self._ladder:
+            raise ValueError("a ladder copy's messages go through its Monitor's "
+                             "on_event, not apply")
         if self.terminated:
             self.dropped += 1
             return False
@@ -465,19 +460,15 @@ class ThresholdInstance:
             raise ValueError(f"level {l} outside [0, {self.params.l_max}]")
         if not 0 <= j < self.params.m:
             raise ValueError(f"coordinate {j} outside [0, {self.params.m})")
-        self._received += 1
-        key = (z, l, j)
-        c = self._counts.get(key, 0) + 1
-        self._counts[key] = c
-        h_old = self._bucket_of_count(l, c - 1)
-        h_new = self._bucket_of_count(l, c)
-        if h_old == h_new:
+        cols = self.columns
+        if j not in cols.by_j:
+            cols.add([j], np.arange(cols.block), [cols.block])
+        col, q = cols.by_j[j], (z - 1) * cols.n_levels + l
+        cols.read_out = None
+        col[1][q] += 1
+        if col[1][q] < col[2][q]:
             return False
-        left = h_old if self._readable(h_old, l) else -1
-        entered = h_new if self._readable(h_new, l) else -1
-        if left < 0 and entered < 0:
-            return False
-        return self.cross(z, left, entered)
+        return self.cross(z, *cols.crossed(col, q))
 
     def cross(self, z: int, left: int, entered: int) -> bool:
         """A repetition-z counter has just left readable bucket `left` and

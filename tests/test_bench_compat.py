@@ -92,3 +92,21 @@ def test_bench_hardgen_workload_passes_its_checks_at_tiny_size(monkeypatch, tmp_
     assert wl.run.notes == [] and wl.run.failed == 0
     assert wl.run.attempted == 1 + cfg["btx_batch"]
     assert wl.info["hardgen.items"] > cfg["k"] * (cfg["nprime"] + 1) // 4
+
+
+def test_construction_builds_no_more_than_the_bench_times():
+    # the bench times ThresholdInstance(params) as threshold-uniform's
+    # setup_s and Monitor(params) as the monitor workloads': a standalone
+    # instance builds its crossing table and counters on its first message,
+    # and a Monitor builds its table in __init__, not on its first event
+    g = GlobalParams(k=4, m=64, n=2000, p=2.0, eps=0.5, b=8.0, r=3, seed=1,
+                     tau=50.0, a=1)
+    inst = protocol.ThresholdInstance(g)
+    assert "crossings" not in vars(inst._buckets)
+    assert "columns" not in vars(inst)
+    inst.apply(0, 1, 0)
+    assert "crossings" in vars(inst._buckets) and list(inst.columns.by_j) == [0]
+    for mon in (monitor.Monitor(g), monitor.Monitor(g, tau=g.tau)):
+        assert "crossings" in vars(mon._buckets)
+        assert mon.columns.table is mon._buckets.crossings
+        assert mon.columns.by_j == {}

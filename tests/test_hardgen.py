@@ -514,6 +514,27 @@ def test_malformed_disj_file_names_path_and_line(tmp_path, case):
         read_instance(path)
 
 
+# a BTX site row's items index its (block, column) matrix cells, so the
+# reader range-checks them and the row count itself; lines 2..9 are the
+# site rows of a k = 8 instance
+_MALFORMED_BTX = {
+    "item past the last block": (3, lambda ln: ln + " 99999"),
+    "negative item": (5, lambda ln: ln + " -1"),
+    "site row k": (9, lambda ln: ln + "\n8: 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_BTX))
+def test_malformed_btx_file_names_path_and_line(tmp_path, case):
+    lineno, edit = _MALFORMED_BTX[case]
+    path = str(tmp_path / "btx.txt")
+    write_instance(path, gen_btx(8, 2.0, 0.25, 1))
+    _edit_line(path, lineno, edit)
+    named = lineno + 1 if case == "site row k" else lineno
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {named}: ")):
+        read_instance(path)
+
+
 def test_btx_round_trip(tmp_path):
     inst = gen_btx(k=8, p=2.0, eps=0.25, seed=21)
     path = str(tmp_path / "btx.txt")
