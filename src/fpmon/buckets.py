@@ -166,8 +166,9 @@ class Columns:
     the rows live when the run of events that first reached j was fanned
     out; a standalone instance's: all) and, aligned with them, each row's
     message count and the count at its next crossing. Building it builds the
-    crossing table, in which crossed() looks up every crossing. Holds no
-    reference to the copies or their Monitor, which point here."""
+    crossing table, in which a Monitor's run looks up its crossings and
+    crossed() a standalone instance's. Holds no reference to the copies or
+    their Monitor, which point here."""
 
     def __init__(self, buckets: Buckets, r: int) -> None:
         n_levels = buckets.n_levels
@@ -188,14 +189,14 @@ class Columns:
         for j, lo, hi in zip(js, [0, *ends], ends):
             self.by_j[j] = (rows[lo:hi], count[lo:hi], nxt[lo:hi])
 
-    def crossed(self, col, qs):
-        """Positions qs (an array, or one int) of column col have reached
-        their next crossing: set their next crossing counts, and return the
-        readable buckets they left and entered (-1 for none): lists, or ints."""
+    def crossed(self, col, q: int) -> tuple[int, int]:
+        """Position q of column col has reached its next crossing: set its
+        next crossing count, and return the readable buckets it left and
+        entered (-1 for none)."""
         t, (rows, count, nxt) = self.table, col
-        e = t.at.searchsorted(self.row_at[rows[qs]] + count[qs])
-        nxt[qs] = t.next[e]
-        return t.left[e].tolist(), t.entered[e].tolist()
+        e = t.at.searchsorted(self.row_at[rows[q]] + count[q])
+        nxt[q] = t.next[e]
+        return int(t.left[e]), int(t.entered[e])
 
     def counts_of(self, pair: int) -> dict[tuple[int, int, int], int]:
         """(z, l, j) -> count for one copy, built for every copy on the first

@@ -615,7 +615,7 @@ def read_instance(path: str):
                 row = table[len(sites)]
             sites.append(row)
             site_nos.append(no)
-    if table is not None and len(sites) != k:
+    if len(sites) != k:
         raise fail(no, f"{len(sites)} site rows for k = {k}")
 
     def meta(key: str, conv=_ints):
@@ -638,6 +638,8 @@ def read_instance(path: str):
         return QuantileInstance(k, eps, seed, width, z,
                                 tuple(map(tuple, table.tolist())))
     n_blocks = meta("blocks", int)
+    if n_blocks < 0:
+        raise fail(metas["blocks"][0], f"negative block count {n_blocks}")
     matrices = np.zeros((n_blocks, k, n), dtype=np.uint8)
     for site, (no, row) in enumerate(zip(site_nos, sites)):
         if ((row < 0) | (row >= n_blocks * n)).any():

@@ -10,12 +10,11 @@ recorded event with floats printed to 12 significant digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .monitor import Monitor
+from .monitor import Monitor, occurrence
 from .oracles import fp_power
 # fanout is not called here, and event_key only in its vectorized form
 # (plan_events); bench/tracing.py patches both as harness globals
@@ -26,8 +25,7 @@ from .sampling import event_key  # noqa: F401
 TRACE_HEADER = "t,true_fp,estimate,cum_messages,cum_bits,fired_instances"
 
 
-@dataclass(frozen=True)
-class StreamEvent:
+class StreamEvent(NamedTuple):
     """One insertion: at time t, site receives coordinate j."""
 
     t: int
@@ -35,8 +33,7 @@ class StreamEvent:
     j: int
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     t: int
     true_fp: float
     estimate: float
@@ -200,27 +197,29 @@ def params_provenance(params: GlobalParams, mode: str) -> dict[str, object]:
     return prov
 
 
-def plan_events(events: list[StreamEvent],
-                k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-event arrays of a stream, in one pass: the site's count of the
-    coordinate after the update, the coordinate, and the send-trial key
-    event_key(site, t), whose labels derive() takes modulo 2**64."""
-    site_counts: list[dict[int, int]] = [dict() for _ in range(k)]
-    # filled in place: lists grown by append are reallocated as they grow,
-    # which on a 20000-event stream left 0.9 MB more peak RSS
-    n = len(events)
-    counts, js, sites, ts = [0] * n, [0] * n, [0] * n, [0] * n
-    for i, ev in enumerate(events):
-        d = site_counts[ev.site]
-        c = d.get(ev.j, 0) + 1
-        d[ev.j] = c
-        counts[i] = c
-        js[i] = ev.j
-        sites[i] = ev.site
-        ts[i] = ev.t & MASK64
-    keys = derive_np(SALT_EVENT, np.array(sites, dtype=np.uint64),
-                     np.array(ts, dtype=np.uint64))
-    return np.array(counts, dtype=np.int64), np.array(js, dtype=np.int64), keys
+def plan_events(events: list[StreamEvent], k: int) -> tuple[np.ndarray, ...]:
+    """Per-event arrays of a stream: the site's count of the coordinate
+    after the update, the coordinate, the send-trial key event_key(site, t)
+    (derive() takes labels modulo 2**64), and the coordinate's aggregate
+    count over all sites after the update."""
+    ts, sites, js = zip(*events) if events else ((), (), ())
+    js, sites = np.array(js, dtype=np.int64), np.array(sites, dtype=np.int64)
+    keys = derive_np(SALT_EVENT, sites.astype(np.uint64),
+                     np.fromiter((t & MASK64 for t in ts), np.uint64, len(ts)))
+    return occurrence(js * k + sites), js, keys, occurrence(js)
+
+
+def running_fp(agg: np.ndarray, p: float) -> np.ndarray:
+    """F_p after each event, given each event's aggregate count c of its
+    coordinate: the running sum of c**p - (c - 1)**p, read from a table of
+    fp_power values. The table is int64 while F_p fits (F_p <= max(c)**(p-1)
+    * events bounds it), exact Python ints past that, and float64 for
+    non-integer p, where np.cumsum adds in order, as a running sum does."""
+    top = int(agg.max()) if agg.size else 0
+    dtype = (np.float64 if not float(p).is_integer() else
+             np.int64 if top ** (int(p) - 1) * agg.size < 2**63 else object)
+    table = np.array([fp_power(c, p) for c in range(top + 1)], dtype=dtype)
+    return np.cumsum(table[agg] - table[agg - 1])
 
 
 def simulate(events: list[StreamEvent], params: GlobalParams,
@@ -232,13 +231,13 @@ def simulate(events: list[StreamEvent], params: GlobalParams,
 
     Both modes run one engine, a Monitor: the full ladder in monitor mode,
     and in threshold mode the one-rung, one-copy ladder at params.tau, whose
-    copy (a ThresholdInstance) is the state returned. The Monitor is handed
-    the whole stream's plan_events() first, so that it can fan out runs of
-    events at once.
-
-    true_fp is maintained incrementally in exact arithmetic for integer p;
-    estimate is the instance's class-weighted sum (threshold mode) or the
-    ladder bracket midpoint (monitor mode).
+    copy (a ThresholdInstance) is the state returned. The stream goes
+    through one Monitor.run() call on the arrays of plan_events(), and only
+    the recorded rows are built, from arrays: true_fp is running_fp() of the
+    aggregate counts, exact for integer p; cum_messages the running sum of
+    the messages per event; estimate (the instance's class-weighted sum, or
+    the ladder bracket midpoint) and fired_instances carried forward from
+    the crossing events that run() reports, the only events that move them.
     """
     if mode not in ("threshold", "monitor"):
         raise ValueError(f"mode must be 'threshold' or 'monitor', got {mode}")
@@ -255,25 +254,27 @@ def simulate(events: list[StreamEvent], params: GlobalParams,
         monitor = Monitor(params)
         estimate = monitor.estimate
 
-    count_after, js, keys = plan_events(events, params.k)
-    monitor.plan(count_after, js, keys)
-    agg: dict[int, int] = {}
-    true_fp: float | int = 0
-    cum_messages = 0
-    rows: list[TraceRow] = []
+    count_after, js, keys, agg = plan_events(events, params.k)
+    # the estimate and fired count before the stream, then after each
+    # crossing event marks[s - 1]
+    marks: list[int] = []
+    ests, fired = [float(estimate())], [monitor.fired_count()]
 
-    last = len(events) - 1
-    for pos, (ev, c_site, key) in enumerate(zip(events, count_after, keys)):
-        c_agg = agg.get(ev.j, 0) + 1
-        agg[ev.j] = c_agg
-        true_fp += fp_power(c_agg, params.p) - fp_power(c_agg - 1, params.p)
+    def on_cross(i: int) -> None:
+        marks.append(i)
+        ests.append(float(estimate()))
+        fired.append(monitor.fired_count())
 
-        cum_messages += monitor.on_event(c_site, ev.j, key)
-
-        if pos % stride == 0 or pos == last:
-            rows.append(TraceRow(ev.t, float(true_fp), float(estimate()),
-                                 cum_messages, cum_messages * monitor.message_bits,
-                                 monitor.fired_count()))
+    cum = np.cumsum(monitor.run(count_after, js, keys, on_cross))
+    true_fp = running_fp(agg, params.p)
+    picks = np.arange(0, len(events), stride)
+    if picks.size and picks[-1] != len(events) - 1:
+        picks = np.append(picks, len(events) - 1)
+    cols = (picks, true_fp[picks], np.searchsorted(marks, picks, side="right"), cum[picks])
+    bits, rows = monitor.message_bits, []
+    for lo in range(0, picks.size, 1024):  # whole-stream lists raised peak RSS
+        rows += [TraceRow(events[i].t, float(fp), ests[s], c, c * bits, fired[s])
+                 for i, fp, s, c in zip(*(x[lo : lo + 1024].tolist() for x in cols))]
     return rows, (monitor.copies[0] if mode == "threshold" else monitor)
 
 

@@ -7,7 +7,7 @@ estimate is the geometric midpoint of the bracket above the highest fired
 instance. Fired instances stop generating traffic; everything stays one-way.
 
 A single-threshold run is the one-rung, one-copy case of the same ladder,
-driven by the same event loop.
+driven by the same run driver (Monitor.run).
 """
 
 from __future__ import annotations
@@ -33,20 +33,20 @@ class Monitor:
     a threshold run. Its (0, 0) seeds are ThresholdInstance's defaults, so
     copies[0] replays a standalone ThresholdInstance(params) exactly.
 
-    The coordinator is columnar: the copies count in one Columns, and an
-    event's fan-out and counter bumps run in numpy over the rows whose level
-    set holds its coordinate. Their bucket and crossing tables are one
-    Buckets, built with the Monitor; the messages that reach their next
-    crossings look up the buckets they leave and enter in one
-    Columns.crossed() call, and only they go through Python, to cross().
+    The coordinator is columnar: the copies count in one Columns, and the
+    fan-out and counter bumps run in numpy over the rows whose level set
+    holds each event's coordinate. Their bucket and crossing tables are one
+    Buckets, built with the Monitor. Only the crossing messages, whose new
+    count is a crossing count of their row's (copy, level), go through
+    Python, to cross().
 
     An event's messages depend only on the event and on which rows are
-    live, and rows only ever fall silent. So on_event fans out a run of
-    upcoming events at once when the stream has been handed over through
-    plan(): max(1, SLICE // live rows) of them, in one numpy pass over the
-    rows live at the run's start. Each event then drops its messages from
-    rows that have fallen silent since. Without a plan, each event is a
-    run of one.
+    live, and rows only ever fall silent. So run() takes a stream's events
+    as arrays and drives them a run at a time: max(1, SLICE // live rows)
+    events, fanned out in one numpy pass over the rows live at the run's
+    start, whose crossing messages are found in one more. A fire silences
+    rows, so a run ends with the event in which a copy fires, and the next
+    run starts after it. on_event() is a run of one.
     """
 
     def __init__(self, params: GlobalParams, tau: float | None = None) -> None:
@@ -84,11 +84,6 @@ class Monitor:
         # live pair), built when a column is next made after a pair falls
         # silent
         self._live_keys: tuple[np.ndarray, np.ndarray] | None = None
-        # the stream's (count_after, j, ev) arrays, the index of the next
-        # planned event, and the run fanned out so far (see _fan_run)
-        self._plan: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._at = 0
-        self._run: tuple | None = None
 
         self.fired_copies = [0] * self.n_instances
         self.instance_fired = [False] * self.n_instances
@@ -111,14 +106,6 @@ class Monitor:
             self.live[lo : lo + self.block] = False
             self.live_pairs -= 1
             self._live_keys = None
-
-    def plan(self, count_after: np.ndarray, js: np.ndarray, evs: np.ndarray) -> None:
-        """Hand over the (count_after, j, ev) of every event still to come,
-        as aligned arrays; on_event must then be called with exactly these
-        events, in order."""
-        self._plan = (np.asarray(count_after, dtype=np.int64),
-                      np.asarray(js, dtype=np.int64), np.asarray(evs, dtype=np.uint64))
-        self._at, self._run = 0, None
 
     def _build_columns(self, js: list[int]) -> None:
         """Columns of new coordinates js, from one membership hash over
@@ -144,95 +131,127 @@ class Monitor:
         rows = np.take(flat, at, mode="wrap")  # at % flat.size: the live row
         self.columns.add(js, rows, at.searchsorted(np.arange(1, len(js) + 1) * flat.size))
 
-    def _fan_run(self, count_after: int, j: int, ev: int) -> tuple:
-        """Fan out the run of events that starts at this one: the planned
-        ones, or this event alone without a plan. Returns (start, events,
-        columns, sent, live pairs): for each event its (count_after, j, ev),
-        its coordinate's column and its messages as ascending positions
-        into that column, computed over the rows live now."""
-        start = self._at
-        if self._plan is None:
-            events = [(count_after, j, ev)]
-        else:
-            counts, js, evs = self._plan
-            stop = min(start + max(1, SLICE // (self.live_pairs * self.block)), js.size)
-            if start == stop:
-                raise ValueError(f"event {start} is past the end of the plan")
-            events = list(zip(counts[start:stop].tolist(), js[start:stop].tolist(),
-                              evs[start:stop].tolist()))
+    def on_event(self, count_after: int, j: int, ev: int) -> int:
+        """One site update, as a run of one; returns the messages it sent."""
+        return int(self.run([count_after], [j], [ev])[0])
+
+    def run(self, count_after, js, evs, on_cross=None) -> np.ndarray:
+        """Run site updates, given as aligned arrays of each event's site
+        count of its coordinate after the update, coordinate and event key,
+        against every live copy; returns the messages each event sent.
+        Messages are delivered in flat canonical order, and a copy that
+        fires mid-event drops the rest of that event's messages addressed to
+        it. on_cross(i), when given, is called after each event i that
+        delivered a crossing message: no other event moves an estimate or
+        fires a copy."""
+        count_after = np.asarray(count_after, dtype=np.int64)
+        js = np.asarray(js, dtype=np.int64)
+        evs = np.asarray(evs, dtype=np.uint64)
+        if not count_after.shape == js.shape == evs.shape == (js.size,):
+            raise ValueError("count_after, js and evs must be aligned 1-d arrays, got "
+                             f"shapes {count_after.shape}, {js.shape}, {evs.shape}")
+        sent, at = np.zeros(js.size, dtype=np.int64), 0
+        while at < js.size and self.live_pairs:
+            stop = min(at + max(1, SLICE // (self.live_pairs * self.block)), js.size)
+            at = self._run(count_after, js, evs, at, stop, sent, on_cross)
+        return sent
+
+    def _run(self, counts, js, evs, start: int, stop: int, sent: np.ndarray,
+             on_cross) -> int:
+        """Deliver events start .. stop - 1, fanned out in one pass over the
+        rows live now, and write their message counts into sent. Returns the
+        event after the last one delivered: stop, or the event after the
+        first one in which a copy fired, since a fire silences rows.
+
+        A message's new count is its counter's count before the run plus
+        its rank among the run's messages to that counter. It crosses iff
+        that count is a crossing count of its row's (copy, level) key; only
+        counts at or past the row's next crossing are looked up. Only the
+        crossing messages go through Python, to cross()."""
+        jl = js[start:stop].tolist()
         by_j = self.columns.by_j
-        new = [x for x in dict.fromkeys(e[1] for e in events) if x not in by_j]
+        new = [x for x in dict.fromkeys(jl) if x not in by_j]
         if new:
             self._build_columns(new)
-        cols = [by_j[e[1]] for e in events]
-        if len(events) == 1:
-            (c, j, ev), = events
-            sent = [fanout(self.rows, self.live, c, j, ev, cols[0][0])]
-        else:
+        cols = [by_j[j] for j in jl]
+        one = len(cols) == 1
+        if one:  # fanout's scalar form, on the column itself
+            rows, count, nxt = cols[0]
+            pos = fanout(self.rows, self.live, int(counts[start]), jl[0],
+                         int(evs[start]), rows)
+            cut, newc = [0, pos.size], count[pos] + 1
+        else:  # positions pos into the run's concatenated columns
             sizes = [col[0].size for col in cols]
-            pos = fanout(self.rows, self.live, np.repeat(counts[start:stop], sizes), None,
-                         np.repeat(evs[start:stop], sizes),
-                         np.concatenate([col[0] for col in cols]))
+            rows, count, nxt = (np.concatenate(x) for x in zip(*cols))
+            pos = fanout(self.rows, self.live, np.repeat(counts[start:stop], sizes),
+                         None, np.repeat(evs[start:stop], sizes), rows)
             ends = np.cumsum(sizes)
-            cut = pos.searchsorted(ends)
-            pos -= np.repeat(ends - sizes, np.diff(cut, prepend=0))
-            cut = [0, *cut.tolist()]
-            sent = [pos[lo:hi] for lo, hi in zip(cut, cut[1:])]
-        return start, events, cols, sent, self.live_pairs
-
-    def on_event(self, count_after: int, j: int, ev: int) -> int:
-        """Run one site update against every live copy and return the number
-        of messages it sent. Messages are delivered in flat canonical order;
-        a copy that fires mid-event drops the rest of that event's messages
-        addressed to it. With a plan, an event other than the next planned
-        one raises ValueError."""
-        if not self.live_pairs:
-            return 0
-        run = self._run
-        if run is None or self._at - run[0] == len(run[1]):
-            run = self._run = self._fan_run(count_after, j, ev)
-        start, events, cols, sents, live_pairs = run
-        i = self._at - start
-        if events[i] != (count_after, j, ev):
-            raise ValueError(f"event {self._at} is {(count_after, j, ev)}, "
-                             f"planned as {events[i]}")
-        self._at += 1
-        col = cols[i]
-        rows, count, nxt = col
-        sent = sents[i]
-        if self.live_pairs < live_pairs:
-            sent = sent[self.live[rows[sent]]]
-        if sent.size:
-            self.columns.read_out = None
-            count[sent] += 1
-            hit = count[sent] >= nxt[sent]
-            if hit.any():
-                self._cross(col, sent, hit)
-        return int(sent.size)
-
-    def _cross(self, col, sent: np.ndarray, hit: np.ndarray) -> None:
-        """Deliver an event's crossing messages to their copies in canonical
-        order. The counters stay bumped and each crossing row's next crossing
-        count is set up front; a message that fires its copy takes back the
-        bumps of the copy's later messages of the event, which it drops."""
-        rows, count, nxt = col
-        qs = sent[hit]
-        left, entered = self.columns.crossed(col, qs)
-        pair, z = np.divmod(rows[qs] // self.columns.n_levels, self.params.r)
-        copies = self.copies
-        for i, (p, zi, out, into) in enumerate(zip(pair.tolist(), (z + 1).tolist(),
-                                                   left, entered)):
-            inst = copies[p]
-            if inst.terminated:  # fired earlier in this event
-                continue
-            if inst.cross(zi, out, into):
-                k = int(sent.searchsorted(qs[i]))
-                end = int(rows[sent].searchsorted((p + 1) * self.block))
-                later, crossing = sent[k + 1 : end], hit[k + 1 : end]
-                count[later] -= 1
-                nxt[later[crossing]] = count[later[crossing]] + 1
-                inst.dropped += end - k - 1
-                self._fire(p)
+            starts, cut = ends - sizes, [0, *pos.searchsorted(ends).tolist()]
+            per_event = np.diff(cut)
+            within, newc = pos - np.repeat(starts, per_event), count[pos] + 1
+            if len(set(jl)) < len(jl):
+                # a coordinate repeats: key each message by its counter's
+                # place in the first segment of its column
+                first: dict[int, int] = {}
+                base = [first.setdefault(j, lo) for j, lo in zip(jl, starts.tolist())]
+                newc += occurrence(within + np.repeat(base, per_event)) - 1
+        hit = np.flatnonzero(newc >= nxt[pos])
+        end = len(cols)
+        if hit.size:
+            t, hit_pos = self.columns.table, pos[hit]
+            hit_rows = rows[hit_pos]
+            at = self.columns.row_at[hit_rows] + newc[hit]
+            e = t.at.searchsorted(at)
+            if not one:  # a repeated counter can pass its next crossing
+                keep = np.flatnonzero(t.at.take(e, mode="clip") == at)
+                hit, hit_pos, hit_rows, e = (x[keep] for x in (hit, hit_pos, hit_rows, e))
+            nxtval = t.next[e]
+            pair, z = np.divmod(hit_rows // self.columns.n_levels, self.params.r)
+            ev_of = ([0] * hit.size if one else
+                     np.searchsorted(cut[1:], hit, side="right").tolist())
+            copies, last = self.copies, -1
+            for k, i, p, zi, out, into in zip(hit.tolist(), ev_of, pair.tolist(),
+                                              (z + 1).tolist(), t.left[e].tolist(),
+                                              t.entered[e].tolist()):
+                if i != last:
+                    if i >= end:
+                        break
+                    if on_cross is not None and last >= 0:
+                        on_cross(start + last)
+                    last = i
+                inst = copies[p]
+                if inst.terminated:  # fired earlier in this event
+                    continue
+                if inst.cross(zi, out, into):
+                    # the copy's later messages of the event are dropped:
+                    # no bump, and a crossing one keeps its next crossing
+                    lo, hi = cut[i], cut[i + 1]
+                    drop = lo + int(rows[pos[lo:hi]].searchsorted((p + 1) * self.block))
+                    newc[k + 1 : drop] -= 1
+                    h0, h1 = hit.searchsorted([k + 1, drop]).tolist()
+                    nxtval[h0:h1] = newc[hit[h0:h1]] + 1
+                    inst.dropped += drop - k - 1
+                    self._fire(p)
+                    end = i + 1
+            if on_cross is not None:
+                on_cross(start + last)
+        # bump each delivered event's column, and set its next crossings
+        self.columns.read_out = None
+        if one:
+            sent[start] = pos.size
+            count[pos] = newc
+            if hit.size:
+                nxt[hit_pos] = nxtval
+            return start + 1
+        cut = cut[: end + 1]
+        sent[start : start + end] = np.diff(cut)
+        hcut, hit_at = hit.searchsorted(cut).tolist(), within[hit]
+        for (_, count, nxt), lo, hi, h0, h1 in zip(cols, cut, cut[1:], hcut, hcut[1:]):
+            if lo < hi:
+                count[within[lo:hi]] = newc[lo:hi]
+                if h0 < h1:
+                    nxt[hit_at[h0:h1]] = nxtval[h0:h1]
+        return start + end
 
     def _fire(self, pair: int) -> None:
         self._silence_pair(pair)
@@ -244,3 +263,15 @@ class Monitor:
                 self.max_fired = i
             for c in range(self.a):
                 self._silence_pair(i * self.a + c)
+
+
+def occurrence(keys: np.ndarray) -> np.ndarray:
+    """For each entry of keys, how many entries up to and including it hold
+    its key: 1 at a key's first occurrence, 2 at its second, and so on."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys, idx = keys[order], np.arange(keys.size)
+    head = np.ones(keys.size, dtype=bool)
+    head[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    out = np.empty(keys.size, dtype=np.int64)
+    out[order] = idx - np.maximum.accumulate(np.where(head, idx, 0)) + 1
+    return out

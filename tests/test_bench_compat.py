@@ -41,9 +41,12 @@ def test_bench_tracer_installs_runs_and_restores():
         tr.restore()
     assert [dict(vars(o)) for o in owners] == before
     assert tr.calls("harness.simulate") == 1
-    assert tr.calls("monitor.on_event") == len(events)
+    # simulate hands the whole stream to one Monitor.run, which the tracer
+    # does not wrap: no per-event on_event call, and one fanout per run of
+    # events, fewer than the events
+    assert tr.calls("monitor.on_event") == 0
     assert tr.calls("monitor.init") == 1
-    assert tr.calls("protocol.fanout") > 0
+    assert 0 < tr.calls("protocol.fanout") < len(events)
     # the traced run is the untraced one
     assert simulate(events, g, mode="monitor")[0] == rows
 

@@ -515,22 +515,25 @@ def test_malformed_disj_file_names_path_and_line(tmp_path, case):
 
 
 # a BTX site row's items index its (block, column) matrix cells, so the
-# reader range-checks them and the row count itself; lines 2..9 are the
-# site rows of a k = 8 instance
+# reader range-checks them, the row count and the block count itself;
+# (line, edit of that line or None to delete it, line the error names):
+# lines 2..9 are the site rows of a k = 8 instance, line 11 its block count,
+# and line 30 its last
 _MALFORMED_BTX = {
-    "item past the last block": (3, lambda ln: ln + " 99999"),
-    "negative item": (5, lambda ln: ln + " -1"),
-    "site row k": (9, lambda ln: ln + "\n8: 0"),
+    "item past the last block": (3, lambda ln: ln + " 99999", 3),
+    "negative item": (5, lambda ln: ln + " -1", 5),
+    "site row k": (9, lambda ln: ln + "\n8: 0", 10),
+    "missing last site row": (9, None, 29),
+    "negative block count": (11, lambda ln: "#meta blocks -1", 11),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_BTX))
 def test_malformed_btx_file_names_path_and_line(tmp_path, case):
-    lineno, edit = _MALFORMED_BTX[case]
+    lineno, edit, named = _MALFORMED_BTX[case]
     path = str(tmp_path / "btx.txt")
     write_instance(path, gen_btx(8, 2.0, 0.25, 1))
     _edit_line(path, lineno, edit)
-    named = lineno + 1 if case == "site row k" else lineno
     with pytest.raises(ValueError, match=re.escape(f"{path}: line {named}: ")):
         read_instance(path)
 

@@ -21,7 +21,7 @@ from fpmon.harness import (
     write_stream,
     write_trace,
 )
-from fpmon.oracles import FreqVector, exact_fp
+from fpmon.oracles import FreqVector, exact_fp, fp_power
 from fpmon.protocol import GlobalParams
 from fpmon.sampling import event_key
 
@@ -182,6 +182,46 @@ def test_trace_true_fp_matches_oracle_at_checkpoints():
     assert rows[-1].true_fp == float(exact_fp_of_events(events, 2))
 
 
+def sequential_fp(events, p):
+    """F_p after each event as one running sum in stream order, the way
+    the per-event simulation loop kept it: exact ints for integer p."""
+    agg, total, out = {}, 0, []
+    for ev in events:
+        c = agg.get(ev.j, 0) + 1
+        agg[ev.j] = c
+        total += fp_power(c, p) - fp_power(c - 1, p)
+        out.append(float(total))
+    return out
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 10.0])
+def test_true_fp_equals_a_sequential_running_sum(p):
+    # simulate fills true_fp with a cumulative sum over a table of fp_power
+    # values: int64 while F_p fits, exact ints past that, float64 for
+    # non-integer p, added in stream order, so every row is bit for bit
+    # the running sum. At p = 10 on a Zipf stream F_p passes 2**63
+    g = sim_params(p=p, tau=1e9)
+    events = gen_zipf_stream(g.m, g.k, 1500, seed=3, s=1.1)
+    rows = simulate(events, g)[0]
+    want = sequential_fp(events, p)
+    assert [row.true_fp for row in rows] == want
+    if p == 1.5:  # the exact oracle sums with math.fsum instead
+        return
+    exact = exact_fp_of_events(events, p)
+    assert rows[-1].true_fp == float(exact)
+    if p == 10.0:
+        assert exact > 2**63
+
+
+def test_stride_past_the_stream_keeps_the_first_and_last_rows():
+    g = sim_params()
+    events = gen_uniform_stream(g.m, g.k, 40, seed=29)
+    full = simulate(events, g)[0]
+    assert simulate(events, g, stride=1000)[0] == [full[0], full[-1]]
+    assert simulate(events[:1], g, stride=1000)[0] == full[:1]
+    assert simulate([], g, stride=1000)[0] == []
+
+
 def test_trace_monotonicity_invariants():
     g = sim_params()
     events = gen_uniform_stream(g.m, g.k, 1500, seed=13)
@@ -208,21 +248,26 @@ def test_threshold_run_fires_and_freezes_traffic():
 
 
 def test_plan_events_match_the_per_event_definitions():
-    # site counts after each update, coordinates, and keys equal to the
-    # scalar event_key, on a whole stream and with a time past 2**64
+    # site counts after each update, coordinates, keys equal to the scalar
+    # event_key, and aggregate counts after each update, on a whole stream
+    # and with a time past 2**64
     events = gen_uniform_stream(64, 4, 500, seed=3)
     events.append(StreamEvent(2**64 + 5, 2, events[0].j))
-    counts, js, keys = plan_events(events, 4)
+    counts, js, keys, agg = plan_events(events, 4)
     site_counts = [dict() for _ in range(4)]
-    want = []
+    total: dict[int, int] = {}
+    want, want_agg = [], []
     for ev in events:
         d = site_counts[ev.site]
         d[ev.j] = d.get(ev.j, 0) + 1
         want.append(d[ev.j])
+        total[ev.j] = total.get(ev.j, 0) + 1
+        want_agg.append(total[ev.j])
     assert counts.tolist() == want and max(want) > 1
+    assert agg.tolist() == want_agg and max(want_agg) > max(want)
     assert js.tolist() == [ev.j for ev in events]
     assert keys.tolist() == [event_key(ev.site, ev.t) for ev in events]
-    assert [a.size for a in plan_events([], 4)] == [0, 0, 0]
+    assert [a.size for a in plan_events([], 4)] == [0, 0, 0, 0]
 
 
 def test_threshold_run_fans_out_runs_of_events(monkeypatch):

@@ -7,7 +7,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fpmon.monitor
 from fpmon.buckets import NEVER
 from fpmon.harness import gen_uniform_stream, gen_zipf_stream, plan_events, simulate
 from fpmon.monitor import Monitor
@@ -15,6 +18,7 @@ from fpmon.protocol import GlobalParams, ThresholdInstance, fanout
 from fpmon.sampling import (
     SALT_INSTANCE,
     SALT_SEND,
+    SLICE,
     derive,
     event_key,
     level_of,
@@ -188,18 +192,18 @@ def test_ladder_copy_rejects_apply():
 
 
 def test_planned_runs_replay_unplanned_events(monkeypatch):
-    # simulate hands the Monitor the stream and fans out runs of events over
-    # the rows live at each run's start; bare on_event calls fan out one
-    # event at a time. Both send the same messages at every event and leave
-    # every copy in the same state, also when pairs fall silent inside a run
-    on_event = Monitor.on_event
-    log = []
+    # simulate drives the stream through Monitor.run, a run of events per
+    # fanout call over the rows live at each run's start; bare on_event
+    # calls are runs of one. Both send the same messages at every event and
+    # leave every copy in the same state, also when pairs fall silent
+    # inside a run
+    calls = 0
+    fanout_of_monitor = fpmon.monitor.fanout
 
-    def spy(self, *args):
-        before = self.live_pairs
-        out = on_event(self, *args)
-        log.append((self._run, before, self.live_pairs))
-        return out
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return fanout_of_monitor(*args)
 
     for p, stream in itertools.product((1.5, 2.0, 3.0), ("uniform", "zipf")):
         g = monitor_params(a=3, p=p)
@@ -207,9 +211,11 @@ def test_planned_runs_replay_unplanned_events(monkeypatch):
             events = gen_zipf_stream(g.m, g.k, 600, seed=9, s=1.1)
         else:
             events = gen_uniform_stream(g.m, g.k, 600, seed=9)
+        calls = 0
         with monkeypatch.context() as mp:
-            mp.setattr(Monitor, "on_event", spy)
+            mp.setattr(fpmon.monitor, "fanout", counted)
             rows, planned = simulate(events, g, mode="monitor")
+        assert 0 < calls < len(events)
         bare = Monitor(g)
         msgs = [m for m, _, _ in drive(bare, events)]
         cum = [row.cum_messages for row in rows]
@@ -218,24 +224,72 @@ def test_planned_runs_replay_unplanned_events(monkeypatch):
             assert (a.est, a.est_decreases, a.dropped) == (b.est, b.est_decreases, b.dropped)
             assert a.counts == b.counts
             assert np.array_equal(a.med, b.med)
-    # the same run serves the next event after a pair fell silent
-    assert any(now[0] is nxt[0] and now[2] < now[1] for now, nxt in zip(log, log[1:]))
 
 
-def test_on_event_off_the_plan_is_an_error():
-    g = monitor_params(a=3)
-    events = gen_uniform_stream(g.m, g.k, 40, seed=4)
-    counts, js, keys = plan_events(events, g.k)
-    mon = Monitor(g)
-    mon.plan(counts, js, keys)
-    c, j, ev = int(counts[0]), int(js[0]), int(keys[0])
-    for wrong in ((c + 1, j, ev), (c, (j + 1) % g.m, ev), (c, j, ev ^ 1)):
-        with pytest.raises(ValueError, match="planned"):
-            mon.on_event(*wrong)
-    planned = [mon.on_event(*e) for e in zip(counts.tolist(), js.tolist(), keys.tolist())]
-    assert planned == [m for m, _, _ in drive(Monitor(g), events)]
-    with pytest.raises(ValueError, match="past the end"):
-        mon.on_event(c, j, ev)
+def column_state(mon: Monitor) -> dict:
+    """(j, flat row) -> (count, next crossing count) of every counter that
+    took a message. A column's rows are those live when it was made, so
+    two runs can hold different untouched rows: each must still be at count
+    0 with its first crossing as its next one."""
+    state = {}
+    for j, (rows, count, nxt) in mon.columns.by_j.items():
+        untouched = count == 0
+        assert np.array_equal(nxt[untouched], mon.columns.first[rows[untouched]])
+        for row, c, x in zip(rows.tolist(), count.tolist(), nxt.tolist()):
+            if c:
+                state[j, row] = (c, x)
+    return state
+
+
+@settings(max_examples=24, deadline=None)
+@given(p=st.sampled_from([1.5, 2.0, 3.0]), a=st.sampled_from([1, 3]),
+       stream=st.sampled_from(["uniform", "zipf"]), seed=st.integers(0, 2**16),
+       n=st.integers(1, 500))
+def test_run_equals_on_event_one_event_at_a_time(p, a, stream, seed, n):
+    # Monitor.run over a whole stream (runs of several events at m = 64,
+    # with fires inside them) and on_event one event at a time give the
+    # same messages, estimates and fired counts after every event, and
+    # leave every copy and every column in the same state
+    g = monitor_params(a=a, p=p, seed=seed)
+    if stream == "zipf":
+        events = gen_zipf_stream(g.m, g.k, n, seed=seed, s=1.1)
+    else:
+        events = gen_uniform_stream(g.m, g.k, n, seed=seed)
+    count_after, js, keys, _ = plan_events(events, g.k)
+    ran = Monitor(g)
+    assert SLICE // ran.rows.size > 1  # runs are longer than one event
+    marks, seen = [], [(0.0, 0)]
+
+    def on_cross(i):
+        marks.append(i)
+        seen.append((ran.estimate(), ran.fired_count()))
+
+    sent = ran.run(count_after, js, keys, on_cross)
+    assert marks == sorted(set(marks))
+    after = np.searchsorted(marks, np.arange(n), side="right").tolist()
+    got = [(m, *seen[s]) for m, s in zip(sent.tolist(), after)]
+    bare = Monitor(g)
+    want = []
+    for c, j, ev in zip(count_after.tolist(), js.tolist(), keys.tolist()):
+        want.append((bare.on_event(c, j, ev), bare.estimate(), bare.fired_count()))
+    assert got == want
+    for x, y in zip(ran.copies, bare.copies):
+        assert x.counts == y.counts
+        assert np.array_equal(x.med, y.med)
+        assert (x.est, x.est_decreases, x.dropped, x.terminated) == \
+            (y.est, y.est_decreases, y.dropped, y.terminated)
+    assert column_state(ran) == column_state(bare)
+    assert np.array_equal(ran.live, bare.live)
+
+
+def test_run_rejects_misaligned_arrays():
+    mon = Monitor(monitor_params())
+    counts, js, keys, _ = plan_events(gen_uniform_stream(64, 4, 10, seed=4), 4)
+    for bad in ((counts[:-1], js, keys), (counts, js[:-1], keys),
+                (counts, js, keys[:-1]), (counts[:, None], js[:, None], keys[:, None])):
+        with pytest.raises(ValueError, match="aligned"):
+            mon.run(*bad)
+    assert mon.columns.by_j == {} and mon.live.all()
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.5])
@@ -488,9 +542,7 @@ def test_ladder_literal_path_replays_the_incremental_one():
         else:
             events = gen_uniform_stream(g.m, g.k, g.n, seed=5)
         mon = Monitor(g)
-        planned = plan_events(events, g.k)
-        mon.plan(*planned)
-        for c, j, ev in zip(*(x.tolist() for x in planned)):
+        for c, j, ev in zip(*(x.tolist() for x in plan_events(events, g.k)[:3])):
             before = [(copy.est, copy.terminated) for copy in mon.copies]
             mon.on_event(c, j, ev)
             for copy, was in zip(mon.copies, before):
