@@ -1,15 +1,18 @@
 """Simulation driver and file formats for streams and traces.
 
 Stream files: first line "m k n", then one "t site j" line per event,
-LF-terminated. Trace files: "#"-prefixed provenance lines holding the fully
-resolved configuration, a CSV header
-t,true_fp,estimate,cum_messages,cum_bits,fired_instances, then one row per
-recorded event with floats printed to 12 significant digits.
+LF-terminated. Every field is an ASCII decimal integer, [+-]?[0-9]+, fields
+are separated by whitespace, and blank lines are skipped. Trace files:
+"#"-prefixed provenance lines holding the fully resolved configuration, a CSV
+header t,true_fp,estimate,cum_messages,cum_bits,fired_instances, then one row
+per recorded event with floats printed to 12 significant digits.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from itertools import chain, islice, repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -23,6 +26,9 @@ from .sampling import MASK64, SALT_EVENT, SALT_STREAM, derive, derive_np
 from .sampling import event_key  # noqa: F401
 
 TRACE_HEADER = "t,true_fp,estimate,cum_messages,cum_bits,fired_instances"
+# one stream field; int() alone also reads "1_0" and non-ASCII digits
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+WRITE_ROWS = 4096  # trace rows formatted per write
 
 
 class StreamEvent(NamedTuple):
@@ -40,10 +46,6 @@ class TraceRow(NamedTuple):
     cum_messages: int
     cum_bits: int
     fired_instances: int
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 # -- stream files ----------------------------------------------------------
@@ -67,40 +69,63 @@ def read_stream(path: str) -> tuple[int, int, int, list[StreamEvent]]:
     head = lines[0].split()
     if len(head) != 3:
         raise ValueError(f"{path}: line 1: expected 'm k n', got {lines[0]!r}")
-    try:
-        m, k, n = (int(x) for x in head)
-    except ValueError:
+    if not all(map(_DECIMAL.fullmatch, head)):
         raise ValueError(f"{path}: line 1: non-integer header {lines[0]!r}")
-    events = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}: line {i}: expected 't site j', got {line!r}")
+    m, k, n = map(int, head)
+    try:
+        # the header row keeps loadtxt from warning on a body with no data
+        cols = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)[1:].T
+        if cols.shape != (3, len(lines) - 1 - lines.count("")):
+            raise ValueError  # loadtxt skipped a whitespace-only line
+    except ValueError:  # scan line by line for the bad line, or times past int64
+        rows = []
+        for i, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}: line {i}: expected 't site j', got {line!r}")
+            if not all(map(_DECIMAL.fullmatch, parts)):
+                raise ValueError(f"{path}: line {i}: non-integer field in {line!r}")
+            rows.append(tuple(map(int, parts)))
+        cols = _stream_columns(rows)
+    del lines  # before the events are built, for peak memory
+    _check_stream(*cols, m, k, n, path)
+    return m, k, n, _tuples(StreamEvent, cols)
+
+
+def _tuples(cls: type, cols) -> list:
+    """cls rows from aligned columns, without a Python call per row."""
+    return list(map(tuple.__new__, repeat(cls), zip(*(c.tolist() for c in cols))))
+
+
+def _stream_columns(events: Iterable[tuple[int, int, int]]) -> list[np.ndarray]:
+    """A stream's t, site and j columns: int64, or Python ints past int64."""
+    cols = []
+    for col in tuple(zip(*events)) or ((), (), ()):
         try:
-            t, site, j = (int(x) for x in parts)
-        except ValueError:
-            raise ValueError(f"{path}: line {i}: non-integer field in {line!r}")
-        events.append(StreamEvent(t, site, j))
-    validate_stream(events, m, k, n, path=path)
-    return m, k, n, events
+            cols.append(np.array(col, dtype=np.int64))
+        except OverflowError:
+            cols.append(np.array(col, dtype=object))
+    return cols
 
 
 def validate_stream(events: list[StreamEvent], m: int, k: int, n: int,
                     path: str = "<stream>") -> None:
-    if len(events) > n:
-        raise ValueError(f"{path}: {len(events)} events exceed declared bound {n}")
-    prev = -1
-    for pos, ev in enumerate(events):
-        where = f"{path}: event {pos}"
-        if ev.t <= prev:
-            raise ValueError(f"{where}: time {ev.t} not strictly increasing")
-        prev = ev.t
-        if not 0 <= ev.site < k:
-            raise ValueError(f"{where}: site {ev.site} outside [0, {k})")
-        if not 0 <= ev.j < m:
-            raise ValueError(f"{where}: coordinate {ev.j} outside [0, {m})")
+    _check_stream(*_stream_columns(events), m, k, n, path)
+
+
+def _check_stream(ts, sites, js, m: int, k: int, n: int, path: str) -> None:
+    """validate_stream on a stream's columns: the first bad event raises."""
+    if ts.size > n:
+        raise ValueError(f"{path}: {ts.size} events exceed declared bound {n}")
+    prev = np.concatenate((np.array([-1], ts.dtype), ts[:-1]))
+    bad = (ts <= prev) | (sites < 0) | (sites >= k) | (js < 0) | (js >= m)
+    for i in np.flatnonzero(bad)[:1].tolist():  # the first bad event, if any
+        t, site, j, where = int(ts[i]), int(sites[i]), int(js[i]), f"{path}: event {i}"
+        raise ValueError(f"{where}: time {t} not strictly increasing" if t <= prev[i] else
+                         f"{where}: site {site} outside [0, {k})" if not 0 <= site < k else
+                         f"{where}: coordinate {j} outside [0, {m})")
 
 
 # -- trace files -----------------------------------------------------------
@@ -112,11 +137,10 @@ def write_trace(path: str, rows: Iterable[TraceRow],
         for key in sorted(provenance):
             fh.write(f"# {key}={provenance[key]}\n")
         fh.write(TRACE_HEADER + "\n")
-        for row in rows:
-            fh.write(
-                f"{row.t},{_fmt(row.true_fp)},{_fmt(row.estimate)},"
-                f"{row.cum_messages},{row.cum_bits},{row.fired_instances}\n"
-            )
+        # one % per chunk of rows; "%.12g" % x == f"{x:.12g}" for every double
+        fields = chain.from_iterable(rows)
+        while chunk := tuple(islice(fields, 6 * WRITE_ROWS)):
+            fh.write("%d,%.12g,%.12g,%d,%d,%d\n" * (len(chunk) // 6) % chunk)
 
 
 def read_trace(path: str) -> tuple[dict[str, str], list[TraceRow]]:
@@ -202,10 +226,12 @@ def plan_events(events: list[StreamEvent], k: int) -> tuple[np.ndarray, ...]:
     after the update, the coordinate, the send-trial key event_key(site, t)
     (derive() takes labels modulo 2**64), and the coordinate's aggregate
     count over all sites after the update."""
-    ts, sites, js = zip(*events) if events else ((), (), ())
-    js, sites = np.array(js, dtype=np.int64), np.array(sites, dtype=np.int64)
+    return _plan(*_stream_columns(events), k)
+
+
+def _plan(ts: np.ndarray, sites: np.ndarray, js: np.ndarray, k: int) -> tuple:
     keys = derive_np(SALT_EVENT, sites.astype(np.uint64),
-                     np.fromiter((t & MASK64 for t in ts), np.uint64, len(ts)))
+                     (ts & MASK64 if ts.dtype == object else ts).astype(np.uint64))
     return occurrence(js * k + sites), js, keys, occurrence(js)
 
 
@@ -243,7 +269,8 @@ def simulate(events: list[StreamEvent], params: GlobalParams,
         raise ValueError(f"mode must be 'threshold' or 'monitor', got {mode}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    validate_stream(events, params.m, params.k, params.n)
+    ts, sites, js = _stream_columns(events)
+    _check_stream(ts, sites, js, params.m, params.k, params.n, "<stream>")
 
     if mode == "threshold":
         if params.tau is None:
@@ -254,7 +281,7 @@ def simulate(events: list[StreamEvent], params: GlobalParams,
         monitor = Monitor(params)
         estimate = monitor.estimate
 
-    count_after, js, keys, agg = plan_events(events, params.k)
+    count_after, js, keys, agg = _plan(ts, sites, js, params.k)
     # the estimate and fired count before the stream, then after each
     # crossing event marks[s - 1]
     marks: list[int] = []
@@ -270,11 +297,14 @@ def simulate(events: list[StreamEvent], params: GlobalParams,
     picks = np.arange(0, len(events), stride)
     if picks.size and picks[-1] != len(events) - 1:
         picks = np.append(picks, len(events) - 1)
-    cols = (picks, true_fp[picks], np.searchsorted(marks, picks, side="right"), cum[picks])
-    bits, rows = monitor.message_bits, []
-    for lo in range(0, picks.size, 1024):  # whole-stream lists raised peak RSS
-        rows += [TraceRow(events[i].t, float(fp), ests[s], c, c * bits, fired[s])
-                 for i, fp, s, c in zip(*(x[lo : lo + 1024].tolist() for x in cols))]
+    # an object array shares each estimate's float among the rows that carry it
+    ests, fired, marks = np.array(ests, dtype=object), np.array(fired), np.array(marks)
+    rows: list[TraceRow] = []
+    for lo in range(0, picks.size, 1024):  # whole-stream columns raised peak RSS
+        i = picks[lo : lo + 1024]
+        s, c = np.searchsorted(marks, i, side="right"), cum[i]
+        rows += _tuples(TraceRow, (ts[i], true_fp[i].astype(np.float64), ests[s], c,
+                                   c * monitor.message_bits, fired[s]))
     return rows, (monitor.copies[0] if mode == "threshold" else monitor)
 
 

@@ -1,12 +1,17 @@
 """Simulator, stream/trace file formats, stream generators."""
 
+import itertools
+import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fpmon.monitor
 from fpmon.harness import (
     TRACE_HEADER,
+    WRITE_ROWS,
     StreamEvent,
     TraceRow,
     exact_fp_of_events,
@@ -70,11 +75,159 @@ def test_stream_rejects_malformed_lines(tmp_path):
     assert "exceed" in attempt("64 4 1\n0 0 1\n1 0 2\n")
 
 
+MALFORMED_STREAMS = [
+    # (file text, message after "<path>: ")
+    ("", "empty stream file"),
+    ("64 4\n", "line 1: expected 'm k n', got '64 4'"),
+    ("64 x 10\n", "line 1: non-integer header '64 x 10'"),
+    ("64 4 10\n0 0\n", "line 2: expected 't site j', got '0 0'"),
+    ("64 4 10\n0 0 1\n1 0 x\n", "line 3: non-integer field in '1 0 x'"),
+    ("64 4 10\n5 0 1\n5 0 2\n", "event 1: time 5 not strictly increasing"),
+    ("64 4 10\n0 4 1\n", "event 0: site 4 outside [0, 4)"),
+    ("64 4 10\n0 0 64\n", "event 0: coordinate 64 outside [0, 64)"),
+    ("64 4 1\n0 0 1\n1 0 2\n", "2 events exceed declared bound 1"),
+    ("64 4 10\n0 0 1\n   \n1 0 2\n", "line 3: expected 't site j', got '   '"),
+    ("64 4 10\n0 0 1\n\t\n", "line 3: expected 't site j', got '\\t'"),
+    ("64 4 10\n0 0 1\n1 0 2 3\n2 0 1\n", "line 3: expected 't site j', got '1 0 2 3'"),
+    ("64 4 10\n0 0 1\n1 0 2\n2 0 2.5\n", "line 4: non-integer field in '2 0 2.5'"),
+    ("64 4 10\n0 0 1\n\n1 0 x\n", "line 4: non-integer field in '1 0 x'"),
+    ("64 4 10\n0 0 1\n1 0 2\n2 -1 3\n", "event 2: site -1 outside [0, 4)"),
+    ("64 4 10\n0 0 1\n1 0 2\n2 1 -3\n", "event 2: coordinate -3 outside [0, 64)"),
+    ("64 4 10\n-1 0 1\n", "event 0: time -1 not strictly increasing"),
+    # an event with several defects names its time, then its site
+    ("64 4 10\n5 0 1\n5 9 99\n", "event 1: time 5 not strictly increasing"),
+    ("64 4 10\n5 0 1\n6 9 99\n", "event 1: site 9 outside [0, 4)"),
+    # every line parses before any event is checked
+    ("64 4 10\n5 0 1\n5 0 2\n6 0\n", "line 4: expected 't site j', got '6 0'"),
+    # times past int64 are read and checked like any other
+    ("64 4 10\n18446744073709551621 0 1\n1 0 x\n", "line 3: non-integer field in '1 0 x'"),
+    ("64 4 10\n18446744073709551621 0 1\n5 0 1\n",
+     "event 1: time 5 not strictly increasing"),
+    ("64 4 10\n0 0 1\n18446744073709551621 9 1\n",
+     "event 1: site 9 outside [0, 4)"),
+]
+
+
+@pytest.fixture(params=["numpy", "scan"])
+def stream_parser(request, monkeypatch):
+    """read_stream as shipped, and with its one-call numpy parse made to fail,
+    so that the per-line scan alone reads every file."""
+    if request.param == "scan":
+        def reject(*args, **kwargs):
+            raise ValueError("numpy parse disabled")
+
+        monkeypatch.setattr(fpmon.harness.np, "loadtxt", reject)
+    return read_stream
+
+
+@pytest.mark.parametrize("text,message", MALFORMED_STREAMS)
+def test_malformed_stream_files_name_path_and_place(tmp_path, stream_parser, text,
+                                                    message):
+    path = str(tmp_path / "bad.txt")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ValueError) as err:
+        stream_parser(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("data,events", [
+    # blank lines in the body are skipped, and keep their line numbers
+    (b"64 4 10\n0 0 1\n\n\n3 1 2\n", [(0, 0, 1), (3, 1, 2)]),
+    (b"64 4 10\r\n0 0 1\r\n3 1 2\r\n", [(0, 0, 1), (3, 1, 2)]),
+    (b"64 4 10\n0 0 1\n18446744073709551621 1 2\n", [(0, 0, 1), (2**64 + 5, 1, 2)]),
+    (b"64 4 10\n +0\t0 1 \n3 1 +2\n", [(0, 0, 1), (3, 1, 2)]),
+    (b"64 4 10\n", []),
+    (b"64 4 10\n\n", []),
+])
+def test_stream_files_read_as_written(tmp_path, stream_parser, data, events):
+    path = str(tmp_path / "s.txt")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    m, k, n, back = stream_parser(path)
+    assert (m, k, n) == (64, 4, 10)
+    assert back == events
+    assert all(type(ev) is StreamEvent and all(type(x) is int for x in ev)
+               for ev in back)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("64 4 10\n0 0 1\n1_0 0 1\n", 3),  # int() reads "1_0" as 10
+    ("64 4 10\n11 0 ٣\n", 2),  # an Arabic-Indic three
+    ("64 4 10\n0 0 1\n18446744073709551621 0 1\n2_0 0 1\n", 4),
+    ("6_4 4 10\n0 0 1\n", 1),
+])
+def test_stream_fields_are_ascii_decimal(tmp_path, stream_parser, text, line):
+    path = str(tmp_path / "s.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: non-integer")):
+        stream_parser(path)
+
+
 def test_validate_stream_accepts_gaps_in_time():
     validate_stream(
         [StreamEvent(0, 0, 1), StreamEvent(7, 1, 2), StreamEvent(8, 0, 0)],
         m=4, k=2, n=5,
     )
+
+
+def reference_validate_stream(events, m, k, n, path="<stream>"):
+    """validate_stream as a loop over the events, checking each in turn."""
+    if len(events) > n:
+        raise ValueError(f"{path}: {len(events)} events exceed declared bound {n}")
+    prev = -1
+    for pos, ev in enumerate(events):
+        where = f"{path}: event {pos}"
+        if ev.t <= prev:
+            raise ValueError(f"{where}: time {ev.t} not strictly increasing")
+        prev = ev.t
+        if not 0 <= ev.site < k:
+            raise ValueError(f"{where}: site {ev.site} outside [0, {k})")
+        if not 0 <= ev.j < m:
+            raise ValueError(f"{where}: coordinate {ev.j} outside [0, {m})")
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+BIG = 2**70
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_validate_stream_names_the_defect_an_event_loop_names(data):
+    # a valid stream, with times up to past 2**64, and one defect injected:
+    # a time not above the one before it, a site or coordinate out of range
+    # on either side, or a declared bound below the event count
+    k, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 64))
+    size = data.draw(st.integers(1, 30))
+    gaps = data.draw(st.lists(st.integers(1, 9) | st.integers(1, 2**66),
+                              min_size=size - 1, max_size=size - 1))
+    start = data.draw(st.integers(0, 99) | st.integers(0, BIG))
+    ts = list(itertools.accumulate([start, *gaps]))
+    sites = data.draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
+    js = data.draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size))
+    n = data.draw(st.integers(size, size + 3))
+    pos = data.draw(st.integers(0, size - 1))
+    defect = data.draw(st.sampled_from(["time", "site", "coordinate", "bound", "none"]))
+    if defect == "time":
+        ts[pos] = data.draw(st.integers(-BIG, ts[pos - 1] if pos else -1))
+    elif defect == "site":
+        sites[pos] = data.draw(st.integers(-BIG, -1) | st.integers(k, BIG))
+    elif defect == "coordinate":
+        js[pos] = data.draw(st.integers(-BIG, -1) | st.integers(m, BIG))
+    elif defect == "bound":
+        n = data.draw(st.integers(0, size - 1))
+    events = [StreamEvent(*ev) for ev in zip(ts, sites, js)]
+    want = raised(reference_validate_stream, events, m, k, n, "s.txt")
+    assert (want is None) == (defect == "none")
+    assert raised(validate_stream, events, m, k, n, "s.txt") == want
 
 
 # -- trace files -------------------------------------------------------------
@@ -125,6 +278,49 @@ def test_trace_non_numeric_field_names_path_and_line(tmp_path):
     where = re.escape(f"{path}: line 4: ")
     with pytest.raises(ValueError, match=where + r".*'2,4,0,x,0,0'"):
         read_trace(path)
+
+
+def reference_write_trace(path, rows, provenance):
+    """write_trace as one f-string per row."""
+    with open(path, "w", newline="\n") as fh:
+        for key in sorted(provenance):
+            fh.write(f"# {key}={provenance[key]}\n")
+        fh.write(TRACE_HEADER + "\n")
+        for row in rows:
+            fh.write(
+                f"{row.t},{row.true_fp:.12g},{row.estimate:.12g},"
+                f"{row.cum_messages},{row.cum_bits},{row.fired_instances}\n"
+            )
+
+
+def assert_same_trace_bytes(tmp, rows, prov):
+    write_trace(str(tmp / "chunked.csv"), rows, prov)
+    reference_write_trace(str(tmp / "per_row.csv"), rows, prov)
+    with open(tmp / "chunked.csv", "rb") as fh, open(tmp / "per_row.csv", "rb") as ref:
+        assert fh.read() == ref.read()
+
+
+COUNTS = st.integers(0, BIG)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.builds(TraceRow, COUNTS, st.floats(), st.floats(), COUNTS,
+                               COUNTS, COUNTS), max_size=30))
+def test_write_trace_matches_a_per_row_writer(tmp_path_factory, rows):
+    # floats over the whole double range, inf, nan and -0.0 included
+    assert_same_trace_bytes(tmp_path_factory.mktemp("trace"), rows, {"seed": 3})
+
+
+def test_write_trace_matches_a_per_row_writer_across_writes(tmp_path):
+    rng = random.Random(5)
+    specials = [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, 1e16]
+    rows = [TraceRow(rng.randrange(BIG), rng.choice(specials),
+                     rng.uniform(-1e300, 1e300) * 10.0 ** -rng.randrange(600),
+                     rng.randrange(BIG), rng.randrange(2**40), rng.randrange(9))
+            for _ in range(2 * WRITE_ROWS + 3)]
+    assert_same_trace_bytes(tmp_path, rows, {"mode": "threshold", "k": 8})
+    assert_same_trace_bytes(tmp_path, rows[:WRITE_ROWS], {})
+    assert_same_trace_bytes(tmp_path, [], {"mode": "threshold"})
 
 
 # -- generators --------------------------------------------------------------
