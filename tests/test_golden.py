@@ -9,8 +9,10 @@ or what a trace records.
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from fpmon import buckets
 from fpmon.harness import (
     exact_fp_of_events,
     gen_uniform_stream,
@@ -19,6 +21,7 @@ from fpmon.harness import (
     simulate,
     write_trace,
 )
+from fpmon.monitor import Monitor
 from fpmon.protocol import GlobalParams
 
 M, K = 256, 4
@@ -95,3 +98,62 @@ def test_golden_trace(case, tmp_path):
     # every case exercises a firing: the threshold, or some ladder rung
     assert rows[-1].fired_instances >= 1
     assert got == GOLDEN[case]
+
+
+# the monitor workloads' ladder: 231 copies at p = 2
+LADDER = dict(k=8, m=4096, n=500, eps=0.2, b=32.0, r=15, a=3, seed=1)
+
+# p -> sha256 over ladder_tables(Monitor(GlobalParams(p=p, **LADDER)))
+LADDER_TABLES = {
+    1.5: "c5fd17c618bc15f868d131c33a3d81f2b73ab5e9ec2f64c0473230eb5830aeba",
+    2.0: "6fb00dae281c5275fbaa6928d08c32a939b278473503a1dc094109d29f2a2b8d",
+    3.0: "02b0c79770a7d56effe1519834e4d95527a69d87874c4a49e8d20b9e0108366f",
+}
+
+
+def ladder_tables(mon: Monitor) -> dict[str, np.ndarray]:
+    """Every table a Monitor builds with its ladder, by name."""
+    bk, rows = mon._buckets, mon.rows
+    tables = dict(u=bk.u, h_cap=np.asarray(bk.h_cap, dtype=np.int64), off=bk.off,
+                  edge=bk.edge, weight=bk.weight, lvl=bk.lvl,
+                  first=mon.columns.first, row_at=mon.columns.row_at)
+    tables.update((f"crossings.{k}", v) for k, v in bk.crossings._asdict().items())
+    tables.update((f"rows.{k}", getattr(rows, k)) for k in
+                  ("z_of", "l_of", "coin_key", "send_key", "member_thresh",
+                   "guard", "qscaled"))
+    tables.update(
+        eta=np.array([c.eta for c in mon.copies]),
+        coin=np.array([c.coin.master_seed for c in mon.copies], dtype=np.uint64),
+        send=np.array([c.send_seed for c in mon.copies], dtype=np.uint64))
+    return tables
+
+
+def tables_digest(tables: dict[str, np.ndarray]) -> str:
+    h = hashlib.sha256()
+    for name, v in tables.items():
+        h.update(f"{name} {v.dtype.str} {v.shape}\n".encode())
+        h.update(np.ascontiguousarray(v).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("p", sorted(LADDER_TABLES))
+def test_ladder_tables_digest(p):
+    mon = Monitor(GlobalParams(p=p, **LADDER))
+    assert tables_digest(ladder_tables(mon)) == LADDER_TABLES[p]
+
+
+@pytest.mark.parametrize("p", sorted(LADDER_TABLES))
+def test_ladder_tables_do_not_depend_on_run_boundaries(p, monkeypatch):
+    # the tables are built a run of whole copies at a time; cut into runs of
+    # one copy each, the ladder must come out the same, array for array
+    g = GlobalParams(p=p, **LADDER)
+    whole = Monitor(g)
+    assert len(whole._buckets._runs()) < len(whole.copies)
+    monkeypatch.setattr(buckets, "SLICE", 1)
+    cut = Monitor(g)
+    assert len(cut._buckets._runs()) == len(cut.copies)
+    a, b = ladder_tables(whole), ladder_tables(cut)
+    assert list(a) == list(b)
+    for name in a:
+        assert a[name].dtype == b[name].dtype, name
+        assert np.array_equal(a[name], b[name]), name
