@@ -38,9 +38,9 @@ class Crossings(NamedTuple):
 class Buckets:
     """Bucket machinery of one threshold instance or, copy after copy, of a
     ladder's instances, built in numpy a run of whole copies at a time (see
-    _runs): each copy's per-level
-    counter increments u, bucket cap h_cap, and bucket edges, weights and
-    levels; and, on first use, one crossing table for every copy.
+    _runs): each copy's eta (as given), per-level counter increments u,
+    bucket cap h_cap, and bucket edges, weights and levels; and, on first
+    use, one crossing table for every copy.
 
     Copy c owns slots off[c] .. off[c] + h_cap[c] + 1 of the flat bucket
     arrays; its last slot holds only edge h_cap + 1, and level -1. Scalar
@@ -52,7 +52,7 @@ class Buckets:
     def __init__(self, params: GlobalParams, tau: Sequence[float],
                  eta: Sequence[float]) -> None:
         p, b, gamma, n = params.p, params.b, params.gamma, params.n
-        zeta, self.n_levels, self.n = 1.0 + gamma, params.l_max + 1, n
+        zeta, self.n_levels, self.n, self.eta = 1.0 + gamma, params.l_max + 1, n, eta
         root = np.array([t ** (1.0 / p) for t in tau])
         level_div = np.array([2.0 ** (l / p) for l in range(self.n_levels)])
         self.u = np.maximum(root[:, None] / level_div / b, 1.0)
@@ -119,44 +119,48 @@ class Buckets:
         """The crossings of copies lo .. hi - 1, in order: at, left, entered,
         (copy, level) key and count.
 
-        Only the edges of readable buckets are solved: x is the least count
-        whose value reaches the edge, in the float products that
-        bucket_of_value is given. Counts in [x(h), x(h + 1)) lie in bucket
-        h, and at one level these ranges ascend with h. A count is a
-        crossing exactly when it starts or ends the nonempty range of a
-        readable bucket; a range that ends where the next one starts makes
-        one crossing."""
+        x(e) is the least count whose value reaches bucket edge e, in the
+        float products that bucket_of_value is given. Counts in
+        [x(h), x(h + 1)) lie in bucket h, readable at its level, and at one
+        level these ranges ascend with h. So each edge is solved once: a
+        bucket's upper edge is the next one's lower edge when both share a
+        level, and only a band's last bucket (the next is at a lower level,
+        or is the copy's last slot) solves its upper edge on its own. A
+        nonempty bucket is entered at x(h) and left at x(h + 1), past n
+        never; the leave of one and the enter of the key's next nonempty
+        bucket fall on one count and are one crossing."""
         n_levels, stride, past = self.n_levels, self.n + 1, float(self.n + 1)
-        copy, h = self._slots(lo, hi)
-        readable = np.flatnonzero(self.lvl[self.off[lo] : self.off[hi]] >= 0)
-        slot = readable + self.off[lo]
-        level, copy, h = self.lvl[slot], copy[readable], h[readable]
-        u = self.u[copy, level]
-        u = np.concatenate((u, u))
-        edge = self.edge[np.concatenate((slot, slot + 1))]
+        start = self.off[lo]
+        lvl = self.lvl[start : self.off[hi]]
+        slot = np.flatnonzero(lvl >= 0)  # all but each copy's last slot
+        copy = np.repeat(np.arange(lo, hi), np.diff(self.off[lo : hi + 1]) - 1)
+        level = lvl[slot]
+        key = copy * n_levels + level
+        end = np.flatnonzero(lvl[slot + 1] != level)
+        u = self.u.ravel()[np.concatenate((key, key[end]))]
+        edge = self.edge[start + np.concatenate((slot, slot[end] + 1))]
         x = np.clip(np.ceil(edge / u), 1.0, past)
         while (low := (x < past) & (x * u < edge)).any():
             x += low
         while (high := (x > 1.0) & ((x - 1.0) * u >= edge)).any():
             x -= high
-        # each nonempty readable bucket: entered at x(h), left at x(h + 1)
-        full = np.flatnonzero(x[: slot.size] < x[slot.size :])
-        count = np.empty(2 * full.size)
-        count[0::2], count[1::2] = x[full], x[full + slot.size]
-        copy, level, h = (np.repeat(v[full], 2) for v in (copy, level, h))
-        at = (copy * n_levels + n_levels - 1 - level) * stride + count.astype(np.int64)
-        left = np.full(count.size, -1, dtype=np.int32)
-        entered = left.copy()
-        left[1::2], entered[0::2] = h[1::2], h[0::2]
-        keep = np.flatnonzero(count < past)
-        at, left, entered = at[keep], left[keep], entered[keep]
-        key = (copy * n_levels + level)[keep].astype(np.int32)
-        count = count[keep].astype(np.int32)
-        # a leave and an enter at the same count are one crossing
-        new = np.diff(at, prepend=-1) != 0
-        merged = np.flatnonzero(~new)
-        entered[merged - 1] = entered[merged]
-        return tuple(v[new] for v in (at, left, entered, key, count))
+        enter, leave = x[: slot.size], np.empty(slot.size)
+        leave[:-1], leave[end] = enter[1:], x[slot.size :]
+        full = np.flatnonzero(enter < leave)
+        key, level, enter, leave = key[full], level[full], enter[full], leave[full]
+        h = (slot[full] + start - self.off[copy[full]]).astype(np.int32)
+        # an (enter, leave) pair of entries per nonempty bucket, and one
+        # index sel of those kept: a key's first bucket is entered from
+        # none, a later one by the crossing that leaves the one before it
+        head = np.diff(key, prepend=-1) != 0
+        into = np.roll(np.where(head, -1, h), -1)
+        sel = np.flatnonzero(np.column_stack((head, leave < past)))
+        count = np.column_stack((enter, leave)).ravel()[sel].astype(np.int32)
+        left = np.column_stack((np.full_like(h, -1), h)).ravel()[sel]
+        entered = np.column_stack((h, into)).ravel()[sel]
+        key, level = key[sel >> 1], level[sel >> 1]
+        at = (key + (n_levels - 1) - 2 * level) * stride + count
+        return at, left, entered, key.astype(np.int32), count
 
 
 class Columns:
@@ -180,6 +184,7 @@ class Columns:
         self.first = np.broadcast_to(t.first.reshape(-1, 1, n_levels), shape).ravel()
         self.row_at = np.broadcast_to(t.base.reshape(-1, 1, n_levels), shape).ravel()
         self.by_j: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.med = np.zeros(buckets.off[-1])  # each copy's medians, by slot
         self.read_out: dict[int, dict[tuple[int, int, int], int]] | None = None
 
     def add(self, js: Sequence[int], rows: np.ndarray, ends: Sequence[int]) -> None:

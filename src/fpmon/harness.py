@@ -101,13 +101,14 @@ def _tuples(cls: type, cols) -> list:
 
 def _stream_columns(events: Iterable[tuple[int, int, int]]) -> list[np.ndarray]:
     """A stream's t, site and j columns: int64, or Python ints past int64."""
-    cols = []
-    for col in tuple(zip(*events)) or ((), (), ()):
-        try:
-            cols.append(np.array(col, dtype=np.int64))
-        except OverflowError:
-            cols.append(np.array(col, dtype=object))
-    return cols
+    return list(map(_int_column, tuple(zip(*events)) or ((), (), ())))
+
+
+def _int_column(col: tuple[int, ...]) -> np.ndarray:
+    try:
+        return np.array(col, dtype=np.int64)
+    except OverflowError:
+        return np.array(col, dtype=object)
 
 
 def validate_stream(events: list[StreamEvent], m: int, k: int, n: int,
@@ -269,8 +270,10 @@ def simulate(events: list[StreamEvent], params: GlobalParams,
         raise ValueError(f"mode must be 'threshold' or 'monitor', got {mode}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    ts, sites, js = _stream_columns(events)
+    times, sites, js = tuple(zip(*events)) or ((), (), ())
+    ts, sites, js = map(_int_column, (times, sites, js))
     _check_stream(ts, sites, js, params.m, params.k, params.n, "<stream>")
+    times = np.array(times, dtype=object)  # the rows' t: the events' own ints
 
     if mode == "threshold":
         if params.tau is None:
@@ -303,7 +306,7 @@ def simulate(events: list[StreamEvent], params: GlobalParams,
     for lo in range(0, picks.size, 1024):  # whole-stream columns raised peak RSS
         i = picks[lo : lo + 1024]
         s, c = np.searchsorted(marks, i, side="right"), cum[i]
-        rows += _tuples(TraceRow, (ts[i], true_fp[i].astype(np.float64), ests[s], c,
+        rows += _tuples(TraceRow, (times[i], true_fp[i].astype(np.float64), ests[s], c,
                                    c * monitor.message_bits, fired[s]))
     return rows, (monitor.copies[0] if mode == "threshold" else monitor)
 

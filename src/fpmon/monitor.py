@@ -17,7 +17,7 @@ import numpy as np
 from .buckets import Buckets, Columns
 from .protocol import FanRows, GlobalParams, ThresholdInstance, check_tau, fanout
 from .sampling import (GOLDEN, MASK64, SALT_INSTANCE, SLICE, derive_np, mix64_np,
-                       unit_open_zero)
+                       unit_open_zero_np)
 # derive stays bound here: bench/tracing.py wraps monitor.derive
 from .sampling import derive  # noqa: F401
 
@@ -64,20 +64,19 @@ class Monitor:
         seeds = derive_np(params.seed & MASK64, SALT_INSTANCE,
                           np.arange(self.n_instances)[:, None, None],
                           np.arange(self.a)[None, :, None],
-                          np.arange(3)[None, None, :]).reshape(-1, 3).tolist()
+                          np.arange(3)[None, None, :]).reshape(-1, 3)
         taus = [tau for tau in self.taus for _ in range(self.a)]
-        self._buckets = Buckets(params, taus, [unit_open_zero(s[2]) for s in seeds])
+        self._buckets = Buckets(params, taus, unit_open_zero_np(seeds[:, 2]).tolist())
         self.columns = Columns(self._buckets, params.r)
         self.block = self.columns.block
         self.copies = [
             ThresholdInstance(params, tau=tau, coin_seed=coin, send_seed=send,
-                              eta_seed=eta, columns=self.columns, pair=pair)
-            for pair, (tau, (coin, send, eta)) in enumerate(zip(taus, seeds))
+                              columns=self.columns, pair=pair)
+            for pair, (tau, coin, send) in enumerate(zip(taus, *seeds[:, :2].T.tolist()))
         ]
 
         # flat candidate rows over (instance, copy, z, l), canonical order
-        self.rows = FanRows(params, taus, [c.coin for c in self.copies],
-                            [c.send_seed for c in self.copies])
+        self.rows = FanRows(params, taus, seeds[:, 0], seeds[:, 1])
         self.live = np.ones(self.rows.size, dtype=bool)
         self.live_pairs = len(self.copies)
         # the live rows' flat indices and coin keys (one block of keys per

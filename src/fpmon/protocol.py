@@ -153,14 +153,15 @@ class FanRows:
     the instance, membership and send trials are keyed per (z, l) and hashed
     with the coordinate and event keys at use time. tau, coin and send_seed
     are one instance's threshold, public coin and send seed, or equal-length
-    sequences of them, one block per instance.
+    sequences of thresholds, coin master seeds and send seeds, one block per
+    instance.
     """
 
     def __init__(self, params: GlobalParams, tau: float | Sequence[float],
-                 coin: PublicCoin | Sequence[PublicCoin],
+                 coin: PublicCoin | Sequence[int],
                  send_seed: int | Sequence[int]) -> None:
         if isinstance(coin, PublicCoin):
-            tau, coin, send_seed = [tau], [coin], [send_seed]
+            tau, coin, send_seed = [tau], [coin.master_seed], [send_seed]
         r, n_levels = params.r, params.l_max + 1
         shape = (len(coin), r, n_levels)
         self.size = shape[0] * r * n_levels
@@ -168,9 +169,9 @@ class FanRows:
         l = np.arange(n_levels, dtype=np.int32)[None, None, :]
         self.z_of = np.broadcast_to(z, shape).ravel()
         self.l_of = np.broadcast_to(l, shape).ravel()
-        seeds = np.array([c.master_seed for c in coin], dtype=np.uint64)[:, None, None]
+        seeds = np.asarray(coin, dtype=np.uint64)[:, None, None]
         self.coin_key = derive_np(seeds, SALT_COIN, z, l).ravel()
-        seeds = np.array(send_seed, dtype=np.uint64)[:, None, None]
+        seeds = np.asarray(send_seed, dtype=np.uint64)[:, None, None]
         self.send_key = derive_np(seeds, SALT_SEND, z, l).ravel()
         thresh = np.array([member_threshold(v) for v in range(n_levels)], dtype=np.uint64)
         self.member_thresh = np.broadcast_to(thresh, shape).ravel()
@@ -270,7 +271,8 @@ class ThresholdInstance:
 
     Counters live in a buckets.Columns, and cross() is called only at the
     counts that its crossing table lists. A ladder copy is copy `pair` of
-    its Monitor's Columns, which bumps them. A standalone instance is the
+    its Monitor's Columns, which bumps them; its eta is their Buckets', and
+    eta_seed is not read. A standalone instance is the
     one-copy case: it builds its own Buckets, and on its first message its
     own Columns, whose column for j holds every (z, l) row; apply() bumps
     it. counts and messages_received are read out of the columns on demand.
@@ -290,31 +292,33 @@ class ThresholdInstance:
             coin_seed = derive(params.seed, SALT_INSTANCE, 0, 0, 0)
         if send_seed is None:
             send_seed = derive(params.seed, SALT_INSTANCE, 0, 0, 1)
-        if eta_seed is None:
-            eta_seed = derive(params.seed, SALT_INSTANCE, 0, 0, 2)
         self.coin = PublicCoin(coin_seed, params.r, params.l_max)
         self.send_seed = send_seed
-        self.eta = unit_open_zero(eta_seed)
         self.zeta = 1.0 + params.gamma
         self._pair, self._ladder = pair, columns is not None
-        if self._ladder:
-            self.columns = columns
 
         # per-level counter increments u_l (subsampled levels have u_l > 1)
-        # and the bucket machinery shared verbatim by both estimation passes
-        self._buckets = buckets = (columns.buckets if self._ladder else
-                                   Buckets(params, [self.tau], [self.eta]))
+        # and the bucket machinery shared verbatim by both estimation passes;
+        # a ladder copy's eta, tables and medians are its Monitor's
+        if self._ladder:
+            self.columns, buckets = columns, columns.buckets
+        else:
+            if eta_seed is None:
+                eta_seed = derive(params.seed, SALT_INSTANCE, 0, 0, 2)
+            buckets = Buckets(params, [self.tau], [unit_open_zero(eta_seed)])
+        self._buckets, self.eta = buckets, buckets.eta[pair]
         self.u = buckets.u[pair]
-        self.h_cap = buckets.h_cap[pair]
+        self.h_cap = h_cap = buckets.h_cap[pair]
         lo = int(buckets.off[pair])
-        self.edge = buckets.edge[lo : lo + self.h_cap + 2]
-        self.weight = buckets.weight[lo : lo + self.h_cap + 1]
-        self.lvl_of_h = buckets.lvl[lo : lo + self.h_cap + 1]
+        self.edge = buckets.edge[lo : lo + h_cap + 2]
+        self.weight = buckets.weight[lo : lo + h_cap + 1]
+        self.lvl_of_h = buckets.lvl[lo : lo + h_cap + 1]
+        self.med = (columns.med[lo : lo + h_cap + 1] if self._ladder else
+                    np.zeros(h_cap + 1, dtype=np.float64))
         self.fire_line = (1.0 - params.c_fire * params.eps) * self.tau
         self._r, self._med_idx = params.r, (params.r - 1) // 2
 
         self.hist: dict[int, list[int]] = {}
-        self.med = np.zeros(self.h_cap + 1, dtype=np.float64)
         self.est = 0.0
         self.out = 0
         self.terminated = False

@@ -83,6 +83,13 @@ def unit_open_zero(seed: int) -> float:
     return ((mix64(seed ^ SALT_ETA) >> 11) + 1) * 2.0**-53
 
 
+def unit_open_zero_np(seed: np.ndarray) -> np.ndarray:
+    """unit_open_zero over a uint64 array, exactly: (h >> 11) + 1 <= 2**53
+    converts to float64 without rounding."""
+    h = mix64_np(seed ^ np.uint64(SALT_ETA)) >> np.uint64(11)
+    return (h + np.uint64(1)) * 2.0**-53
+
+
 def coordinate_key(j: int) -> int:
     """Per-coordinate hash input shared by scalar and vectorized membership."""
     return ((j + 1) * GOLDEN) & MASK64
