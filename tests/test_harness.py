@@ -531,6 +531,18 @@ def test_stride_records_every_kth_plus_final():
     assert [row.t for row in rows] == [0, 30, 60, 90, 99]
 
 
+def test_trace_rows_share_their_events_time_ints():
+    # a row's t is its event's own int, not a new one made per row, also
+    # past int64
+    g = sim_params()
+    for base in (10**6, 2**64):
+        events = [StreamEvent(base + 3 * t, t % g.k, t % g.m) for t in range(100)]
+        rows = simulate(events, g, stride=7)[0]
+        picks = [*range(0, 100, 7), 99]
+        assert [row.t for row in rows] == [events[i].t for i in picks]
+        assert all(row.t is events[i].t for row, i in zip(rows, picks))
+
+
 def test_exact_fp_of_events_int_and_float():
     events = [StreamEvent(t, 0, j) for t, j in enumerate([1, 1, 2, 1, 3])]
     assert exact_fp_of_events(events, 2) == 9 + 1 + 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fpmon.sampling import (
     MASK64,
+    SALT_ETA,
     PublicCoin,
     derive,
     level_of,
@@ -18,6 +19,7 @@ from fpmon.sampling import (
     mix64_np,
     u01,
     unit_open_zero,
+    unit_open_zero_np,
 )
 
 
@@ -53,6 +55,27 @@ def test_unit_open_zero_excludes_zero():
     assert all(0.0 < v <= 1.0 for v in vals)
     mean = sum(vals) / len(vals)
     assert abs(mean - 0.5) < 0.05
+
+
+def unmix64(y: int) -> int:
+    """The x with mix64(x) == y: each xorshift and product undone in turn."""
+    y ^= (y >> 31) ^ (y >> 62)
+    y = (y * pow(0x94D049BB133111EB, -1, 2**64)) & MASK64
+    y ^= (y >> 27) ^ (y >> 54)
+    y = (y * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & MASK64
+    return y ^ (y >> 30) ^ (y >> 60)
+
+
+def test_unit_open_zero_np_equals_the_scalar_form():
+    # the vectorized form converts (h >> 11) + 1 <= 2**53 to float64, which
+    # is exact; the hashes at both ends of the range give 2**-53 and 1.0
+    ends = [0, 2**11 - 1, 2**11, MASK64 - 2**11, MASK64]
+    seeds = [unmix64(h) ^ SALT_ETA for h in ends] + list(range(2000)) + [MASK64]
+    assert [mix64(s ^ SALT_ETA) for s in seeds[:5]] == ends
+    got = unit_open_zero_np(np.array(seeds, dtype=np.uint64))
+    assert got.dtype == np.float64
+    assert got.tolist() == [unit_open_zero(s) for s in seeds]
+    assert got[0] == 2.0**-53 and got[4] == 1.0
 
 
 def test_member_threshold_rates():
