@@ -31,14 +31,16 @@ class Monitor:
 
     With tau given, the ladder is a single rung at tau with a single copy:
     a threshold run. Its (0, 0) seeds are ThresholdInstance's defaults, so
-    copies[0] replays a standalone ThresholdInstance(params) exactly.
+    copies[0] is ThresholdInstance(params): the same seeds, tables and rows,
+    and the same state after the same messages.
 
     The coordinator is columnar: the copies count in one Columns, and the
     fan-out and counter bumps run in numpy over the rows whose level set
     holds each event's coordinate. Their bucket and crossing tables are one
     Buckets, built with the Monitor. Only the crossing messages, whose new
     count is a crossing count of their row's (copy, level), go through
-    Python, to cross().
+    Python, to their copy's apply(), the coordinator step; run() is the
+    only caller that delivers messages.
 
     An event's messages depend only on the event and on which rows are
     live, and rows only ever fall silent. So run() takes a stream's events
@@ -166,7 +168,7 @@ class Monitor:
         its rank among the run's messages to that counter. It crosses iff
         that count is a crossing count of its row's (copy, level) key; only
         counts at or past the row's next crossing are looked up. Only the
-        crossing messages go through Python, to cross()."""
+        crossing messages go through Python, to apply()."""
         jl = js[start:stop].tolist()
         by_j = self.columns.by_j
         new = [x for x in dict.fromkeys(jl) if x not in by_j]
@@ -221,7 +223,7 @@ class Monitor:
                 inst = copies[p]
                 if inst.terminated:  # fired earlier in this event
                     continue
-                if inst.cross(zi, out, into):
+                if inst.apply(zi, out, into):
                     # the copy's later messages of the event are dropped:
                     # no bump, and a crossing one keeps its next crossing
                     lo, hi = cut[i], cut[i + 1]

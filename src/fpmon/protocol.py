@@ -75,7 +75,6 @@ class GlobalParams:
     r: Optional[int] = None
     c_r: int = 5
     c_fire: float = 0.25
-    c_diag: float = 8.0
     seed: int = 0
     a: Optional[int] = None
     c_a: float = 0.15
@@ -146,22 +145,18 @@ class Message:
 
 
 class FanRows:
-    """Per-(z, l) site-side arrays in canonical order (z-major, then l), for
-    one instance or, block after block, for a ladder of instances.
+    """Per-(z, l) site-side arrays in canonical order (z-major, then l), one
+    block per instance, for one instance or a ladder of instances.
 
     Shared by every site: the guard and thinning probability depend only on
     the instance, membership and send trials are keyed per (z, l) and hashed
     with the coordinate and event keys at use time. tau, coin and send_seed
-    are one instance's threshold, public coin and send seed, or equal-length
-    sequences of thresholds, coin master seeds and send seeds, one block per
-    instance.
+    are equal-length sequences of the instances' thresholds, public-coin
+    master seeds and send seeds.
     """
 
-    def __init__(self, params: GlobalParams, tau: float | Sequence[float],
-                 coin: PublicCoin | Sequence[int],
-                 send_seed: int | Sequence[int]) -> None:
-        if isinstance(coin, PublicCoin):
-            tau, coin, send_seed = [tau], [coin.master_seed], [send_seed]
+    def __init__(self, params: GlobalParams, tau: Sequence[float],
+                 coin: Sequence[int], send_seed: Sequence[int]) -> None:
         r, n_levels = params.r, params.l_max + 1
         shape = (len(coin), r, n_levels)
         self.size = shape[0] * r * n_levels
@@ -269,13 +264,14 @@ class ThresholdInstance:
     estimate from the raw counters alone; it is the reference the tests
     check the running estimate against, bit for bit.
 
-    Counters live in a buckets.Columns, and cross() is called only at the
-    counts that its crossing table lists. A ladder copy is copy `pair` of
-    its Monitor's Columns, which bumps them; its eta is their Buckets', and
-    eta_seed is not read. A standalone instance is the
-    one-copy case: it builds its own Buckets, and on its first message its
-    own Columns, whose column for j holds every (z, l) row; apply() bumps
-    it. counts and messages_received are read out of the columns on demand.
+    Counters live in a buckets.Columns, whose owner bumps them and calls
+    apply(), the coordinator step, only at the counts that its crossing
+    table lists: a Monitor's run is the one caller that delivers messages.
+    A ladder copy is copy `pair` of its Monitor's Columns; its eta is their
+    Buckets', and eta_seed is not read. A standalone instance is the
+    one-copy case: it builds its own Buckets, and on first use its own
+    Columns. counts and messages_received are read out of the columns on
+    demand.
     """
 
     def __init__(self, params: GlobalParams, tau: Optional[float] = None,
@@ -295,12 +291,12 @@ class ThresholdInstance:
         self.coin = PublicCoin(coin_seed, params.r, params.l_max)
         self.send_seed = send_seed
         self.zeta = 1.0 + params.gamma
-        self._pair, self._ladder = pair, columns is not None
+        self._pair, ladder = pair, columns is not None
 
         # per-level counter increments u_l (subsampled levels have u_l > 1)
         # and the bucket machinery shared verbatim by both estimation passes;
         # a ladder copy's eta, tables and medians are its Monitor's
-        if self._ladder:
+        if ladder:
             self.columns, buckets = columns, columns.buckets
         else:
             if eta_seed is None:
@@ -313,7 +309,7 @@ class ThresholdInstance:
         self.edge = buckets.edge[lo : lo + h_cap + 2]
         self.weight = buckets.weight[lo : lo + h_cap + 1]
         self.lvl_of_h = buckets.lvl[lo : lo + h_cap + 1]
-        self.med = (columns.med[lo : lo + h_cap + 1] if self._ladder else
+        self.med = (columns.med[lo : lo + h_cap + 1] if ladder else
                     np.zeros(h_cap + 1, dtype=np.float64))
         self.fire_line = (1.0 - params.c_fire * params.eps) * self.tau
         self._r, self._med_idx = params.r, (params.r - 1) // 2
@@ -330,7 +326,8 @@ class ThresholdInstance:
     def rows(self) -> FanRows:
         """This instance's site-side rows; a Monitor keeps one flat array of
         every copy's rows and never builds these."""
-        return FanRows(self.params, self.tau, self.coin, self.send_seed)
+        return FanRows(self.params, [self.tau], [self.coin.master_seed],
+                       [self.send_seed])
 
     @functools.cached_property
     def columns(self) -> Columns:
@@ -445,41 +442,15 @@ class ThresholdInstance:
         return [(count[sel], t.left[sel], t.entered[sel]) for sel in
                 (key == (self._pair + 1) * n_levels - 1 - l for l in range(n_levels))]
 
-    # -- message path ------------------------------------------------------
+    # -- coordinator step ---------------------------------------------------
 
-    def apply(self, j: int, z: int, l: int) -> bool:
-        """Deliver one message to a standalone instance. Returns True
-        exactly when this message fires the output bit. Messages for a
-        terminated instance are dropped and counted. A ladder copy's
-        messages go through its Monitor, so apply() on one raises."""
-        if self._ladder:
-            raise ValueError("a ladder copy's messages go through its Monitor's "
-                             "on_event, not apply")
-        if self.terminated:
-            self.dropped += 1
-            return False
-        if not 1 <= z <= self.params.r:
-            raise ValueError(f"repetition index {z} outside [1, {self.params.r}]")
-        if not 0 <= l <= self.params.l_max:
-            raise ValueError(f"level {l} outside [0, {self.params.l_max}]")
-        if not 0 <= j < self.params.m:
-            raise ValueError(f"coordinate {j} outside [0, {self.params.m})")
-        cols = self.columns
-        if j not in cols.by_j:
-            cols.add([j], np.arange(cols.block), [cols.block])
-        col, q = cols.by_j[j], (z - 1) * cols.n_levels + l
-        cols.read_out = None
-        col[1][q] += 1
-        if col[1][q] < col[2][q]:
-            return False
-        return self.cross(z, *cols.crossed(col, q))
-
-    def cross(self, z: int, left: int, entered: int) -> bool:
-        """A repetition-z counter has just left readable bucket `left` and
-        entered readable bucket `entered` (-1 for none): move the histograms,
-        medians and estimate. Returns True exactly when this fires the
-        output bit. A message that crosses no readable bucket edge changes
-        no median, so nothing else needs to come here."""
+    def apply(self, z: int, left: int, entered: int) -> bool:
+        """Apply one crossing message: a repetition-z counter has just left
+        readable bucket `left` and entered readable bucket `entered` (-1 for
+        none). Moves the histograms, medians and estimate, and returns True
+        exactly when this fires the output bit. A message that crosses no
+        readable bucket edge changes no median, so nothing else comes here;
+        the caller bumps the counter and drops a terminated copy's messages."""
         changed = False
         if left >= 0:
             changed |= self._hist_set(left, z, -1)

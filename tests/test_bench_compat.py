@@ -9,6 +9,7 @@ from pathlib import Path
 from fpmon import hardgen, harness, monitor, protocol, reductions, sampling
 from fpmon.harness import gen_uniform_stream, simulate
 from fpmon.protocol import GlobalParams
+from replay import deliver
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
@@ -22,7 +23,21 @@ def load_tracing():
     return mod
 
 
-def test_bench_tracer_installs_runs_and_restores():
+def count_coordinator_steps(monkeypatch) -> list[int]:
+    """Count ThresholdInstance.apply calls from now on, in the returned
+    list's one item."""
+    calls = [0]
+    apply = protocol.ThresholdInstance.apply
+
+    def counted(self, *args):
+        calls[0] += 1
+        return apply(self, *args)
+
+    monkeypatch.setattr(protocol.ThresholdInstance, "apply", counted)
+    return calls
+
+
+def test_bench_tracer_installs_runs_and_restores(monkeypatch):
     tracing = load_tracing()
     fp = types.SimpleNamespace(harness=harness, hardgen=hardgen, monitor=monitor,
                                protocol=protocol, reductions=reductions,
@@ -47,8 +62,12 @@ def test_bench_tracer_installs_runs_and_restores():
     assert tr.calls("monitor.on_event") == 0
     assert tr.calls("monitor.init") == 1
     assert 0 < tr.calls("protocol.fanout") < len(events)
-    # the traced run is the untraced one
+    # the traced run is the untraced one, and protocol.apply times the
+    # coordinator step: one call per crossing message, as many as the
+    # untraced run makes
+    calls = count_coordinator_steps(monkeypatch)
     assert simulate(events, g, mode="monitor")[0] == rows
+    assert tr.calls("protocol.apply") == calls[0] > 0
 
 
 def load_run(monkeypatch):
@@ -62,22 +81,13 @@ def load_run(monkeypatch):
 def test_bench_hist_moves_counts_every_crossing(monkeypatch):
     # bench/run.py recomputes each copy's histogram moves from its final
     # counters; the sum over copies is the number of crossing messages the
-    # Monitor sent through ThresholdInstance.cross
+    # Monitor sent through ThresholdInstance.apply
     run = load_run(monkeypatch)
-
-    calls = 0
-    cross = protocol.ThresholdInstance.cross
-
-    def counted(self, *args):
-        nonlocal calls
-        calls += 1
-        return cross(self, *args)
-
-    monkeypatch.setattr(protocol.ThresholdInstance, "cross", counted)
+    calls = count_coordinator_steps(monkeypatch)
     g = GlobalParams(k=4, m=64, n=400, p=2.0, eps=0.5, b=8.0, r=3, seed=1, a=3)
     _, mon = simulate(gen_uniform_stream(g.m, g.k, 400, seed=2), g, mode="monitor")
-    assert calls > 0 and sum(c.dropped for c in mon.copies) > 0
-    assert sum(run.hist_moves(c) for c in mon.copies) == calls
+    assert calls[0] > 0 and sum(c.dropped for c in mon.copies) > 0
+    assert sum(run.hist_moves(c) for c in mon.copies) == calls[0]
 
 
 def test_bench_hardgen_workload_passes_its_checks_at_tiny_size(monkeypatch, tmp_path):
@@ -100,14 +110,15 @@ def test_bench_hardgen_workload_passes_its_checks_at_tiny_size(monkeypatch, tmp_
 def test_construction_builds_no_more_than_the_bench_times():
     # the bench times ThresholdInstance(params) as threshold-uniform's
     # setup_s and Monitor(params) as the monitor workloads': a standalone
-    # instance builds its crossing table and counters on its first message,
-    # and a Monitor builds its table in __init__, not on its first event
+    # instance builds its crossing table and counters when its first message
+    # is delivered, and a Monitor builds its table in __init__, not on its
+    # first event
     g = GlobalParams(k=4, m=64, n=2000, p=2.0, eps=0.5, b=8.0, r=3, seed=1,
                      tau=50.0, a=1)
     inst = protocol.ThresholdInstance(g)
     assert "crossings" not in vars(inst._buckets)
     assert "columns" not in vars(inst)
-    inst.apply(0, 1, 0)
+    deliver(inst, 0, 1, 0)
     assert "crossings" in vars(inst._buckets) and list(inst.columns.by_j) == [0]
     for mon in (monitor.Monitor(g), monitor.Monitor(g, tau=g.tau)):
         assert "crossings" in vars(mon._buckets)

@@ -25,6 +25,7 @@ from fpmon.sampling import (
     member_threshold,
     unit_open_zero,
 )
+from replay import deliver
 
 
 def monitor_params(**kw):
@@ -91,7 +92,7 @@ def solo_step(solo: ThresholdInstance, c: int, ev) -> int:
         return 0
     emit = fanout(solo.rows, None, c, ev.j, event_key(ev.site, ev.t))
     for f in emit.tolist():
-        solo.apply(ev.j, int(solo.rows.z_of[f]), int(solo.rows.l_of[f]))
+        deliver(solo, ev.j, int(solo.rows.z_of[f]), int(solo.rows.l_of[f]))
     return int(emit.size)
 
 
@@ -166,29 +167,6 @@ def test_one_rung_monitor_is_a_threshold_instance():
         assert_same_run(mon.copies[0], solo)
         assert mon.fired_count() == solo.out
     assert solo.out == 1 and solo.dropped > 0  # the run crosses tau mid-event
-
-
-def test_ladder_copy_rejects_apply():
-    # a ladder copy counts in its Monitor's columns, so a message handed to
-    # the copy itself would move its estimate, and fire it, behind the
-    # Monitor's back: apply() refuses every message and changes nothing.
-    # The same messages fire a standalone instance with the same seeds
-    g = monitor_params(n=2000, r=3)
-    mon = Monitor(g, tau=50.0)
-    events = gen_uniform_stream(g.m, g.k, 20, seed=4)
-    for ev, c in with_site_counts(events, g.k):
-        mon.on_event(c, ev.j, event_key(ev.site, ev.t))
-    copy = mon.copies[0]
-    before = (dict(copy.counts), copy.est, copy.out, mon.live_pairs)
-    assert before[0] and not copy.out
-    for _ in range(40):
-        for z in range(1, g.r + 1):
-            with pytest.raises(ValueError, match="Monitor"):
-                copy.apply(0, z, 0)
-    assert (copy.counts, copy.est, copy.out, mon.live_pairs) == before
-    assert copy.dropped == 0
-    solo = ThresholdInstance(g, tau=50.0)
-    assert any(solo.apply(0, z, 0) for _ in range(40) for z in range(1, g.r + 1))
 
 
 def test_planned_runs_replay_unplanned_events(monkeypatch):

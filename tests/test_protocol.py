@@ -18,6 +18,7 @@ from fpmon.protocol import (
     fanout,
     site_on_update,
 )
+from replay import deliver
 
 
 def small_params(**kw):
@@ -101,9 +102,9 @@ def test_counter_value_is_count_times_increment():
     for l in range(g.l_max + 1):
         expect = max(root / 2 ** (l / g.p) / g.b, 1.0)
         assert float(inst.u[l]) == expect
-    inst.apply(5, 1, 0)
-    inst.apply(5, 1, 0)
-    inst.apply(5, 1, 0)
+    deliver(inst, 5, 1, 0)
+    deliver(inst, 5, 1, 0)
+    deliver(inst, 5, 1, 0)
     assert inst.counter_value(1, 0, 5) == 3 * float(inst.u[0])
     # subsampled level: increment is exactly tau_l^{1/p} / b
     assert float(inst.u[0]) == root / g.b
@@ -226,12 +227,12 @@ def test_apply_order_invariance_without_fire():
                      rng.randrange(g.l_max + 1)))
     a = ThresholdInstance(g)
     for j, z, l in msgs:
-        a.apply(j, z, l)
+        deliver(a, j, z, l)
     shuffled = msgs[:]
     rng.shuffle(shuffled)
     b = ThresholdInstance(g)
     for j, z, l in shuffled:
-        b.apply(j, z, l)
+        deliver(b, j, z, l)
     assert a.counts == b.counts
     assert a.est == b.est
     assert a.out == b.out == 0
@@ -247,7 +248,7 @@ def test_literal_and_incremental_estimates_are_identical():
         j = rng.randrange(g.m)
         z = rng.randrange(1, g.r + 1)
         l = rng.randrange(g.l_max + 1)
-        a.apply(j, z, l)
+        deliver(a, j, z, l)
         assert a.est == a.estimate_full()  # bit-identical, no tolerance
 
 
@@ -260,7 +261,7 @@ def test_estimate_full_matches_running_estimate_after_protocol_run():
         s = rng.randrange(g.k)
         j = rng.randrange(g.m)
         for msg in site_on_update(sites[s], j, ev=t, inst=inst):
-            inst.apply(msg.j, msg.z, msg.l)
+            deliver(inst, msg.j, msg.z, msg.l)
         assert inst.est == inst.estimate_full()
         if inst.terminated:
             break
@@ -274,7 +275,7 @@ def test_full_pass_medians_match_maintained_medians():
     for t in range(2500):
         j = rng.randrange(g.m)
         z = rng.randrange(1, g.r + 1)
-        inst.apply(j, z, rng.randrange(g.l_max + 1))
+        deliver(inst, j, z, rng.randrange(g.l_max + 1))
     assert np.array_equal(inst._full_pass()[0], inst.med)
 
 
@@ -320,30 +321,20 @@ def test_fire_latches_and_drops_are_counted():
     for t in range(4000):
         j = rng.randrange(g.m)
         z = rng.randrange(1, g.r + 1)
-        ret = inst.apply(j, z, 0)
+        ret = deliver(inst, j, z, 0)
         if ret:
             fired = True
             received_at_fire = inst.messages_received
             break
     assert fired and inst.out == 1 and inst.terminated
     for _ in range(5):
-        assert inst.apply(1, 1, 0) is False
+        assert deliver(inst, 1, 1, 0) is False
     assert inst.dropped == 5
     assert inst.messages_received == received_at_fire
     # terminated sites stop emitting but keep counting locally
     site = SiteState(site_id=0)
     assert site_on_update(site, 3, ev=0, inst=inst) == []
     assert site.counts[3] == 1
-
-
-def test_apply_validates_ranges():
-    inst = ThresholdInstance(small_params())
-    with pytest.raises(ValueError):
-        inst.apply(-1, 1, 0)
-    with pytest.raises(ValueError):
-        inst.apply(0, 0, 0)
-    with pytest.raises(ValueError):
-        inst.apply(0, 1, 99)
 
 
 def test_tau_required_and_positive():
@@ -380,7 +371,7 @@ def test_fan_rows_canonical_layout():
 
 def test_fan_rows_guard_and_q_formulas():
     g = small_params(tau=6561.0, p=4.0, b=3.0, k=4)
-    rows = FanRows(g, 6561.0, ThresholdInstance(g).coin, send_seed=1)
+    rows = FanRows(g, [6561.0], [ThresholdInstance(g).coin.master_seed], [1])
     root = 6561.0**0.25
     for i in range(rows.size):
         l = int(rows.l_of[i])
