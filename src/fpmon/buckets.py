@@ -190,7 +190,7 @@ class Columns:
     def add(self, js: Sequence[int], rows: np.ndarray, ends: Sequence[int]) -> None:
         """Columns of new coordinates js, at count 0: js[i]'s rows are
         rows[ends[i - 1]:ends[i]]."""
-        count, nxt = np.zeros(rows.size, dtype=np.int32), self.first[rows]
+        count, nxt = np.zeros(rows.size, dtype=np.int32), np.take(self.first, rows)
         for j, lo, hi in zip(js, [0, *ends], ends):
             self.by_j[j] = (rows[lo:hi], count[lo:hi], nxt[lo:hi])
 

@@ -138,10 +138,30 @@ def write_trace(path: str, rows: Iterable[TraceRow],
         for key in sorted(provenance):
             fh.write(f"# {key}={provenance[key]}\n")
         fh.write(TRACE_HEADER + "\n")
-        # one % per chunk of rows; "%.12g" % x == f"{x:.12g}" for every double
         fields = chain.from_iterable(rows)
-        while chunk := tuple(islice(fields, 6 * WRITE_ROWS)):
-            fh.write("%d,%.12g,%.12g,%d,%d,%d\n" * (len(chunk) // 6) % chunk)
+        while chunk := list(islice(fields, 6 * WRITE_ROWS)):
+            fmt = _row_format(chunk)
+            args = tuple(chunk)
+            del chunk  # one copy of the fields while the chunk is formatted
+            fh.write(fmt * (len(args) // 6) % args)
+
+
+def _row_format(flat: list) -> str:
+    """The %-format of one trace row, for rows whose fields are laid out
+    flat, whose bytes are "%d,%.12g,%.12g,%d,%d,%d\n" % row ("%.12g" % x
+    equals f"{x:.12g}" for every double). Two shortcuts keep those bytes:
+    - a whole true_fp below 1e12 in magnitude and without a sign bit has at
+      most 12 digits, so "%.12g" prints it as "%d" does; the format uses %d
+      when every row's true_fp is such;
+    - rows between two crossings share one estimate, so each run of equal
+      bits is formatted once, and flat's estimates become those strings."""
+    fp = np.array(flat[1::6], dtype=np.float64)
+    whole = ((np.abs(fp) < 1e12) & (fp == np.floor(fp)) & ~np.signbit(fp)).all()
+    bits = np.array(flat[2::6], dtype=np.float64).view(np.int64)
+    head = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    est = ["%.12g" % x for x in bits[head].view(np.float64).tolist()]
+    flat[2::6] = np.repeat(np.array(est, dtype=object), np.diff(head, append=bits.size)).tolist()
+    return "%d,%d,%s,%d,%d,%d\n" if whole else "%d,%.12g,%s,%d,%d,%d\n"
 
 
 def read_trace(path: str) -> tuple[dict[str, str], list[TraceRow]]:

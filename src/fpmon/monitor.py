@@ -15,9 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .buckets import Buckets, Columns
-from .protocol import FanRows, GlobalParams, ThresholdInstance, check_tau, fanout
-from .sampling import (GOLDEN, MASK64, SALT_INSTANCE, SLICE, derive_np, mix64_np,
-                       unit_open_zero_np)
+from .protocol import FanRows, GlobalParams, ThresholdInstance, check_tau, fanout, members
+from .sampling import MASK64, SALT_INSTANCE, SLICE, derive_np, unit_open_zero_np
 # derive stays bound here: bench/tracing.py wraps monitor.derive
 from .sampling import derive  # noqa: F401
 
@@ -79,7 +78,9 @@ class Monitor:
 
         # flat candidate rows over (instance, copy, z, l), canonical order
         self.rows = FanRows(params, taus, seeds[:, 0], seeds[:, 1])
-        self.live = np.ones(self.rows.size, dtype=bool)
+        # each row's guard, or +inf once its pair falls silent: fanout's one
+        # gather per candidate
+        self.gate = self.rows.guards()
         self.live_pairs = len(self.copies)
         # the live rows' flat indices and coin keys (one block of keys per
         # live pair), built when a column is next made after a pair falls
@@ -101,34 +102,31 @@ class Monitor:
             return 0.0
         return (1.0 + self.params.eps) ** (self.max_fired + 0.5)
 
+    @property
+    def live(self) -> np.ndarray:
+        """Whether each flat row's pair is still live."""
+        return self.gate < np.inf
+
     def _silence_pair(self, pair: int) -> None:
         lo = pair * self.block
-        if self.live[lo]:
-            self.live[lo : lo + self.block] = False
+        if self.gate[lo] < np.inf:
+            self.gate[lo : lo + self.block] = np.inf
             self.live_pairs -= 1
             self._live_keys = None
 
     def _build_columns(self, js: list[int]) -> None:
         """Columns of new coordinates js, from one membership hash over
-        (js x live rows), in slices whose temporaries are 128 KiB. A silent
-        row never speaks again, so it gets no column entry."""
-        block = self.block
+        (js x live rows). A silent row never speaks again, so it gets no
+        column entry."""
+        block, fan = self.block, self.rows
         if self._live_keys is None:
-            pairs = np.flatnonzero(self.live[::block]).astype(np.int32)
+            pairs = np.flatnonzero(self.gate[::block] < np.inf).astype(np.int32)
             flat = (pairs[:, None] * block + np.arange(block, dtype=np.int32)).ravel()
-            self._live_keys = flat, self.rows.coin_key.reshape(-1, block)[pairs]
-        # live rows are whole pair blocks, and a row's member threshold
-        # depends only on its place in the block
+            self._live_keys = flat, fan.coin_pm.reshape(-1, block)[pairs].ravel()
+        # live rows are whole pair blocks, so a live key's level is its
+        # place in them modulo the level count, as members needs
         flat, key = self._live_keys
-        thresh = self.rows.member_thresh[:block]
-        jk = (np.array(js, dtype=np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
-        jk = jk[:, None, None]
-        member = np.empty((len(js), *key.shape), dtype=bool)
-        step = max(1, SLICE // (len(js) * block))  # live pairs per slice
-        for lo in range(0, key.shape[0], step):
-            hi = lo + step
-            member[:, lo:hi] = mix64_np(key[lo:hi] ^ jk) <= thresh
-        at = np.flatnonzero(member)
+        at = np.flatnonzero(members(fan, key, js))
         rows = np.take(flat, at, mode="wrap")  # at % flat.size: the live row
         self.columns.add(js, rows, at.searchsorted(np.arange(1, len(js) + 1) * flat.size))
 
@@ -178,13 +176,13 @@ class Monitor:
         one = len(cols) == 1
         if one:  # fanout's scalar form, on the column itself
             rows, count, nxt = cols[0]
-            pos = fanout(self.rows, self.live, int(counts[start]), jl[0],
+            pos = fanout(self.rows, self.gate, int(counts[start]), jl[0],
                          int(evs[start]), rows)
             cut, newc = [0, pos.size], count[pos] + 1
         else:  # positions pos into the run's concatenated columns
             sizes = [col[0].size for col in cols]
             rows, count, nxt = (np.concatenate(x) for x in zip(*cols))
-            pos = fanout(self.rows, self.live, np.repeat(counts[start:stop], sizes),
+            pos = fanout(self.rows, self.gate, np.repeat(counts[start:stop], sizes),
                          None, np.repeat(evs[start:stop], sizes), rows)
             ends = np.cumsum(sizes)
             starts, cut = ends - sizes, [0, *pos.searchsorted(ends).tolist()]

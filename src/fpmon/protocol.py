@@ -23,13 +23,17 @@ from .sampling import (
     SALT_COIN,
     SALT_INSTANCE,
     SALT_SEND,
+    SLICE,
     PublicCoin,
-    coordinate_key,
+    coordinate_key_np,
     derive,
     derive_np,
+    finish64_np,
     member_threshold,
-    mix64_np,
+    premix64,
+    premix64_np,
     unit_open_zero,
+    unpremix64_np,
 )
 
 _TWO53 = 2.0**53
@@ -120,8 +124,19 @@ class GlobalParams:
             self.i_max = math.ceil(
                 math.log(self.n**2 * 2.0**self.p, 1.0 + self.eps)
             )
+        if self.i_max < 0:
+            raise ValueError(f"i_max must be >= 0, got {self.i_max}")
+        # the largest value a ladder computes: its estimate once the top rung
+        # (1+eps)**i_max fires
+        try:
+            top = (1.0 + self.eps) ** (self.i_max + 0.5)
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError(f"i_max={self.i_max}: top rung estimate (1+eps)**(i_max+0.5) "
+                             f"= {1.0 + self.eps}**{self.i_max + 0.5} is not a finite float")
         if self.a is None:
-            self.a = 2 * math.ceil(self.c_a * math.log(self.i_max * 10)) + 1
+            self.a = 2 * math.ceil(self.c_a * math.log(max(self.i_max, 1) * 10)) + 1
         if self.a < 1 or self.a % 2 == 0:
             raise ValueError(f"amplification a must be odd and >= 1, got {self.a}")
 
@@ -148,68 +163,150 @@ class FanRows:
     """Per-(z, l) site-side arrays in canonical order (z-major, then l), one
     block per instance, for one instance or a ladder of instances.
 
-    Shared by every site: the guard and thinning probability depend only on
-    the instance, membership and send trials are keyed per (z, l) and hashed
-    with the coordinate and event keys at use time. tau, coin and send_seed
-    are equal-length sequences of the instances' thresholds, public-coin
-    master seeds and send seeds.
+    Shared by every site: the guard and thinning limit depend only on the
+    instance and level, membership and send trials are keyed per (z, l) and
+    hashed with the coordinate and event keys at use time. tau, coin and
+    send_seed are equal-length sequences of the instances' thresholds,
+    public-coin master seeds and send seeds.
+
+    The coin and send keys are stored premixed (coin_pm, send_pm: see
+    sampling.premix64), so each row's hash starts with one xor. A send hash
+    h passes the thinning trial iff h <= send_lim, the integer form of
+    (h >> 11) < qscaled (see send_limit). guard, coin_key, send_key,
+    member_thresh, qscaled, z_of and l_of are read back on first use; a
+    Monitor's run reads none of them.
     """
 
     def __init__(self, params: GlobalParams, tau: Sequence[float],
                  coin: Sequence[int], send_seed: Sequence[int]) -> None:
         r, n_levels = params.r, params.l_max + 1
-        shape = (len(coin), r, n_levels)
+        self.shape = shape = (len(coin), r, n_levels)
         self.size = shape[0] * r * n_levels
         z = np.arange(1, r + 1, dtype=np.int32)[None, :, None]
         l = np.arange(n_levels, dtype=np.int32)[None, None, :]
-        self.z_of = np.broadcast_to(z, shape).ravel()
-        self.l_of = np.broadcast_to(l, shape).ravel()
         seeds = np.asarray(coin, dtype=np.uint64)[:, None, None]
-        self.coin_key = derive_np(seeds, SALT_COIN, z, l).ravel()
+        self.coin_pm = premix64_np(derive_np(seeds, SALT_COIN, z, l).ravel())
         seeds = np.asarray(send_seed, dtype=np.uint64)[:, None, None]
-        self.send_key = derive_np(seeds, SALT_SEND, z, l).ravel()
+        self.send_pm = premix64_np(derive_np(seeds, SALT_SEND, z, l).ravel())
+        # row i's member threshold is member_tile[i % n_levels], and the tile
+        # is long enough for a slice of up to SLICE rows from any row
         thresh = np.array([member_threshold(v) for v in range(n_levels)], dtype=np.uint64)
-        self.member_thresh = np.broadcast_to(thresh, shape).ravel()
-        # scalar powers in Python, the rest elementwise: the same IEEE
-        # operations, in the same order, as one row at a time
+        self.member_tile = np.tile(thresh, -(-min(SLICE, self.size) // n_levels) + 1)
+        # scalar powers in Python, the rest elementwise on the (instance,
+        # level) grid: the same IEEE operations, in the same order, as one
+        # row at a time
         root = np.array([float(t) ** (1.0 / params.p) for t in tau])[:, None, None]
-        level_div = np.array([2.0 ** (v / params.p) for v in range(n_levels)])
-        tau_l_root = np.broadcast_to(root / level_div, shape)
-        self.guard = (tau_l_root / (params.k * params.b)).ravel()
-        self.qscaled = (np.minimum(params.b / tau_l_root, 1.0) * _TWO53).ravel()
+        tau_l_root = root / np.array([2.0 ** (v / params.p) for v in range(n_levels)])
+        self._guard = tau_l_root / (params.k * params.b)
+        self._qscaled = np.minimum(params.b / tau_l_root, 1.0) * _TWO53
+        self.send_lim = np.broadcast_to(send_limit(self._qscaled), shape).ravel()
+
+    def guards(self) -> np.ndarray:
+        """A new array of each row's guard tau_l^(1/p) / (k b); a Monitor's
+        gate starts as one."""
+        return np.broadcast_to(self._guard, self.shape).flatten()
+
+    @functools.cached_property
+    def guard(self) -> np.ndarray:
+        return self.guards()
+
+    @functools.cached_property
+    def z_of(self) -> np.ndarray:
+        z = np.arange(1, self.shape[1] + 1, dtype=np.int32)[None, :, None]
+        return np.broadcast_to(z, self.shape).ravel()
+
+    @functools.cached_property
+    def l_of(self) -> np.ndarray:
+        l = np.arange(self.shape[2], dtype=np.int32)[None, None, :]
+        return np.broadcast_to(l, self.shape).ravel()
+
+    @functools.cached_property
+    def coin_key(self) -> np.ndarray:
+        return unpremix64_np(self.coin_pm)
+
+    @functools.cached_property
+    def send_key(self) -> np.ndarray:
+        return unpremix64_np(self.send_pm)
+
+    @functools.cached_property
+    def member_thresh(self) -> np.ndarray:
+        return np.resize(self.member_tile, self.size)
+
+    @functools.cached_property
+    def qscaled(self) -> np.ndarray:
+        """Each row's send probability q = min(b / tau_l^(1/p), 1), times
+        2**53."""
+        return np.broadcast_to(self._qscaled, self.shape).ravel()
 
 
-def fanout(rows: FanRows, live: Optional[np.ndarray], count_after, j: int,
-           ev, cand: Optional[np.ndarray] = None) -> np.ndarray:
-    """Flat indices of (z, l) rows that emit a message for this update:
-    the post-increment count clears the guard, the row is live, the
-    coordinate is in the level set, and the keyed thinning trial succeeds.
+def send_limit(qscaled: np.ndarray) -> np.ndarray:
+    """The largest send hash h that passes the thinning trial
+    (h >> 11) < qscaled, for 0 < qscaled <= 2**53: the trial is
+    u < ceil(qscaled) for the integer u = h >> 11, that is
+    h <= (ceil(qscaled) << 11) - 1. At qscaled = 2**53 (q = 1) the shift
+    wraps to 0 and the limit is 2**64 - 1, so every h passes."""
+    c = np.ceil(np.asarray(qscaled, dtype=np.float64)).astype(np.uint64)
+    return (c << np.uint64(11)) - np.uint64(1)
+
+
+def members(rows: FanRows, keys: np.ndarray, js) -> np.ndarray:
+    """(len(js), keys.size) mask: whether the level set of each row, given
+    by its premixed coin key, holds each coordinate of js. keys are those
+    of whole blocks of rows, so that keys[i] is at level i % n_levels.
+
+    Hashed in place, SLICE elements at a time, each slice compared against
+    a contiguous stretch of rows.member_tile. mix64's last step,
+    y -> y ^ (y >> 31), is left out: it maps [0, 2**k) into itself and is a
+    bijection, so it maps [0, 2**k) onto itself, and y < 2**k iff its image
+    is. A level-l test is h < 2**(64 - l), so it gives the same answer on y
+    as on mix64's h, at every level."""
+    jk = premix64_np(coordinate_key_np(js))[:, None]
+    tile, n_levels = rows.member_tile, rows.shape[2]
+    out = np.empty((jk.size, keys.size), dtype=bool)
+    step = max(1, SLICE // jk.size)
+    h = np.empty((jk.size, min(step, keys.size)), dtype=np.uint64)
+    scratch = np.empty_like(h)
+    for lo in range(0, keys.size, step):
+        hi = min(lo + step, keys.size)
+        x = h[:, : hi - lo]
+        np.bitwise_xor(keys[lo:hi], jk, out=x)
+        finish64_np(x, scratch[:, : hi - lo], last=False)
+        first = lo % n_levels
+        np.less_equal(x, tile[first : first + hi - lo], out=out[:, lo:hi])
+    return out
+
+
+def fanout(rows: FanRows, gate: np.ndarray, count_after, j: int, ev,
+           cand: Optional[np.ndarray] = None) -> np.ndarray:
+    """Flat indices of (z, l) rows that emit a message for this update: the
+    coordinate is in the row's level set, the post-increment count clears
+    the row's gate, and the keyed thinning trial succeeds.
+
+    gate holds each row's guard, or +inf for a row that sends nothing: a
+    Monitor's gate is +inf on the rows of a silent pair, and rows.guard
+    lets every row send.
 
     cand, when given, holds flat indices of rows whose level set holds the
     update's coordinate; the membership hash is then skipped, j is not
     read, and the result is ascending positions into cand. count_after and
     ev are one update's scalars, or, with cand, arrays aligned with cand
     that give each candidate its own update: then the result is the union
-    of the per-update calls, each shifted to its candidates' positions."""
-    if cand is None:
-        jk = np.uint64(coordinate_key(j))
-        elig = (count_after > rows.guard) & (mix64_np(rows.coin_key ^ jk)
-                                             <= rows.member_thresh)
-        if live is not None:
-            elig &= live
-        idx = flat = np.flatnonzero(elig)
-    else:
-        elig = count_after > rows.guard[cand]
-        if live is not None:
-            elig &= live[cand]
-        idx = np.flatnonzero(elig)
-        flat = cand[idx]
+    of the per-update calls, each shifted to its candidates' positions.
+    Without cand, the candidates are the rows whose level set holds j, and
+    the same steps run on them."""
+    whole = cand is None
+    if whole:
+        cand = np.flatnonzero(members(rows, rows.coin_pm, [j]))
+    idx = np.flatnonzero(np.take(gate, cand) < count_after)
     if idx.size == 0:
         return idx
+    flat = np.take(cand, idx)
     ev = np.asarray(ev, dtype=np.uint64)
-    hb = mix64_np(rows.send_key[flat] ^ (ev[idx] if ev.ndim else ev))
-    u = (hb >> np.uint64(11)).astype(np.float64)
-    return idx[u < rows.qscaled[flat]]
+    h = np.take(rows.send_pm, flat)
+    h ^= premix64_np(np.take(ev, idx)) if ev.ndim else np.uint64(premix64(int(ev)))
+    finish64_np(h)
+    idx = idx[h <= np.take(rows.send_lim, flat)]
+    return np.take(cand, idx) if whole else idx
 
 
 @dataclass
@@ -240,7 +337,7 @@ def site_on_update(site: SiteState, j: int, ev: int,
     c = site.bump(j)
     if inst.terminated:
         return []
-    idx = fanout(inst.rows, None, c, j, ev)
+    idx = fanout(inst.rows, inst.rows.guard, c, j, ev)
     z_of, l_of = inst.rows.z_of, inst.rows.l_of
     return [Message(j, int(z_of[f]), int(l_of[f])) for f in idx]
 

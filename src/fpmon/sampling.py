@@ -42,17 +42,47 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def mix64_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a uint64 array, into a new array."""
+def premix64(x: int) -> int:
+    """mix64's first step, x ^ (x >> 30). It is linear over xor, so
+    premix64(a ^ b) == premix64(a) ^ premix64(b): a key stored premixed
+    meets a premixed coordinate or event key with one xor."""
+    x &= MASK64
+    return x ^ (x >> 30)
+
+
+def premix64_np(x) -> np.ndarray:
+    """premix64 over a uint64 array, into a new array."""
     x = np.asarray(x, dtype=np.uint64)
     t = x >> np.uint64(30)
-    x = np.bitwise_xor(x, t, out=t)
+    return np.bitwise_xor(x, t, out=t)
+
+
+def unpremix64_np(x) -> np.ndarray:
+    """The inverse of premix64 over a uint64 array, into a new array."""
+    x = np.asarray(x, dtype=np.uint64)
+    return x ^ (x >> np.uint64(30)) ^ (x >> np.uint64(60))
+
+
+def finish64_np(x: np.ndarray, scratch: np.ndarray | None = None,
+                last: bool = True) -> np.ndarray:
+    """The rest of mix64, in place on a premixed uint64 array x, so that
+    finish64_np(premix64_np(y)) == mix64_np(y); scratch, when given, is an
+    array of x's shape for the one temporary. last=False leaves out the
+    final x ^ (x >> 31), which a test h < 2**k does not need (see
+    protocol.members)."""
+    if scratch is None:
+        scratch = np.empty_like(x)
     x *= np.uint64(_M1)
-    t = x >> np.uint64(27)
-    x ^= t
+    x ^= np.right_shift(x, np.uint64(27), out=scratch)
     x *= np.uint64(_M2)
-    x ^= np.right_shift(x, np.uint64(31), out=t)
+    if last:
+        x ^= np.right_shift(x, np.uint64(31), out=scratch)
     return x
+
+
+def mix64_np(x: np.ndarray) -> np.ndarray:
+    """Vectorized mix64 over a uint64 array, into a new array."""
+    return finish64_np(premix64_np(x))
 
 
 def derive(seed: int, *labels: int) -> int:
@@ -95,6 +125,11 @@ def coordinate_key(j: int) -> int:
     return ((j + 1) * GOLDEN) & MASK64
 
 
+def coordinate_key_np(js) -> np.ndarray:
+    """coordinate_key over an array of coordinates."""
+    return (np.asarray(js, dtype=np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
+
+
 def event_key(site: int, t: int) -> int:
     """Per-(site, event) hash input for send trials."""
     return derive(SALT_EVENT, site, t)
@@ -134,9 +169,7 @@ class PublicCoin:
 
     def sample_mask(self, z: int, l: int, js: np.ndarray) -> np.ndarray:
         """Vectorized membership for an array of coordinates."""
-        key = np.uint64(self.key(z, l))
-        jk = (js.astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
-        h = mix64_np(key ^ jk)
+        h = mix64_np(np.uint64(self.key(z, l)) ^ coordinate_key_np(js))
         return h <= np.uint64(member_threshold(l))
 
 

@@ -297,3 +297,30 @@ def test_non_finite_parameter_is_an_error_line(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag[2:] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--i-max", "-1"], ["--i-max", "-1", "--a", "1"],
+                                   ["--i-max", "5000"]])
+def test_bad_i_max_is_one_error_line(tmp_path, capsys, extra):
+    stream = str(tmp_path / "s.txt")
+    run("gen-stream", "--kind", "uniform", "--m", "16", "--k", "2",
+        "--n", "50", "--out", stream)
+    out = tmp_path / "m.csv"
+    code = run("run-monitor", "--stream", stream, "--p", "2", "--eps", "0.2",
+               "--b", "8", "--r", "3", *extra, "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: i_max") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_i_max_zero_runs_a_one_rung_ladder(tmp_path):
+    stream = str(tmp_path / "s.txt")
+    run("gen-stream", "--kind", "uniform", "--m", "16", "--k", "2",
+        "--n", "50", "--out", stream)
+    out = str(tmp_path / "m.csv")
+    assert run("run-monitor", "--stream", stream, "--p", "2", "--eps", "0.2",
+               "--b", "8", "--r", "3", "--i-max", "0", "--out", out) == 0
+    prov, rows = read_trace(out)
+    assert (prov["i_max"], prov["a"]) == ("0", "3")
+    assert rows[-1].fired_instances == 1

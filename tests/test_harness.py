@@ -323,6 +323,44 @@ def test_write_trace_matches_a_per_row_writer_across_writes(tmp_path):
     assert_same_trace_bytes(tmp_path, [], {"mode": "threshold"})
 
 
+def trace_body(path):
+    """A trace file's row lines: no provenance, no header."""
+    with open(path) as fh:
+        return [line for line in fh.read().splitlines() if not line.startswith("#")][1:]
+
+
+@pytest.mark.parametrize("true_fp", [
+    [1e12 - 1, 3.0, 0.0],   # whole, 12 digits: the %d form
+    [1e12, 3.0],            # 13 digits: "%.12g" prints 1e+12
+    [2.0**53, 7.0],         # whole, far past 12 digits
+    [0.5, 2.25, 1e11],      # fractional
+    [-0.0, 1.0],            # whole, but "%.12g" keeps the sign
+    [-4.0, 9.0],            # negative whole
+])
+def test_write_trace_true_fp_and_shared_estimates_print_as_12g(tmp_path, true_fp):
+    zero = 0.0
+    ests = [zero, zero, -0.0, 1.5, 1.5, float("nan"), 1e300, 1e300]
+    rows = [TraceRow(i, true_fp[i % len(true_fp)], ests[i % len(ests)], i, 3 * i, 0)
+            for i in range(WRITE_ROWS + 20)]
+    assert_same_trace_bytes(tmp_path, rows, {})
+    body = trace_body(tmp_path / "chunked.csv")
+    for row, line in zip(rows, body):
+        fields = line.split(",")
+        assert fields[1] == "%.12g" % row.true_fp and fields[2] == "%.12g" % row.estimate
+
+
+def test_write_trace_of_a_p_one_and_a_half_run_prints_as_12g(tmp_path):
+    events = gen_uniform_stream(64, 4, 400, seed=2)
+    params = GlobalParams(k=4, m=64, n=400, p=1.5, eps=0.5, b=8.0, r=5, a=1, seed=2)
+    rows, _ = simulate(events, params, mode="monitor")
+    assert any(not row.true_fp.is_integer() for row in rows)
+    assert len({row.estimate for row in rows}) > 1
+    assert_same_trace_bytes(tmp_path, rows, {"p": 1.5})
+    body = trace_body(tmp_path / "chunked.csv")
+    assert [line.split(",")[1:3] for line in body] == [
+        ["%.12g" % row.true_fp, "%.12g" % row.estimate] for row in rows]
+
+
 # -- generators --------------------------------------------------------------
 
 

@@ -11,21 +11,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpmon.monitor
+import fpmon.protocol
 from fpmon.buckets import NEVER
 from fpmon.harness import gen_uniform_stream, gen_zipf_stream, plan_events, simulate
 from fpmon.monitor import Monitor
 from fpmon.protocol import GlobalParams, ThresholdInstance, fanout
 from fpmon.sampling import (
+    GOLDEN,
+    MASK64,
     SALT_INSTANCE,
     SALT_SEND,
     SLICE,
     derive,
     event_key,
     level_of,
+    coordinate_key,
     member_threshold,
     unit_open_zero,
 )
 from replay import deliver
+from test_sampling import unmix64
 
 
 def monitor_params(**kw):
@@ -90,7 +95,7 @@ def solo_step(solo: ThresholdInstance, c: int, ev) -> int:
     messages sent."""
     if solo.terminated:
         return 0
-    emit = fanout(solo.rows, None, c, ev.j, event_key(ev.site, ev.t))
+    emit = fanout(solo.rows, solo.rows.guard, c, ev.j, event_key(ev.site, ev.t))
     for f in emit.tolist():
         deliver(solo, ev.j, int(solo.rows.z_of[f]), int(solo.rows.l_of[f]))
     return int(emit.size)
@@ -433,6 +438,44 @@ def test_ladder_rows_equal_scalar_keys_and_formulas():
                          "guard", "qscaled"):
                 block = getattr(rows, name)[lo : lo + mon.block]
                 assert np.array_equal(getattr(own, name), block), name
+
+
+def coordinate_hashing_to(key: int, h: int) -> int:
+    """The coordinate j with mix64(key ^ coordinate_key(j)) == h."""
+    return ((unmix64(h) ^ key) * pow(GOLDEN, -1, 2**64) - 1) & MASK64
+
+
+@pytest.mark.parametrize("m", [4096, 2**40])
+@pytest.mark.parametrize("slice_", [SLICE, 50])
+def test_column_rows_equal_in_sample(m, slice_, monkeypatch):
+    # a column holds exactly the live rows whose level set holds j, by the
+    # scalar PublicCoin.in_sample, at every level up to l_max = 40; the
+    # deep coordinates put a row's hash, or its hash before mix64's last
+    # step, at the edge of its level set; with short slices, the hash
+    # slices start at every offset of the level pattern
+    monkeypatch.setattr(fpmon.protocol, "SLICE", slice_)
+    g = GlobalParams(k=4, m=m, n=1000, p=2.0, eps=0.5, b=8.0, r=2, a=3, i_max=3, seed=5)
+    mon = Monitor(g)
+    mon._silence_pair(4)
+    rows, live = mon.rows, mon.live
+    rng = np.random.default_rng(m % 1001)
+    js = rng.integers(0, m, 40).tolist()
+    for pair, z, l in ((0, 1, g.l_max), (0, 2, g.l_max - 1), (7, 2, g.l_max),
+                       (9, 1, min(32, g.l_max)), (10, 2, min(31, g.l_max - 2))):
+        key = int(rows.coin_key[pair * mon.block + (z - 1) * (g.l_max + 1) + l])
+        for y in (member_threshold(l), member_threshold(l) + 1):
+            js += [coordinate_hashing_to(key, y), coordinate_hashing_to(key, y ^ (y >> 31))]
+    js = list(dict.fromkeys(js))
+    mon._build_columns(js[:20])
+    for j in js[20:]:
+        mon._build_columns([j])
+    deep = 0
+    for j in js:
+        want = [f for f in range(rows.size) if live[f] and mon.copies[f // mon.block].coin
+                .in_sample(int(rows.z_of[f]), int(rows.l_of[f]), j)]
+        assert mon.columns.by_j[j][0].tolist() == want
+        deep += sum(int(rows.l_of[f]) == g.l_max for f in want)
+    assert deep >= 2
 
 
 def test_crossings_equal_a_scan_of_every_count():

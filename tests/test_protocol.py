@@ -16,8 +16,10 @@ from fpmon.protocol import (
     ThresholdInstance,
     ceil_log2,
     fanout,
+    send_limit,
     site_on_update,
 )
+from fpmon.sampling import MASK64, premix64_np, unpremix64_np
 from replay import deliver
 
 
@@ -25,6 +27,11 @@ def small_params(**kw):
     base = dict(k=4, m=64, n=1000, p=2.0, eps=0.2, tau=4096.0, b=8.0, r=9, seed=3)
     base.update(kw)
     return GlobalParams(**base)
+
+
+def gate_of(rows, live):
+    """fanout's gate for a live mask: the guard, or +inf where not live."""
+    return np.where(live, rows.guard, np.inf)
 
 
 def test_ceil_log2():
@@ -62,6 +69,47 @@ def test_params_validation():
 def test_params_reject_non_finite_values(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be finite, got "):
         small_params(**{field: value})
+
+
+@pytest.mark.parametrize("kw", [dict(i_max=-1), dict(i_max=-7), dict(i_max=-1, a=1)])
+def test_params_reject_negative_i_max(kw):
+    with pytest.raises(ValueError, match=r"^i_max must be >= 0, got -"):
+        small_params(**kw)
+
+
+def test_params_i_max_zero_resolves_the_default_a():
+    # one rung at tau = 1; the default-a formula is read at i_max = 1
+    assert small_params(i_max=0).a == 3
+    for i_max in (1, 2, 57, 1000):
+        assert small_params(i_max=i_max).a == 2 * math.ceil(0.15 * math.log(i_max * 10)) + 1
+
+
+def largest_i_max(eps: float) -> int:
+    """The largest i with (1 + eps)**(i + 0.5) a finite float."""
+    i = 1
+    while True:
+        try:
+            (1.0 + eps) ** (i + 1.5)
+        except OverflowError:
+            return i
+        i += 1
+
+
+def test_params_reject_a_top_rung_past_the_largest_float():
+    # the ladder's largest value is its estimate (1+eps)**(i_max + 0.5)
+    # once the top rung fires; at eps = 0.2 the top rung itself is finite
+    # one rung further
+    top = largest_i_max(0.2)
+    assert small_params(i_max=top).i_max == top
+    assert math.isfinite(1.2 ** (top + 1))
+    for i_max in (top + 1, 5000):
+        with pytest.raises(ValueError, match=rf"^i_max={i_max}: top rung estimate "):
+            small_params(i_max=i_max)
+    for eps in (0.01, 0.5, 0.9):
+        top = largest_i_max(eps)
+        assert small_params(eps=eps, i_max=top).i_max == top
+        with pytest.raises(ValueError, match="^i_max="):
+            small_params(eps=eps, i_max=top + 1)
 
 
 def test_params_defaults_resolve():
@@ -120,7 +168,7 @@ def test_guard_is_strict():
     row0 = np.zeros(inst.rows.size, dtype=bool)
     row0[0] = True
     for j in range(40):
-        assert 0 not in fanout(inst.rows, row0, 2, j, ev=j)
+        assert 0 not in fanout(inst.rows, gate_of(inst.rows, row0), 2, j, ev=j)
 
 
 def test_site_never_sends_below_guard():
@@ -165,7 +213,7 @@ def test_send_probability_binomial():
     row0[0] = True
     count = int(inst.rows.guard[0]) + 10
     for ev in range(trials):
-        if 0 in fanout(inst.rows, row0, count, 7, ev):
+        if 0 in fanout(inst.rows, gate_of(inst.rows, row0), count, 7, ev):
             sent += 1
     sigma = math.sqrt(trials * q * (1 - q))
     assert abs(sent - trials * q) <= 4 * sigma
@@ -185,7 +233,7 @@ def test_q_one_levels_always_send_when_sampled():
         row[flat] = True
         count = int(math.ceil(inst.rows.guard[flat])) + 1
         for j in js[mask][:5]:
-            assert flat in fanout(inst.rows, row, count, int(j), ev=0)
+            assert flat in fanout(inst.rows, gate_of(inst.rows, row), count, int(j), ev=0)
 
 
 def test_fanout_of_several_updates_is_the_union_of_scalar_calls():
@@ -195,7 +243,7 @@ def test_fanout_of_several_updates_is_the_union_of_scalar_calls():
     g = small_params(tau=65536.0)
     inst = ThresholdInstance(g)
     rows = inst.rows
-    live = np.random.default_rng(1).random(rows.size) < 0.8
+    gate = gate_of(rows, np.random.default_rng(1).random(rows.size) < 0.8)
     rng = random.Random(3)
     updates = [(rng.randrange(1, 40), rng.randrange(g.m), rng.randrange(2**64))
                for _ in range(60)]
@@ -203,17 +251,45 @@ def test_fanout_of_several_updates_is_the_union_of_scalar_calls():
     for c, j, ev in updates:
         cand = np.array([f for f in range(rows.size)
                          if inst.coin.in_sample(int(rows.z_of[f]), int(rows.l_of[f]), j)])
-        sent = fanout(rows, live, c, j, ev, cand)
-        assert cand[sent].tolist() == fanout(rows, live, c, j, ev).tolist()
+        sent = fanout(rows, gate, c, j, ev, cand)
+        assert cand[sent].tolist() == fanout(rows, gate, c, j, ev).tolist()
         cands.append(cand)
         want += (sent + offset).tolist()
         offset += cand.size
     sizes = [cand.size for cand in cands]
     counts = np.repeat([c for c, _, _ in updates], sizes)
     evs = np.repeat(np.array([ev for _, _, ev in updates], dtype=np.uint64), sizes)
-    got = fanout(rows, live, counts, None, evs, np.concatenate(cands))
+    got = fanout(rows, gate, counts, None, evs, np.concatenate(cands))
     assert got.tolist() == want
     assert 0 < len(want) < sum(sizes)
+
+
+@pytest.mark.parametrize("q", [1.0, 3.0, 2.0**52, 2.0**53 - 1, 2.0**53,   # integral
+                               0.5, 1.25, 3.5, 2.0**51 + 0.5,          # fractional
+                               1e-300, 5e-324])                        # tiny
+def test_send_limit_equals_the_float_trial(q):
+    # h <= send_limit(q) iff (h >> 11) < q, at the last h that passes and
+    # the first that fails
+    lim = int(send_limit(np.array([q]))[0])
+    c = math.ceil(q)
+    hs = [((c - 1) << 11) | 0x7FF, c << 11, 0, MASK64]
+    hs = [h for h in hs if h <= MASK64]
+    for h in hs:
+        assert (h <= lim) == ((h >> 11) < q), h
+    h = np.array(hs, dtype=np.uint64)
+    assert ((h >> np.uint64(11)).astype(np.float64) < q).tolist() == (h <= lim).tolist()
+    assert hs[0] <= lim and (c == 2**53 or not hs[1] <= lim)
+
+
+def test_fan_rows_keep_premixed_keys_and_integer_send_limits():
+    g = small_params(tau=65536.0, b=64.0)  # q = 1 from level 4 on
+    rows = ThresholdInstance(g).rows
+    assert (premix64_np(rows.coin_key) == rows.coin_pm).all()
+    assert (premix64_np(rows.send_key) == rows.send_pm).all()
+    assert (unpremix64_np(rows.coin_pm) == rows.coin_key).all()
+    assert (rows.send_lim == send_limit(rows.qscaled)).all()
+    assert (rows.qscaled < 2.0**53).any() and (rows.qscaled == 2.0**53).any()
+    assert (rows.send_lim[rows.qscaled == 2.0**53] == MASK64).all()
 
 
 def test_apply_order_invariance_without_fire():

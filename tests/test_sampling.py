@@ -8,18 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpmon.sampling import (
+    GOLDEN,
     MASK64,
     SALT_ETA,
     PublicCoin,
     derive,
+    finish64_np,
     level_of,
     level_of_np,
     member_threshold,
     mix64,
     mix64_np,
+    premix64,
+    premix64_np,
     u01,
     unit_open_zero,
     unit_open_zero_np,
+    unpremix64_np,
 )
 
 
@@ -76,6 +81,39 @@ def test_unit_open_zero_np_equals_the_scalar_form():
     assert got.dtype == np.float64
     assert got.tolist() == [unit_open_zero(s) for s in seeds]
     assert got[0] == 2.0**-53 and got[4] == 1.0
+
+
+EDGES = [0, 1, 2**30 - 1, 2**30, 2**31, 2**33 - 1, 2**33, 2**60, 2**63,
+         MASK64 - 1, MASK64, GOLDEN]
+
+
+def test_premix64_is_linear_over_xor_and_finishes_to_mix64():
+    rng = np.random.default_rng(4)
+    xs = EDGES + rng.integers(0, 2**64, 300, dtype=np.uint64).tolist()
+    for a in xs:
+        for b in EDGES + xs[-20:]:
+            assert premix64(a ^ b) == premix64(a) ^ premix64(b)
+    arr = np.array(xs, dtype=np.uint64)
+    pm = premix64_np(arr)
+    assert pm.tolist() == [premix64(x) for x in xs]
+    assert unpremix64_np(pm).tolist() == xs
+    assert (pm ^ premix64_np(arr[::-1])).tolist() == premix64_np(arr ^ arr[::-1]).tolist()
+    assert finish64_np(pm.copy()).tolist() == [mix64(x) for x in xs]
+    assert mix64_np(arr).tolist() == [mix64(x) for x in xs]
+    # without the last step: the last step is y -> y ^ (y >> 31)
+    y = finish64_np(pm.copy(), last=False)
+    assert (y ^ (y >> np.uint64(31))).tolist() == [mix64(x) for x in xs]
+
+
+def test_mix64_last_step_keeps_every_power_of_two_bound():
+    # y < 2**k iff y ^ (y >> 31) < 2**k: why a membership test may skip it
+    rng = np.random.default_rng(6)
+    for k in range(65):
+        bound = 1 << k
+        ys = [y for y in (bound - 2, bound - 1, bound, bound + 1) if 0 <= y <= MASK64]
+        ys += rng.integers(0, min(2 * bound, 2**64), 300, dtype=np.uint64).tolist()
+        for y in ys:
+            assert (y < bound) == ((y ^ (y >> 31)) < bound), (k, y)
 
 
 def test_member_threshold_rates():
