@@ -32,7 +32,6 @@ from .protocol import (
     Message,
     SiteState,
     ThresholdInstance,
-    site_on_update,
 )
 from .sampling import PublicCoin, derive, level_of, mix64
 
@@ -63,7 +62,6 @@ __all__ = [
     "read_stream",
     "read_trace",
     "simulate",
-    "site_on_update",
     "write_stream",
     "write_trace",
 ]

@@ -86,7 +86,7 @@ def _params_from_args(args: argparse.Namespace, m: int, k: int, n: int,
                       tau: Optional[float]) -> GlobalParams:
     kw = dict(k=k, m=m, n=n, p=args.p, eps=args.eps, tau=tau, seed=args.seed,
               c_fire=args.c_fire)
-    for name in ("gamma", "b", "c_b", "r", "c_r", "a", "c_a", "i_max"):
+    for name in ("gamma", "b", "c_b", "r", "a", "i_max"):
         val = getattr(args, name, None)
         if val is not None:
             kw[name] = val
@@ -102,14 +102,12 @@ def _common_run_options(opts: Options, monitor: bool) -> None:
     opts.add("--gamma", type=float)
     opts.add("--b", type=float, help="counter resolution")
     opts.add("--c-b", type=float, help="scale for the default b formula")
-    opts.add("--r", type=int, help="repetitions (overrides c-r)")
-    opts.add("--c-r", type=int, help="repetitions per log n (default 5)")
+    opts.add("--r", type=int, help="repetitions (default 5 * ceil(log2 n))")
     opts.add("--c-fire", type=float, default=0.25,
              help="fire when estimate exceeds (1 - c_fire*eps)*tau")
     opts.add("--stride", type=int, default=1, help="trace row subsampling")
     if monitor:
         opts.add("--a", type=int, help="odd amplification copies per rung")
-        opts.add("--c-a", type=float, default=0.15)
         opts.add("--i-max", type=int, help="highest ladder rung")
     else:
         opts.add("--tau", type=float, required=True, help="threshold to watch")
@@ -372,7 +370,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, Options]]:
     opts.add("--b", type=float)
     opts.add("--c-b", type=float)
     opts.add("--r", type=int)
-    opts.add("--c-r", type=int)
     opts.add("--c-fire", type=float, default=0.25)
     opts.add("--out", help="write the report here instead of stdout")
     sp.set_defaults(func=cmd_bench_comm)

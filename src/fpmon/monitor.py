@@ -30,8 +30,8 @@ class Monitor:
 
     With tau given, the ladder is a single rung at tau with a single copy:
     a threshold run. Its (0, 0) seeds are ThresholdInstance's defaults, so
-    copies[0] is ThresholdInstance(params): the same seeds, tables and rows,
-    and the same state after the same messages.
+    copies[0] is ThresholdInstance(params): the same seeds and tables, and
+    the same state after the same messages.
 
     The coordinator is columnar: the copies count in one Columns, and the
     fan-out and counter bumps run in numpy over the rows whose level set
@@ -47,7 +47,8 @@ class Monitor:
     events, fanned out in one numpy pass over the rows live at the run's
     start, whose crossing messages are found in one more. A fire silences
     rows, so a run ends with the event in which a copy fires, and the next
-    run starts after it. on_event() is a run of one.
+    run starts after it. on_event() is a run of one. run() is the one site
+    path: it checks every event before it sends anything.
     """
 
     def __init__(self, params: GlobalParams, tau: float | None = None) -> None:
@@ -142,13 +143,25 @@ class Monitor:
         fires mid-event drops the rest of that event's messages addressed to
         it. on_cross(i), when given, is called after each event i that
         delivered a crossing message: no other event moves an estimate or
-        fires a copy."""
-        count_after = np.asarray(count_after, dtype=np.int64)
-        js = np.asarray(js, dtype=np.int64)
-        evs = np.asarray(evs, dtype=np.uint64)
+        fires a copy. Raises ValueError, before any event runs, at the first
+        event whose coordinate is outside [0, m), whose count is below 1 or
+        whose key is outside [0, 2**64)."""
+        # a list's entries are compared as the Python ints they are: numpy
+        # reads a list of keys both below and above 2**63 as float64
+        count_after, js, evs = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+                                for x in (count_after, js, evs))
         if not count_after.shape == js.shape == evs.shape == (js.size,):
             raise ValueError("count_after, js and evs must be aligned 1-d arrays, got "
                              f"shapes {count_after.shape}, {js.shape}, {evs.shape}")
+        bad = np.flatnonzero(~((js >= 0) & (js < self.params.m) & (count_after >= 1)
+                               & (evs >= 0) & (evs <= MASK64)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"event {i}: need 0 <= j < {self.params.m}, count_after >= 1 "
+                             f"and 0 <= key < 2**64, got j={js[i]}, "
+                             f"count_after={count_after[i]}, key={evs[i]}")
+        count_after, js, evs = (x.astype(t, copy=False) for x, t in
+                                zip((count_after, js, evs), (np.int64, np.int64, np.uint64)))
         sent, at = np.zeros(js.size, dtype=np.int64), 0
         while at < js.size and self.live_pairs:
             stop = min(at + max(1, SLICE // (self.live_pairs * self.block)), js.size)
@@ -176,14 +189,13 @@ class Monitor:
         one = len(cols) == 1
         if one:  # fanout's scalar form, on the column itself
             rows, count, nxt = cols[0]
-            pos = fanout(self.rows, self.gate, int(counts[start]), jl[0],
-                         int(evs[start]), rows)
+            pos = fanout(self.rows, self.gate, int(counts[start]), int(evs[start]), rows)
             cut, newc = [0, pos.size], count[pos] + 1
         else:  # positions pos into the run's concatenated columns
             sizes = [col[0].size for col in cols]
             rows, count, nxt = (np.concatenate(x) for x in zip(*cols))
             pos = fanout(self.rows, self.gate, np.repeat(counts[start:stop], sizes),
-                         None, np.repeat(evs[start:stop], sizes), rows)
+                         np.repeat(evs[start:stop], sizes), rows)
             ends = np.cumsum(sizes)
             starts, cut = ends - sizes, [0, *pos.searchsorted(ends).tolist()]
             per_event = np.diff(cut)

@@ -63,8 +63,10 @@ class GlobalParams:
     Optional knobs resolve in __post_init__: gamma defaults to eps/10; the
     counter resolution b defaults to 64 (or c_b * eps**-3 * ceil(log2 n)**2,
     floored at 8, when c_b is given); the repetition count r defaults to
-    c_r * ceil(log2 n); the output fires when the estimate exceeds
-    (1 - c_fire * eps) * tau.
+    5 * ceil(log2 n); the ladder's top rung i_max defaults to
+    ceil(log_{1+eps}(n**2 * 2**p)), and its odd amplification a to
+    2 * ceil(0.15 * ln(10 * max(i_max, 1))) + 1; the output fires when the
+    estimate exceeds (1 - c_fire * eps) * tau.
     """
 
     k: int
@@ -77,16 +79,14 @@ class GlobalParams:
     b: Optional[float] = None
     c_b: Optional[float] = None
     r: Optional[int] = None
-    c_r: int = 5
     c_fire: float = 0.25
     seed: int = 0
     a: Optional[int] = None
-    c_a: float = 0.15
     i_max: Optional[int] = None
     l_max: int = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("p", "tau", "b", "c_b", "c_a"):
+        for name in ("p", "tau", "b", "c_b"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -114,7 +114,7 @@ class GlobalParams:
         if self.b < 1.0:
             raise ValueError(f"counter resolution b must be >= 1, got {self.b}")
         if self.r is None:
-            self.r = self.c_r * ceil_log2(self.n)
+            self.r = 5 * ceil_log2(self.n)
         if self.r < 1:
             raise ValueError(f"repetition count r must be >= 1, got {self.r}")
         if not 0.0 < self.c_fire <= 1.0:
@@ -136,7 +136,7 @@ class GlobalParams:
             raise ValueError(f"i_max={self.i_max}: top rung estimate (1+eps)**(i_max+0.5) "
                              f"= {1.0 + self.eps}**{self.i_max + 0.5} is not a finite float")
         if self.a is None:
-            self.a = 2 * math.ceil(self.c_a * math.log(max(self.i_max, 1) * 10)) + 1
+            self.a = 2 * math.ceil(0.15 * math.log(max(self.i_max, 1) * 10)) + 1
         if self.a < 1 or self.a % 2 == 0:
             raise ValueError(f"amplification a must be odd and >= 1, got {self.a}")
 
@@ -276,27 +276,21 @@ def members(rows: FanRows, keys: np.ndarray, js) -> np.ndarray:
     return out
 
 
-def fanout(rows: FanRows, gate: np.ndarray, count_after, j: int, ev,
-           cand: Optional[np.ndarray] = None) -> np.ndarray:
-    """Flat indices of (z, l) rows that emit a message for this update: the
-    coordinate is in the row's level set, the post-increment count clears
-    the row's gate, and the keyed thinning trial succeeds.
+def fanout(rows: FanRows, gate: np.ndarray, count_after, ev,
+           cand: np.ndarray) -> np.ndarray:
+    """Ascending positions into cand of the rows that emit a message: cand
+    holds flat indices of rows whose level set holds the update's
+    coordinate, the post-increment count clears the row's gate, and the
+    keyed thinning trial succeeds.
 
     gate holds each row's guard, or +inf for a row that sends nothing: a
     Monitor's gate is +inf on the rows of a silent pair, and rows.guard
     lets every row send.
 
-    cand, when given, holds flat indices of rows whose level set holds the
-    update's coordinate; the membership hash is then skipped, j is not
-    read, and the result is ascending positions into cand. count_after and
-    ev are one update's scalars, or, with cand, arrays aligned with cand
-    that give each candidate its own update: then the result is the union
-    of the per-update calls, each shifted to its candidates' positions.
-    Without cand, the candidates are the rows whose level set holds j, and
-    the same steps run on them."""
-    whole = cand is None
-    if whole:
-        cand = np.flatnonzero(members(rows, rows.coin_pm, [j]))
+    count_after and ev are one update's scalars, or arrays aligned with
+    cand that give each candidate its own update: then the result is the
+    union of the per-update calls, each shifted to its candidates'
+    positions."""
     idx = np.flatnonzero(np.take(gate, cand) < count_after)
     if idx.size == 0:
         return idx
@@ -305,8 +299,7 @@ def fanout(rows: FanRows, gate: np.ndarray, count_after, j: int, ev,
     h = np.take(rows.send_pm, flat)
     h ^= premix64_np(np.take(ev, idx)) if ev.ndim else np.uint64(premix64(int(ev)))
     finish64_np(h)
-    idx = idx[h <= np.take(rows.send_lim, flat)]
-    return np.take(cand, idx) if whole else idx
+    return idx[h <= np.take(rows.send_lim, flat)]
 
 
 @dataclass
@@ -320,30 +313,9 @@ class SiteState:
     site_id: int
     counts: dict[int, int] = field(default_factory=dict)
 
-    def bump(self, j: int) -> int:
-        c = self.counts.get(j, 0) + 1
-        self.counts[j] = c
-        return c
-
-
-def site_on_update(site: SiteState, j: int, ev: int,
-                   inst: "ThresholdInstance") -> list[Message]:
-    """Apply one insertion at a site and return the messages it emits for
-    the given instance, ordered by (z, l). The local count is incremented
-    even when the instance has terminated; terminated instances emit
-    nothing."""
-    if not 0 <= j < inst.params.m:
-        raise ValueError(f"coordinate {j} outside [0, {inst.params.m})")
-    c = site.bump(j)
-    if inst.terminated:
-        return []
-    idx = fanout(inst.rows, inst.rows.guard, c, j, ev)
-    z_of, l_of = inst.rows.z_of, inst.rows.l_of
-    return [Message(j, int(z_of[f]), int(l_of[f])) for f in idx]
-
 
 class ThresholdInstance:
-    """Coordinator state for one threshold tau, plus the site-side row arrays.
+    """Coordinator state for one threshold tau.
 
     Counters are exact rationals in disguise: each (z, l, j) holds an integer
     message count, and the counter value is count * u_l with a fixed
@@ -418,13 +390,6 @@ class ThresholdInstance:
         self.dropped = 0
         self.est_decreases = 0
         self._bucket_cache: dict[tuple[int, int], int] = {}
-
-    @functools.cached_property
-    def rows(self) -> FanRows:
-        """This instance's site-side rows; a Monitor keeps one flat array of
-        every copy's rows and never builds these."""
-        return FanRows(self.params, [self.tau], [self.coin.master_seed],
-                       [self.send_seed])
 
     @functools.cached_property
     def columns(self) -> Columns:

@@ -103,11 +103,6 @@ def derive_np(seed, *labels) -> np.ndarray:
     return h
 
 
-def u01(h: int) -> float:
-    """Map a 64-bit hash to a uniform float in [0, 1) with 53-bit precision."""
-    return (h >> 11) * 2.0**-53
-
-
 def unit_open_zero(seed: int) -> float:
     """Uniform in (0, 1] with 53-bit precision; zero is excluded."""
     return ((mix64(seed ^ SALT_ETA) >> 11) + 1) * 2.0**-53

@@ -1,12 +1,31 @@
 """Per-message delivery to a standalone ThresholdInstance, the oracle that
-the tests replay a Monitor's copies against.
+the tests replay a Monitor's copies against, and that instance's site-side
+rows.
 
 A Monitor delivers a run of events at a time and hands only the crossing
 messages to ThresholdInstance.apply; deliver() takes one (j, z, l) message
-through the same steps on its own.
+through the same steps on its own. A Monitor fans an update out over the
+rows in its coordinate's column; sends() does the same over the rows that
+members() finds, for one instance's rows from site_rows().
 """
 
 import numpy as np
+
+from fpmon.protocol import FanRows, fanout, members
+
+
+def site_rows(inst):
+    """A standalone instance's site-side rows: the one block of FanRows
+    that a Monitor builds for a copy with its tau and seeds."""
+    return FanRows(inst.params, [inst.tau], [inst.coin.master_seed], [inst.send_seed])
+
+
+def sends(rows, gate, count_after, j: int, ev: int) -> np.ndarray:
+    """Ascending flat rows that send for one update of coordinate j, whose
+    site count is count_after after it and whose event key is ev: fanout
+    over the rows whose level set holds j, as in a Monitor's column of j."""
+    cand = np.flatnonzero(members(rows, rows.coin_pm, [j]))
+    return cand[fanout(rows, gate, count_after, ev, cand)]
 
 
 def deliver(inst, j: int, z: int, l: int) -> bool:

@@ -15,7 +15,7 @@ import fpmon.protocol
 from fpmon.buckets import NEVER
 from fpmon.harness import gen_uniform_stream, gen_zipf_stream, plan_events, simulate
 from fpmon.monitor import Monitor
-from fpmon.protocol import GlobalParams, ThresholdInstance, fanout
+from fpmon.protocol import GlobalParams, ThresholdInstance
 from fpmon.sampling import (
     GOLDEN,
     MASK64,
@@ -29,7 +29,7 @@ from fpmon.sampling import (
     member_threshold,
     unit_open_zero,
 )
-from replay import deliver
+from replay import deliver, sends, site_rows
 from test_sampling import unmix64
 
 
@@ -61,7 +61,7 @@ def test_ladder_shape_and_bits():
     assert mon.taus[0] == 1.0
     assert mon.taus[-1] == (1.5) ** g.i_max
     assert mon.message_bits == g.message_bits(n_streams=len(mon.copies))
-    assert mon.rows.size == len(mon.copies) * mon.copies[0].rows.size
+    assert mon.rows.size == len(mon.copies) * site_rows(mon.copies[0]).size
 
 
 def test_estimate_starts_at_zero_then_tracks_highest_rung():
@@ -89,15 +89,16 @@ def with_site_counts(events, k: int):
         yield ev, d[ev.j]
 
 
-def solo_step(solo: ThresholdInstance, c: int, ev) -> int:
-    """Deliver one site update to a standalone instance the way the monitor
-    does: same event key, nothing sent once it has terminated. Returns the
-    messages sent."""
+def solo_step(solo: ThresholdInstance, rows, c: int, ev) -> int:
+    """Deliver one site update to a standalone instance, whose site rows
+    are rows, the way the monitor does: same event key, candidates the
+    rows whose level set holds the coordinate, nothing sent once it has
+    terminated. Returns the messages sent."""
     if solo.terminated:
         return 0
-    emit = fanout(solo.rows, solo.rows.guard, c, ev.j, event_key(ev.site, ev.t))
+    emit = sends(rows, rows.guard, c, ev.j, event_key(ev.site, ev.t))
     for f in emit.tolist():
-        deliver(solo, ev.j, int(solo.rows.z_of[f]), int(solo.rows.l_of[f]))
+        deliver(solo, ev.j, int(rows.z_of[f]), int(rows.l_of[f]))
     return int(emit.size)
 
 
@@ -145,11 +146,11 @@ def test_amplified_copy_is_bit_identical_to_standalone_instance():
                 send_seed=derive(g.seed, SALT_INSTANCE, i, c, 1),
                 eta_seed=derive(g.seed, SALT_INSTANCE, i, c, 2),
             )
-            stop = silent_after[pair]
+            stop, rows = silent_after[pair], site_rows(solo)
             for t, (ev, cnt) in enumerate(with_site_counts(events, g.k)):
                 if t > stop:
                     break
-                solo_step(solo, cnt, ev)
+                solo_step(solo, rows, cnt, ev)
             assert_same_run(mon.copies[pair], solo)
     assert mid_event_fires > 0
 
@@ -166,9 +167,10 @@ def test_one_rung_monitor_is_a_threshold_instance():
     assert mon.message_bits == g.message_bits()
     events = gen_uniform_stream(g.m, g.k, 600, seed=9)
     solo = ThresholdInstance(g)
+    rows = site_rows(solo)
     for ev, c in with_site_counts(events, g.k):
         msgs = mon.on_event(c, ev.j, event_key(ev.site, ev.t))
-        assert msgs == solo_step(solo, c, ev)
+        assert msgs == solo_step(solo, rows, c, ev)
         assert_same_run(mon.copies[0], solo)
         assert mon.fired_count() == solo.out
     assert solo.out == 1 and solo.dropped > 0  # the run crosses tau mid-event
@@ -275,6 +277,38 @@ def test_run_rejects_misaligned_arrays():
     assert mon.columns.by_j == {} and mon.live.all()
 
 
+@pytest.mark.parametrize("count_after, j, key", [
+    (1, 64, 0), (1, 10**6, 0), (1, -1, 0),   # coordinate outside [0, m)
+    (0, 3, 0), (-5, 3, 0),                   # a site count below 1
+    (1, 3, -1), (1, 3, 2**64),               # an event key outside [0, 2**64)
+])
+def test_run_rejects_out_of_range_events(count_after, j, key):
+    # run checks every event before it runs any, and names the first bad
+    # one; on_event is a run of one
+    mon = Monitor(monitor_params(tau=50.0), tau=50.0)
+    counts, js, keys, _ = plan_events(gen_uniform_stream(64, 4, 10, seed=4), 4)
+    counts, js, keys = counts.tolist(), js.tolist(), keys.tolist()
+    counts[6], js[6], keys[6] = count_after, j, key
+    with pytest.raises(ValueError, match=rf"^event 6: .* got j={j}, "
+                                         rf"count_after={count_after}, key={key}$"):
+        mon.run(counts, js, keys)
+    with pytest.raises(ValueError, match=r"^event 0: "):
+        mon.on_event(count_after, j, key)
+    assert mon.columns.by_j == {} and mon.live.all()
+    assert mon.copies[0].messages_received == 0
+
+
+def test_run_reads_lists_as_exactly_as_arrays():
+    # a list of keys both below and above 2**63 keeps every key exact
+    g = monitor_params(a=3)
+    counts, js, keys, _ = plan_events(gen_uniform_stream(64, 4, 200, seed=4), 4)
+    assert (keys < 2**63).any() and (keys >= 2**63).any()
+    lists, arrays = Monitor(g), Monitor(g)
+    sent = lists.run(counts.tolist(), js.tolist(), keys.tolist())
+    assert sent.tolist() == arrays.run(counts, js, keys).tolist() and sent.sum() > 0
+    assert [c.counts for c in lists.copies] == [c.counts for c in arrays.copies]
+
+
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.5])
 def test_monitor_rejects_bad_tau(tau):
     with pytest.raises(ValueError, match="tau"):
@@ -354,7 +388,9 @@ def test_copies_use_disjoint_randomness():
     mon = Monitor(g)
     etas = {c.eta for c in mon.copies}
     assert len(etas) == len(mon.copies)
-    keys = {int(k) for c in mon.copies for k in (c.rows.coin_key[0], c.rows.send_key[0])}
+    rows = mon.rows
+    keys = {int(k) for lo in range(0, rows.size, mon.block)
+            for k in (rows.coin_key[lo], rows.send_key[lo])}
     assert len(keys) == 2 * len(mon.copies)
 
 
@@ -433,7 +469,7 @@ def test_ladder_rows_equal_scalar_keys_and_formulas():
             assert rows.guard[flat] == tau_l_root / (g.k * g.b)
             assert rows.qscaled[flat] == min(g.b / tau_l_root, 1.0) * 2.0**53
         for pair in (0, len(mon.copies) // 2, len(mon.copies) - 1):
-            own, lo = mon.copies[pair].rows, pair * mon.block
+            own, lo = site_rows(mon.copies[pair]), pair * mon.block
             for name in ("z_of", "l_of", "coin_key", "send_key", "member_thresh",
                          "guard", "qscaled"):
                 block = getattr(rows, name)[lo : lo + mon.block]

@@ -16,11 +16,13 @@ from fpmon.protocol import (
     ThresholdInstance,
     ceil_log2,
     fanout,
+    members,
     send_limit,
-    site_on_update,
 )
+from fpmon.harness import gen_uniform_stream, plan_events
+from fpmon.monitor import Monitor
 from fpmon.sampling import MASK64, premix64_np, unpremix64_np
-from replay import deliver
+from replay import deliver, sends, site_rows
 
 
 def small_params(**kw):
@@ -64,7 +66,7 @@ def test_params_validation():
         small_params(a=4)
 
 
-@pytest.mark.parametrize("field", ["p", "tau", "b", "c_b", "c_a"])
+@pytest.mark.parametrize("field", ["p", "tau", "b", "c_b"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite_values(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be finite, got "):
@@ -163,41 +165,42 @@ def test_counter_value_is_count_times_increment():
 def test_guard_is_strict():
     # guard = tau_l^{1/p} / (k b); eligibility requires count strictly above
     g = small_params()  # root = 64, k*b = 32 -> guard(l=0) = 2.0
-    inst = ThresholdInstance(g)
-    assert inst.rows.guard[0] == pytest.approx(2.0)
-    row0 = np.zeros(inst.rows.size, dtype=bool)
+    rows = site_rows(ThresholdInstance(g))
+    assert rows.guard[0] == pytest.approx(2.0)
+    row0 = np.zeros(rows.size, dtype=bool)
     row0[0] = True
     for j in range(40):
-        assert 0 not in fanout(inst.rows, gate_of(inst.rows, row0), 2, j, ev=j)
+        assert 0 not in sends(rows, gate_of(rows, row0), 2, j, ev=j)
 
 
 def test_site_never_sends_below_guard():
     g = small_params(tau=1024.0)
-    inst = ThresholdInstance(g)
-    site = SiteState(site_id=0)
+    rows = site_rows(ThresholdInstance(g))
+    counts: dict[int, int] = {}
     rng = random.Random(11)
-    guard = {l: float(inst.rows.guard[l]) for l in range(g.l_max + 1)}
+    sent = 0
     for t in range(3000):
         j = rng.randrange(g.m)
-        msgs = site_on_update(site, j, ev=t, inst=inst)
-        c = site.counts[j]
-        for msg in msgs:
-            assert msg.j == j
-            assert c > guard[msg.l]
+        c = counts[j] = counts.get(j, 0) + 1
+        flat = sends(rows, rows.guard, c, j, ev=t)
+        assert (c > rows.guard[flat]).all()
+        sent += flat.size
+    assert sent > 0
 
 
 def test_messages_ordered_by_repetition_then_level():
     g = small_params(tau=1024.0)
-    inst = ThresholdInstance(g)
-    site = SiteState(site_id=0)
+    rows = site_rows(ThresholdInstance(g))
+    counts: dict[int, int] = {}
     rng = random.Random(5)
     seen_multi = 0
     for t in range(4000):
         j = rng.randrange(g.m)
-        msgs = site_on_update(site, j, ev=t, inst=inst)
-        keys = [(m.z, m.l) for m in msgs]
+        c = counts[j] = counts.get(j, 0) + 1
+        flat = sends(rows, rows.guard, c, j, ev=t)
+        keys = list(zip(rows.z_of[flat].tolist(), rows.l_of[flat].tolist()))
         assert keys == sorted(keys)
-        if len(msgs) > 1:
+        if len(keys) > 1:
             seen_multi += 1
     assert seen_multi > 0
 
@@ -205,15 +208,15 @@ def test_messages_ordered_by_repetition_then_level():
 def test_send_probability_binomial():
     # a level with q < 1: empirical send rate within 4 sigma of q
     g = small_params(tau=65536.0, b=8.0)  # root = 256, q(l=0) = 8/256
-    inst = ThresholdInstance(g)
-    q = float(inst.rows.qscaled[0]) / 2.0**53
+    rows = site_rows(ThresholdInstance(g))
+    q = float(rows.qscaled[0]) / 2.0**53
     assert q == pytest.approx(8.0 / 256.0)
     trials, sent = 20000, 0
-    row0 = np.zeros(inst.rows.size, dtype=bool)
+    row0 = np.zeros(rows.size, dtype=bool)
     row0[0] = True
-    count = int(inst.rows.guard[0]) + 10
+    count = int(rows.guard[0]) + 10
     for ev in range(trials):
-        if 0 in fanout(inst.rows, gate_of(inst.rows, row0), count, 7, ev):
+        if 0 in sends(rows, gate_of(rows, row0), count, 7, ev):
             sent += 1
     sigma = math.sqrt(trials * q * (1 - q))
     assert abs(sent - trials * q) <= 4 * sigma
@@ -223,17 +226,18 @@ def test_q_one_levels_always_send_when_sampled():
     # deep levels with tau_l^{1/p} <= b send every eligible sampled update
     g = small_params(tau=4096.0, b=64.0)  # root = 64 -> q = 1 at every level
     inst = ThresholdInstance(g)
-    assert (inst.rows.qscaled == 2.0**53).all()
+    rows = site_rows(inst)
+    assert (rows.qscaled == 2.0**53).all()
     js = np.arange(g.m)
-    for flat in range(inst.rows.size):
-        z = int(inst.rows.z_of[flat])
-        l = int(inst.rows.l_of[flat])
+    for flat in range(rows.size):
+        z = int(rows.z_of[flat])
+        l = int(rows.l_of[flat])
         mask = inst.coin.sample_mask(z, l, js)
-        row = np.zeros(inst.rows.size, dtype=bool)
+        row = np.zeros(rows.size, dtype=bool)
         row[flat] = True
-        count = int(math.ceil(inst.rows.guard[flat])) + 1
+        count = int(math.ceil(rows.guard[flat])) + 1
         for j in js[mask][:5]:
-            assert flat in fanout(inst.rows, gate_of(inst.rows, row), count, int(j), ev=0)
+            assert flat in sends(rows, gate_of(rows, row), count, int(j), ev=0)
 
 
 def test_fanout_of_several_updates_is_the_union_of_scalar_calls():
@@ -242,7 +246,7 @@ def test_fanout_of_several_updates_is_the_union_of_scalar_calls():
     # mask, binding guards and levels that thin
     g = small_params(tau=65536.0)
     inst = ThresholdInstance(g)
-    rows = inst.rows
+    rows = site_rows(inst)
     gate = gate_of(rows, np.random.default_rng(1).random(rows.size) < 0.8)
     rng = random.Random(3)
     updates = [(rng.randrange(1, 40), rng.randrange(g.m), rng.randrange(2**64))
@@ -251,15 +255,16 @@ def test_fanout_of_several_updates_is_the_union_of_scalar_calls():
     for c, j, ev in updates:
         cand = np.array([f for f in range(rows.size)
                          if inst.coin.in_sample(int(rows.z_of[f]), int(rows.l_of[f]), j)])
-        sent = fanout(rows, gate, c, j, ev, cand)
-        assert cand[sent].tolist() == fanout(rows, gate, c, j, ev).tolist()
+        assert cand.tolist() == np.flatnonzero(members(rows, rows.coin_pm, [j])).tolist()
+        sent = fanout(rows, gate, c, ev, cand)
+        assert cand[sent].tolist() == sends(rows, gate, c, j, ev).tolist()
         cands.append(cand)
         want += (sent + offset).tolist()
         offset += cand.size
     sizes = [cand.size for cand in cands]
     counts = np.repeat([c for c, _, _ in updates], sizes)
     evs = np.repeat(np.array([ev for _, _, ev in updates], dtype=np.uint64), sizes)
-    got = fanout(rows, gate, counts, None, evs, np.concatenate(cands))
+    got = fanout(rows, gate, counts, evs, np.concatenate(cands))
     assert got.tolist() == want
     assert 0 < len(want) < sum(sizes)
 
@@ -283,7 +288,7 @@ def test_send_limit_equals_the_float_trial(q):
 
 def test_fan_rows_keep_premixed_keys_and_integer_send_limits():
     g = small_params(tau=65536.0, b=64.0)  # q = 1 from level 4 on
-    rows = ThresholdInstance(g).rows
+    rows = site_rows(ThresholdInstance(g))
     assert (premix64_np(rows.coin_key) == rows.coin_pm).all()
     assert (premix64_np(rows.send_key) == rows.send_pm).all()
     assert (unpremix64_np(rows.coin_pm) == rows.coin_key).all()
@@ -329,19 +334,24 @@ def test_literal_and_incremental_estimates_are_identical():
 
 
 def test_estimate_full_matches_running_estimate_after_protocol_run():
+    # a threshold run through the engine's own path. Only an event that
+    # delivers a crossing message moves the estimate, and on_cross marks
+    # each one; a run writes its counters back only after its last
+    # on_cross, so each mark is checked on a replay that stops right after
+    # its event: the running estimate there is the marked one and equals
+    # the full pass
     g = small_params(tau=2000.0)
-    inst = ThresholdInstance(g)
-    sites = [SiteState(site_id=i) for i in range(g.k)]
-    rng = random.Random(2)
-    for t in range(4000):
-        s = rng.randrange(g.k)
-        j = rng.randrange(g.m)
-        for msg in site_on_update(sites[s], j, ev=t, inst=inst):
-            deliver(inst, msg.j, msg.z, msg.l)
-        assert inst.est == inst.estimate_full()
-        if inst.terminated:
-            break
-    assert inst.out == 1  # tau = 2000 << 4000 updates squared concentration
+    count_after, js, keys, _ = plan_events(gen_uniform_stream(g.m, g.k, g.n, seed=2), g.k)
+    mon = Monitor(g, tau=g.tau)
+    marks = []
+    mon.run(count_after, js, keys, lambda i: marks.append((i, mon.copies[0].est)))
+    assert mon.copies[0].out == 1  # tau = 2000 << F_2 of 1000 updates over 64 coordinates
+    replay, at = Monitor(g, tau=g.tau), 0
+    for i, est in marks:
+        replay.run(count_after[at : i + 1], js[at : i + 1], keys[at : i + 1])
+        at = i + 1
+        assert replay.copies[0].est == est == replay.copies[0].estimate_full()
+    assert len(marks) > 1 and replay.copies[0].out == 1
 
 
 def test_full_pass_medians_match_maintained_medians():
@@ -407,10 +417,17 @@ def test_fire_latches_and_drops_are_counted():
         assert deliver(inst, 1, 1, 0) is False
     assert inst.dropped == 5
     assert inst.messages_received == received_at_fire
-    # terminated sites stop emitting but keep counting locally
-    site = SiteState(site_id=0)
-    assert site_on_update(site, 3, ev=0, inst=inst) == []
-    assert site.counts[3] == 1
+    # a fired threshold run's sites send nothing more, at whatever count
+    # they have reached locally
+    mon = Monitor(g, tau=g.tau)
+    count_after, js, keys, _ = plan_events(gen_uniform_stream(g.m, g.k, 400, seed=31), g.k)
+    sent = mon.run(count_after, js, keys)
+    copy = mon.copies[0]
+    assert copy.terminated and sent[-1] == 0
+    received = copy.messages_received
+    for c in (1, int(count_after.max()) + 1, g.n):
+        assert mon.on_event(c, 3, 0) == 0
+    assert copy.messages_received == received
 
 
 def test_tau_required_and_positive():
@@ -435,8 +452,7 @@ def test_site_state_has_no_receive_channel():
 
 def test_fan_rows_canonical_layout():
     g = small_params(r=3)
-    inst = ThresholdInstance(g)
-    rows = inst.rows
+    rows = site_rows(ThresholdInstance(g))
     assert rows.size == 3 * (g.l_max + 1)
     # z-major then l: flat index i = (z-1)*(l_max+1) + l
     for i in range(rows.size):

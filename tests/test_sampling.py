@@ -21,7 +21,6 @@ from fpmon.sampling import (
     mix64_np,
     premix64,
     premix64_np,
-    u01,
     unit_open_zero,
     unit_open_zero_np,
     unpremix64_np,
@@ -46,13 +45,6 @@ def test_derive_separates_labels():
     assert derive(7, 1, 2) != derive(7, 2, 1)
     assert derive(7, 1) != derive(8, 1)
     assert derive(7, 1, 0) != derive(7, 1)
-
-
-def test_u01_range():
-    for x in (0, 1, MASK64, mix64(42)):
-        u = u01(x)
-        assert 0.0 <= u < 1.0
-    assert u01(MASK64) == (2**53 - 1) / 2**53
 
 
 def test_unit_open_zero_excludes_zero():
