@@ -282,9 +282,8 @@ def simulate(events: list[StreamEvent], params: GlobalParams,
     through one Monitor.run() call on the arrays of plan_events(), and only
     the recorded rows are built, from arrays: true_fp is running_fp() of the
     aggregate counts, exact for integer p; cum_messages the running sum of
-    the messages per event; estimate (the instance's class-weighted sum, or
-    the ladder bracket midpoint) and fired_instances carried forward from
-    the crossing events that run() reports, the only events that move them.
+    the messages per event; estimate and fired_instances are read from the
+    Monitor's record of its crossing events, the only events that move them.
     """
     if mode not in ("threshold", "monitor"):
         raise ValueError(f"mode must be 'threshold' or 'monitor', got {mode}")
@@ -295,40 +294,26 @@ def simulate(events: list[StreamEvent], params: GlobalParams,
     _check_stream(ts, sites, js, params.m, params.k, params.n, "<stream>")
     times = np.array(times, dtype=object)  # the rows' t: the events' own ints
 
-    if mode == "threshold":
-        if params.tau is None:
-            raise ValueError("threshold tau is required")
-        monitor = Monitor(params, tau=params.tau)
-        estimate = monitor.copies[0].estimate
-    else:
-        monitor = Monitor(params)
-        estimate = monitor.estimate
-
+    threshold = mode == "threshold"
+    if threshold and params.tau is None:
+        raise ValueError("threshold tau is required")
+    monitor = Monitor(params, tau=params.tau if threshold else None)
     count_after, js, keys, agg = _plan(ts, sites, js, params.k)
-    # the estimate and fired count before the stream, then after each
-    # crossing event marks[s - 1]
-    marks: list[int] = []
-    ests, fired = [float(estimate())], [monitor.fired_count()]
-
-    def on_cross(i: int) -> None:
-        marks.append(i)
-        ests.append(float(estimate()))
-        fired.append(monitor.fired_count())
-
-    cum = np.cumsum(monitor.run(count_after, js, keys, on_cross))
+    cum = np.cumsum(monitor.run(count_after, js, keys))
     true_fp = running_fp(agg, params.p)
     picks = np.arange(0, len(events), stride)
     if picks.size and picks[-1] != len(events) - 1:
         picks = np.append(picks, len(events) - 1)
+    marks, ests, fired = zip(*monitor.record)
     # an object array shares each estimate's float among the rows that carry it
-    ests, fired, marks = np.array(ests, dtype=object), np.array(fired), np.array(marks)
+    marks, ests, fired = np.array(marks), np.array(ests, dtype=object), np.array(fired)
     rows: list[TraceRow] = []
     for lo in range(0, picks.size, 1024):  # whole-stream columns raised peak RSS
         i = picks[lo : lo + 1024]
-        s, c = np.searchsorted(marks, i, side="right"), cum[i]
+        s, c = np.searchsorted(marks, i, side="right") - 1, cum[i]
         rows += _tuples(TraceRow, (times[i], true_fp[i].astype(np.float64), ests[s], c,
                                    c * monitor.message_bits, fired[s]))
-    return rows, (monitor.copies[0] if mode == "threshold" else monitor)
+    return rows, (monitor.copies[0] if threshold else monitor)
 
 
 def exact_fp_of_events(events: list[StreamEvent], p: float) -> float | int:

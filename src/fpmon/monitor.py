@@ -31,7 +31,12 @@ class Monitor:
     With tau given, the ladder is a single rung at tau with a single copy:
     a threshold run. Its (0, 0) seeds are ThresholdInstance's defaults, so
     copies[0] is ThresholdInstance(params): the same seeds and tables, and
-    the same state after the same messages.
+    the same state after the same messages. Its estimate() is that copy's.
+
+    The Monitor records its own readings. Only an event that delivers a
+    crossing message can move an estimate or fire a copy, so record holds
+    (t, estimate(), fired_count()) after each such event t, a stream
+    position counted over every run() call, from t = -1, before any event.
 
     The coordinator is columnar: the copies count in one Columns, and the
     fan-out and counter bumps run in numpy over the rows whose level set
@@ -52,7 +57,7 @@ class Monitor:
     """
 
     def __init__(self, params: GlobalParams, tau: float | None = None) -> None:
-        self.params = params
+        self.params, self.tau = params, tau
         if tau is None:
             self.a = params.a
             self.taus = [(1.0 + params.eps) ** i for i in range(params.i_max + 1)]
@@ -90,15 +95,21 @@ class Monitor:
 
         self.fired_copies = [0] * self.n_instances
         self.instance_fired = [False] * self.n_instances
-        self.max_fired = -1
+        self.max_fired, self.n_fired = -1, 0
         self.message_bits = params.message_bits(n_streams=len(self.copies))
 
+        self.n_events = 0  # events run so far, over every run() call
+        self.record = [(-1, self.estimate(), 0)]
+
     def fired_count(self) -> int:
-        return sum(self.instance_fired)
+        return self.n_fired
 
     def estimate(self) -> float:
-        """Geometric midpoint (1+eps)**(M + 1/2) above the highest fired
-        instance M; 0 before any instance fires."""
+        """A threshold run's copy estimate; on a ladder, the geometric
+        midpoint (1+eps)**(M + 1/2) above the highest fired instance M, or
+        0 before any instance fires."""
+        if self.tau is not None:
+            return self.copies[0].est
         if self.max_fired < 0:
             return 0.0
         return (1.0 + self.params.eps) ** (self.max_fired + 0.5)
@@ -135,17 +146,16 @@ class Monitor:
         """One site update, as a run of one; returns the messages it sent."""
         return int(self.run([count_after], [j], [ev])[0])
 
-    def run(self, count_after, js, evs, on_cross=None) -> np.ndarray:
+    def run(self, count_after, js, evs) -> np.ndarray:
         """Run site updates, given as aligned arrays of each event's site
         count of its coordinate after the update, coordinate and event key,
         against every live copy; returns the messages each event sent.
         Messages are delivered in flat canonical order, and a copy that
         fires mid-event drops the rest of that event's messages addressed to
-        it. on_cross(i), when given, is called after each event i that
-        delivered a crossing message: no other event moves an estimate or
-        fires a copy. Raises ValueError, before any event runs, at the first
-        event whose coordinate is outside [0, m), whose count is below 1 or
-        whose key is outside [0, 2**64)."""
+        it. Each event that delivered a crossing message is recorded, at its
+        stream position. Raises ValueError, before any event runs, at the
+        first event whose coordinate is outside [0, m), whose count is below
+        1 or whose key is outside [0, 2**64)."""
         # a list's entries are compared as the Python ints they are: numpy
         # reads a list of keys both below and above 2**63 as float64
         count_after, js, evs = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
@@ -165,11 +175,11 @@ class Monitor:
         sent, at = np.zeros(js.size, dtype=np.int64), 0
         while at < js.size and self.live_pairs:
             stop = min(at + max(1, SLICE // (self.live_pairs * self.block)), js.size)
-            at = self._run(count_after, js, evs, at, stop, sent, on_cross)
+            at = self._run(count_after, js, evs, at, stop, sent)
+        self.n_events += js.size
         return sent
 
-    def _run(self, counts, js, evs, start: int, stop: int, sent: np.ndarray,
-             on_cross) -> int:
+    def _run(self, counts, js, evs, start: int, stop: int, sent: np.ndarray) -> int:
         """Deliver events start .. stop - 1, fanned out in one pass over the
         rows live now, and write their message counts into sent. Returns the
         event after the last one delivered: stop, or the event after the
@@ -179,7 +189,8 @@ class Monitor:
         its rank among the run's messages to that counter. It crosses iff
         that count is a crossing count of its row's (copy, level) key; only
         counts at or past the row's next crossing are looked up. Only the
-        crossing messages go through Python, to apply()."""
+        crossing messages go through Python, to apply(), and each event
+        that delivered one is recorded."""
         jl = js[start:stop].tolist()
         by_j = self.columns.by_j
         new = [x for x in dict.fromkeys(jl) if x not in by_j]
@@ -220,15 +231,15 @@ class Monitor:
             pair, z = np.divmod(hit_rows // self.columns.n_levels, self.params.r)
             ev_of = ([0] * hit.size if one else
                      np.searchsorted(cut[1:], hit, side="right").tolist())
-            copies, last = self.copies, -1
+            copies, last, base = self.copies, -1, self.n_events + start
             for k, i, p, zi, out, into in zip(hit.tolist(), ev_of, pair.tolist(),
                                               (z + 1).tolist(), t.left[e].tolist(),
                                               t.entered[e].tolist()):
                 if i != last:
                     if i >= end:
                         break
-                    if on_cross is not None and last >= 0:
-                        on_cross(start + last)
+                    if last >= 0:
+                        self.record.append((base + last, self.estimate(), self.n_fired))
                     last = i
                 inst = copies[p]
                 if inst.terminated:  # fired earlier in this event
@@ -244,8 +255,7 @@ class Monitor:
                     inst.dropped += drop - k - 1
                     self._fire(p)
                     end = i + 1
-            if on_cross is not None:
-                on_cross(start + last)
+            self.record.append((base + last, self.estimate(), self.n_fired))
         # bump each delivered event's column, and set its next crossings
         self.columns.read_out = None
         if one:
@@ -270,6 +280,7 @@ class Monitor:
         self.fired_copies[i] += 1
         if self.fired_copies[i] == self.majority and not self.instance_fired[i]:
             self.instance_fired[i] = True
+            self.n_fired += 1
             if i > self.max_fired:
                 self.max_fired = i
             for c in range(self.a):

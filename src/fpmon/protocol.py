@@ -359,7 +359,6 @@ class ThresholdInstance:
             send_seed = derive(params.seed, SALT_INSTANCE, 0, 0, 1)
         self.coin = PublicCoin(coin_seed, params.r, params.l_max)
         self.send_seed = send_seed
-        self.zeta = 1.0 + params.gamma
         self._pair, ladder = pair, columns is not None
 
         # per-level counter increments u_l (subsampled levels have u_l > 1)

@@ -229,11 +229,12 @@ def column_state(mon: Monitor) -> dict:
 @settings(max_examples=24, deadline=None)
 @given(p=st.sampled_from([1.5, 2.0, 3.0]), a=st.sampled_from([1, 3]),
        stream=st.sampled_from(["uniform", "zipf"]), seed=st.integers(0, 2**16),
-       n=st.integers(1, 500))
-def test_run_equals_on_event_one_event_at_a_time(p, a, stream, seed, n):
+       n=st.integers(1, 500), split=st.integers(0, 500))
+def test_run_equals_on_event_one_event_at_a_time(p, a, stream, seed, n, split):
     # Monitor.run over a whole stream (runs of several events at m = 64,
-    # with fires inside them) and on_event one event at a time give the
-    # same messages, estimates and fired counts after every event, and
+    # with fires inside them), the stream split over two run calls, and
+    # on_event one event at a time send the same messages, leave the same
+    # record (marks at stream positions, estimates and fired counts), and
     # leave every copy and every column in the same state
     g = monitor_params(a=a, p=p, seed=seed)
     if stream == "zipf":
@@ -241,30 +242,42 @@ def test_run_equals_on_event_one_event_at_a_time(p, a, stream, seed, n):
     else:
         events = gen_uniform_stream(g.m, g.k, n, seed=seed)
     count_after, js, keys, _ = plan_events(events, g.k)
-    ran = Monitor(g)
+    ran, halves, bare = Monitor(g), Monitor(g), Monitor(g)
     assert SLICE // ran.rows.size > 1  # runs are longer than one event
-    marks, seen = [], [(0.0, 0)]
-
-    def on_cross(i):
-        marks.append(i)
-        seen.append((ran.estimate(), ran.fired_count()))
-
-    sent = ran.run(count_after, js, keys, on_cross)
-    assert marks == sorted(set(marks))
-    after = np.searchsorted(marks, np.arange(n), side="right").tolist()
-    got = [(m, *seen[s]) for m, s in zip(sent.tolist(), after)]
-    bare = Monitor(g)
+    sent = ran.run(count_after, js, keys).tolist()
+    cut = min(split, n)
+    sent_halves = [halves.run(count_after[lo:hi], js[lo:hi], keys[lo:hi]).tolist()
+                   for lo, hi in ((0, cut), (cut, n))]
     want = []
     for c, j, ev in zip(count_after.tolist(), js.tolist(), keys.tolist()):
-        want.append((bare.on_event(c, j, ev), bare.estimate(), bare.fired_count()))
-    assert got == want
-    for x, y in zip(ran.copies, bare.copies):
-        assert x.counts == y.counts
-        assert np.array_equal(x.med, y.med)
-        assert (x.est, x.est_decreases, x.dropped, x.terminated) == \
-            (y.est, y.est_decreases, y.dropped, y.terminated)
-    assert column_state(ran) == column_state(bare)
-    assert np.array_equal(ran.live, bare.live)
+        want.append(bare.on_event(c, j, ev))
+        # the record's last entry is the reading after this event
+        assert bare.record[-1][1:] == (bare.estimate(), bare.fired_count())
+    assert sent == sent_halves[0] + sent_halves[1] == want
+    marks = [t for t, _, _ in bare.record]
+    assert marks == sorted(set(marks)) and marks[0] == -1 and marks[-1] < n
+    for mon in (ran, halves):
+        assert mon.n_events == bare.n_events == n
+        assert mon.record == bare.record
+        for x, y in zip(mon.copies, bare.copies):
+            assert x.counts == y.counts
+            assert np.array_equal(x.med, y.med)
+            assert (x.est, x.est_decreases, x.dropped, x.terminated) == \
+                (y.est, y.est_decreases, y.dropped, y.terminated)
+        assert column_state(mon) == column_state(bare)
+        assert np.array_equal(mon.live, bare.live)
+
+
+def test_one_rung_monitor_estimate_is_its_copys():
+    # a threshold run's estimate is its copy's class-weighted sum, after
+    # every event, not a ladder bracket midpoint
+    g = GlobalParams(k=4, m=64, n=2000, p=2.0, eps=0.2, tau=500.0, b=8.0, r=5, seed=3)
+    mon = Monitor(g, tau=g.tau)
+    count_after, js, keys, _ = plan_events(gen_uniform_stream(g.m, g.k, g.n, seed=1), g.k)
+    for c, j, ev in zip(count_after.tolist(), js.tolist(), keys.tolist()):
+        mon.on_event(c, j, ev)
+        assert mon.estimate() == mon.copies[0].estimate()
+    assert mon.copies[0].out == 1 and mon.record[-1][1] == mon.copies[0].est > g.tau
 
 
 def test_run_rejects_misaligned_arrays():

@@ -335,23 +335,22 @@ def test_literal_and_incremental_estimates_are_identical():
 
 def test_estimate_full_matches_running_estimate_after_protocol_run():
     # a threshold run through the engine's own path. Only an event that
-    # delivers a crossing message moves the estimate, and on_cross marks
-    # each one; a run writes its counters back only after its last
-    # on_cross, so each mark is checked on a replay that stops right after
-    # its event: the running estimate there is the marked one and equals
-    # the full pass
+    # delivers a crossing message moves the estimate, and the Monitor's
+    # record marks each one; each mark is checked on a replay that stops
+    # right after its event: the running estimate there is the recorded one
+    # and equals the full pass
     g = small_params(tau=2000.0)
     count_after, js, keys, _ = plan_events(gen_uniform_stream(g.m, g.k, g.n, seed=2), g.k)
     mon = Monitor(g, tau=g.tau)
-    marks = []
-    mon.run(count_after, js, keys, lambda i: marks.append((i, mon.copies[0].est)))
+    mon.run(count_after, js, keys)
     assert mon.copies[0].out == 1  # tau = 2000 << F_2 of 1000 updates over 64 coordinates
     replay, at = Monitor(g, tau=g.tau), 0
-    for i, est in marks:
+    for i, est, _ in mon.record[1:]:
         replay.run(count_after[at : i + 1], js[at : i + 1], keys[at : i + 1])
         at = i + 1
         assert replay.copies[0].est == est == replay.copies[0].estimate_full()
-    assert len(marks) > 1 and replay.copies[0].out == 1
+    assert len(mon.record) > 2 and replay.copies[0].out == 1
+    assert replay.record == mon.record  # stream positions, over every run call
 
 
 def test_full_pass_medians_match_maintained_medians():
@@ -390,7 +389,7 @@ def test_incremental_median_matches_a_sort(r, data):
 def test_bucket_interval_semantics():
     g = small_params()
     inst = ThresholdInstance(g)
-    eta, zeta = inst.eta, inst.zeta
+    eta, zeta = inst.eta, 1.0 + g.gamma
     assert inst.bucket_of_value(eta) == 0
     assert inst.bucket_of_value(eta * 0.999) == -1
     assert inst.bucket_of_value(eta * zeta) == 1
