@@ -28,15 +28,14 @@ def load_config(path: str) -> dict[str, tuple[int, str]]:
     """key=value lines, as key -> (line number, value); blank lines and
     # comments ignored."""
     out: dict[str, tuple[int, str]] = {}
-    with open(path, "r") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {i}: expected key=value, got {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = (i, val.strip())
+    for i, line in enumerate(harness.read_lines(path, "utf-8"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {i}: expected key=value, got {line!r}")
+        key, val = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = (i, val.strip())
     return out
 
 
@@ -84,9 +83,8 @@ class Options:
 
 def _params_from_args(args: argparse.Namespace, m: int, k: int, n: int,
                       tau: Optional[float]) -> GlobalParams:
-    kw = dict(k=k, m=m, n=n, p=args.p, eps=args.eps, tau=tau, seed=args.seed,
-              c_fire=args.c_fire)
-    for name in ("gamma", "b", "c_b", "r", "a", "i_max"):
+    kw = dict(k=k, m=m, n=n, p=args.p, eps=args.eps, tau=tau, seed=args.seed)
+    for name in ("b", "c_b", "r", "a", "i_max"):
         val = getattr(args, name, None)
         if val is not None:
             kw[name] = val
@@ -99,12 +97,9 @@ def _common_run_options(opts: Options, monitor: bool) -> None:
     opts.add("--p", type=float, required=True, help="moment order (> 1)")
     opts.add("--eps", type=float, required=True, help="accuracy parameter")
     opts.add("--seed", type=int, default=0)
-    opts.add("--gamma", type=float)
     opts.add("--b", type=float, help="counter resolution")
     opts.add("--c-b", type=float, help="scale for the default b formula")
     opts.add("--r", type=int, help="repetitions (default 5 * ceil(log2 n))")
-    opts.add("--c-fire", type=float, default=0.25,
-             help="fire when estimate exceeds (1 - c_fire*eps)*tau")
     opts.add("--stride", type=int, default=1, help="trace row subsampling")
     if monitor:
         opts.add("--a", type=int, help="odd amplification copies per rung")
@@ -370,7 +365,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, Options]]:
     opts.add("--b", type=float)
     opts.add("--c-b", type=float)
     opts.add("--r", type=int)
-    opts.add("--c-fire", type=float, default=0.25)
     opts.add("--out", help="write the report here instead of stdout")
     sp.set_defaults(func=cmd_bench_comm)
     registry["bench-comm"] = opts
@@ -386,6 +380,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         registry[args.command].resolve(args)
+        if getattr(args, "trials", 1) < 1:  # verify-reduction and bench-comm
+            raise ValueError(f"--trials must be >= 1, got {args.trials}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from .monitor import Monitor, occurrence
 from .oracles import fp_power
 # fanout is not called here, and event_key only in its vectorized form
 # (plan_events); bench/tracing.py patches both as harness globals
-from .protocol import GlobalParams, fanout  # noqa: F401
+from .protocol import C_FIRE, GlobalParams, fanout  # noqa: F401
 from .sampling import MASK64, SALT_EVENT, SALT_STREAM, derive, derive_np
 from .sampling import event_key  # noqa: F401
 
@@ -59,11 +59,18 @@ def write_stream(path: str, events: Iterable[StreamEvent], m: int, k: int,
             fh.write(f"{ev.t} {ev.site} {ev.j}\n")
 
 
+def read_lines(path: str, encoding: str) -> list[str]:
+    """A text file's lines, as str.splitlines() cuts them. A byte that does
+    not decode reads as a lone surrogate (U+DC80..U+DCFF), which no field of
+    a stream, trace or config accepts, so its parser names the line."""
+    with open(path, "rb") as fh:
+        return fh.read().decode(encoding, "surrogateescape").splitlines()
+
+
 def read_stream(path: str) -> tuple[int, int, int, list[StreamEvent]]:
     """Parse a stream file; malformed input raises ValueError naming the
-    offending line."""
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    offending line, and a byte outside ASCII is a bad field of its line."""
+    lines = read_lines(path, "ascii")
     if not lines:
         raise ValueError(f"{path}: empty stream file")
     head = lines[0].split()
@@ -167,10 +174,8 @@ def _row_format(flat: list) -> str:
 def read_trace(path: str) -> tuple[dict[str, str], list[TraceRow]]:
     provenance: dict[str, str] = {}
     rows: list[TraceRow] = []
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
     body = []
-    for i, line in enumerate(lines, start=1):
+    for i, line in enumerate(read_lines(path, "utf-8"), start=1):
         if line.startswith("#"):
             text = line[1:].strip()
             if "=" in text:
@@ -195,8 +200,15 @@ def read_trace(path: str) -> tuple[dict[str, str], list[TraceRow]]:
 # -- stream generators -----------------------------------------------------
 
 
+def _check_shape(m: int, k: int, n: int) -> None:
+    for name, value, least in (("m", m, 1), ("k", k, 1), ("n", n, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def gen_uniform_stream(m: int, k: int, n: int, seed: int) -> list[StreamEvent]:
     """n insertions with uniform coordinates and uniform sites."""
+    _check_shape(m, k, n)
     rng = np.random.Generator(np.random.PCG64(derive(seed, SALT_STREAM, 0)))
     sites = rng.integers(0, k, size=n)
     js = rng.integers(0, m, size=n)
@@ -206,6 +218,7 @@ def gen_uniform_stream(m: int, k: int, n: int, seed: int) -> list[StreamEvent]:
 def gen_zipf_stream(m: int, k: int, n: int, seed: int,
                     s: float = 1.1) -> list[StreamEvent]:
     """n insertions with coordinate ranks drawn from a Zipf(s) law over [m]."""
+    _check_shape(m, k, n)
     if s <= 0:
         raise ValueError(f"zipf exponent must be positive, got {s}")
     rng = np.random.Generator(np.random.PCG64(derive(seed, SALT_STREAM, 1)))
@@ -234,7 +247,7 @@ def params_provenance(params: GlobalParams, mode: str) -> dict[str, object]:
         "gamma": params.gamma,
         "b": params.b,
         "r": params.r,
-        "c_fire": params.c_fire,
+        "c_fire": C_FIRE,
         "seed": params.seed,
     }
     if mode == "monitor":

@@ -26,7 +26,7 @@ class Monitor:
 
     Copies share the site vectors; each (instance, copy) pair owns disjoint
     seed streams keyed by its indices. Message accounting includes messages
-    that arrive after their copy terminated (they are delivered and dropped).
+    that arrive after their copy fired (they are delivered and dropped).
 
     With tau given, the ladder is a single rung at tau with a single copy:
     a threshold run. Its (0, 0) seeds are ThresholdInstance's defaults, so
@@ -94,7 +94,6 @@ class Monitor:
         self._live_keys: tuple[np.ndarray, np.ndarray] | None = None
 
         self.fired_copies = [0] * self.n_instances
-        self.instance_fired = [False] * self.n_instances
         self.max_fired, self.n_fired = -1, 0
         self.message_bits = params.message_bits(n_streams=len(self.copies))
 
@@ -242,7 +241,7 @@ class Monitor:
                         self.record.append((base + last, self.estimate(), self.n_fired))
                     last = i
                 inst = copies[p]
-                if inst.terminated:  # fired earlier in this event
+                if inst.out:  # fired earlier in this event
                     continue
                 if inst.apply(zi, out, into):
                     # the copy's later messages of the event are dropped:
@@ -278,8 +277,7 @@ class Monitor:
         self._silence_pair(pair)
         i = pair // self.a
         self.fired_copies[i] += 1
-        if self.fired_copies[i] == self.majority and not self.instance_fired[i]:
-            self.instance_fired[i] = True
+        if self.fired_copies[i] == self.majority:  # each count passes it once
             self.n_fired += 1
             if i > self.max_fired:
                 self.max_fired = i

@@ -37,6 +37,7 @@ from .sampling import (
 )
 
 _TWO53 = 2.0**53
+C_FIRE = 0.25  # an instance fires once its estimate exceeds (1 - C_FIRE * eps) * tau
 
 
 def ceil_log2(x: int) -> int:
@@ -60,13 +61,13 @@ class GlobalParams:
     moment order p > 1, accuracy eps in (0, 1). tau is required for a single
     threshold run and ignored by the monitor ladder.
 
-    Optional knobs resolve in __post_init__: gamma defaults to eps/10; the
-    counter resolution b defaults to 64 (or c_b * eps**-3 * ceil(log2 n)**2,
-    floored at 8, when c_b is given); the repetition count r defaults to
-    5 * ceil(log2 n); the ladder's top rung i_max defaults to
-    ceil(log_{1+eps}(n**2 * 2**p)), and its odd amplification a to
-    2 * ceil(0.15 * ln(10 * max(i_max, 1))) + 1; the output fires when the
-    estimate exceeds (1 - c_fire * eps) * tau.
+    Optional knobs resolve in __post_init__: the counter resolution b
+    defaults to 64 (or c_b * eps**-3 * ceil(log2 n)**2, floored at 8, when
+    c_b is given); the repetition count r defaults to 5 * ceil(log2 n); the
+    ladder's top rung i_max defaults to ceil(log_{1+eps}(n**2 * 2**p)), and
+    its odd amplification a to 2 * ceil(0.15 * ln(10 * max(i_max, 1))) + 1.
+    Not settable: the bucket width gamma = eps/10, l_max = ceil(log2 m), and
+    the fire line (1 - C_FIRE * eps) * tau, which the estimate must exceed.
     """
 
     k: int
@@ -75,14 +76,13 @@ class GlobalParams:
     p: float
     eps: float
     tau: Optional[float] = None
-    gamma: Optional[float] = None
     b: Optional[float] = None
     c_b: Optional[float] = None
     r: Optional[int] = None
-    c_fire: float = 0.25
     seed: int = 0
     a: Optional[int] = None
     i_max: Optional[int] = None
+    gamma: float = field(init=False)
     l_max: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -102,10 +102,6 @@ class GlobalParams:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         if self.tau is not None:
             check_tau(self.tau)
-        if self.gamma is None:
-            self.gamma = self.eps / 10.0
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.b is None:
             if self.c_b is not None:
                 self.b = max(8.0, self.c_b * self.eps**-3 * ceil_log2(self.n) ** 2)
@@ -117,8 +113,7 @@ class GlobalParams:
             self.r = 5 * ceil_log2(self.n)
         if self.r < 1:
             raise ValueError(f"repetition count r must be >= 1, got {self.r}")
-        if not 0.0 < self.c_fire <= 1.0:
-            raise ValueError(f"c_fire must lie in (0, 1], got {self.c_fire}")
+        self.gamma = self.eps / 10.0
         self.l_max = ceil_log2(self.m)
         if self.i_max is None:
             self.i_max = math.ceil(
@@ -379,13 +374,12 @@ class ThresholdInstance:
         self.lvl_of_h = buckets.lvl[lo : lo + h_cap + 1]
         self.med = (columns.med[lo : lo + h_cap + 1] if ladder else
                     np.zeros(h_cap + 1, dtype=np.float64))
-        self.fire_line = (1.0 - params.c_fire * params.eps) * self.tau
+        self.fire_line = (1.0 - C_FIRE * params.eps) * self.tau
         self._r, self._med_idx = params.r, (params.r - 1) // 2
 
         self.hist: dict[int, list[int]] = {}
         self.est = 0.0
-        self.out = 0
-        self.terminated = False
+        self.out = 0  # 1 once fired; a fired copy takes no more messages
         self.dropped = 0
         self.est_decreases = 0
         self._bucket_cache: dict[tuple[int, int], int] = {}
@@ -511,7 +505,7 @@ class ThresholdInstance:
         none). Moves the histograms, medians and estimate, and returns True
         exactly when this fires the output bit. A message that crosses no
         readable bucket edge changes no median, so nothing else comes here;
-        the caller bumps the counter and drops a terminated copy's messages."""
+        the caller bumps the counter and drops a fired copy's messages."""
         changed = False
         if left >= 0:
             changed |= self._hist_set(left, z, -1)
@@ -525,6 +519,5 @@ class ThresholdInstance:
         self.est = new_est
         if self.est > self.fire_line:
             self.out = 1
-            self.terminated = True
             return True
         return False

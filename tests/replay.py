@@ -30,12 +30,12 @@ def sends(rows, gate, count_after, j: int, ev: int) -> np.ndarray:
 
 def deliver(inst, j: int, z: int, l: int) -> bool:
     """Deliver message (j, z, l) to a standalone instance. Returns True
-    exactly when it fires the output bit. A message for a terminated
+    exactly when it fires the output bit. A message for a fired
     instance is dropped and counted; otherwise its counter is bumped, and
     at the counter's next crossing count the crossing is looked up in the
     crossing table and applied. The column for j, made on j's first
     message, holds every (z, l) row."""
-    if inst.terminated:
+    if inst.out:
         inst.dropped += 1
         return False
     cols = inst.columns

@@ -228,13 +228,68 @@ def test_trace_provenance_reproduces_run(tmp_path):
                "--stream", prov["stream"],
                "--p", prov["p"], "--eps", prov["eps"], "--tau", prov["tau"],
                "--b", prov["b"], "--r", prov["r"], "--seed", prov["seed"],
-               "--gamma", prov["gamma"], "--c-fire", prov["c_fire"],
                "--stride", prov["stride"], "--out", second) == 0
     with open(first, "rb") as fh:
         d1 = fh.read()
     with open(second, "rb") as fh:
         d2 = fh.read()
     assert d1 == d2
+
+
+@pytest.mark.parametrize("command", ["run-threshold", "run-monitor", "bench-comm"])
+@pytest.mark.parametrize("flag", ["--gamma", "--c-fire"])
+def test_run_commands_take_no_gamma_or_c_fire(tmp_path, command, flag):
+    # both are fixed by eps (gamma = eps/10, C_FIRE = 0.25), and provenance
+    # still records them
+    stream = str(tmp_path / "s.txt")
+    run("gen-stream", "--kind", "uniform", "--m", "16", "--k", "2",
+        "--n", "50", "--out", stream)
+    args = {"run-threshold": ["--stream", stream, "--p", "2", "--eps", "0.5", "--tau", "100"],
+            "run-monitor": ["--stream", stream, "--p", "2", "--eps", "0.5"],
+            "bench-comm": ["--k-list", "4", "--n", "50"]}[command]
+    with pytest.raises(SystemExit) as err:
+        run(command, *args, flag, "0.25", "--out", str(tmp_path / "out.csv"))
+    assert err.value.code == 2
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["verify-reduction btx", "verify-reduction f0bit",
+                                     "verify-reduction embed", "verify-reduction quantile",
+                                     "bench-comm"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_fewer_than_one_trial_is_an_error_line(capsys, command, trials):
+    # f0bit, embed and bench-comm divided by zero trials, and btx printed a
+    # report of none
+    assert run(*command.split(), "--trials", trials) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: --trials must be >= 1, got {trials}\n")
+
+
+@pytest.mark.parametrize("flag,value,message", [("--k", "0", "k must be >= 1, got 0"),
+                                                ("--m", "0", "m must be >= 1, got 0"),
+                                                ("--n", "-5", "n must be >= 0, got -5")])
+def test_gen_stream_shape_is_checked(tmp_path, capsys, flag, value, message):
+    # numpy's "high <= 0" and "negative dimensions are not allowed" named no option
+    out = tmp_path / "s.txt"
+    assert run("gen-stream", "--kind", "uniform", flag, value, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_config_byte_outside_utf8_is_named_by_its_line(tmp_path, capsys):
+    # such a byte raised a UnicodeDecodeError that named no file or line;
+    # now it reads as a lone surrogate, which only a comment or a path holds
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_bytes(b"# caf\xe9\nseed = 3\nm = 6\xff4\n")
+    out = tmp_path / "s.txt"
+    assert run("gen-stream", "--kind", "uniform", "--config", str(cfg),
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == (f"error: {cfg}: line 3: m: invalid literal for "
+                                       "int() with base 10: '6\\udcff4'\n")
+    cfg.write_bytes(b"# caf\xe9\nseed = 3\nm = 64\n")
+    assert run("gen-stream", "--kind", "uniform", "--config", str(cfg),
+               "--out", str(out)) == 0
+    assert read_stream(str(out))[0] == 64
 
 
 def test_bad_config_value_names_file_line_and_key(tmp_path, capsys):
@@ -250,7 +305,8 @@ def test_bad_config_value_names_file_line_and_key(tmp_path, capsys):
     assert f"{cfg}: line 3: b: " in err and "'abc'" in err
 
 
-@pytest.mark.parametrize("line", ["seeed = 7", "literal = 1"])
+@pytest.mark.parametrize("line", ["seeed = 7", "literal = 1", "gamma = 0.02",
+                                  "c_fire = 0.25"])
 def test_config_key_naming_no_option_is_an_error(tmp_path, capsys, line):
     # a misspelt or retired key would otherwise be ignored, and the run
     # would go ahead with the default in its place
@@ -264,7 +320,7 @@ def test_config_key_naming_no_option_is_an_error(tmp_path, capsys, line):
                "--out", str(out))
     assert code == 1
     key = line.split()[0]
-    assert f"{cfg}: line 5: {key}: " in capsys.readouterr().err
+    assert f"{cfg}: line 5: {key}: no such option" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -165,6 +165,23 @@ def test_stream_fields_are_ascii_decimal(tmp_path, stream_parser, text, line):
         stream_parser(path)
 
 
+@pytest.mark.parametrize("data,message", [
+    (b"64 4 10\n0 0 1\n1 0 \xff\n", "line 3: non-integer field in '1 0 \\udcff'"),
+    (b"64 4 \xc3\xa910\n0 0 1\n", "line 1: non-integer header '64 4 \\udcc3\\udca910'"),
+    (b"64 4 10\n0 0 1\n\xc2\xa0\n", "line 3: expected 't site j', got '\\udcc2\\udca0'"),
+], ids=["field", "header", "no-break-space"])
+def test_stream_byte_outside_ascii_names_path_and_line(tmp_path, stream_parser, data,
+                                                       message):
+    # a byte that is not UTF-8 raised a UnicodeDecodeError that named no
+    # file or line; each byte past ASCII now reads as a field no rule accepts
+    path = str(tmp_path / "s.txt")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(ValueError) as err:
+        stream_parser(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_validate_stream_accepts_gaps_in_time():
     validate_stream(
         [StreamEvent(0, 0, 1), StreamEvent(7, 1, 2), StreamEvent(8, 0, 0)],
@@ -271,6 +288,17 @@ def test_trace_short_row_names_path_and_line(tmp_path):
         read_trace(path)
 
 
+def test_trace_byte_outside_utf8_names_path_and_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(f"# stream=caf\xe9\n{TRACE_HEADER}\n0,1,0,0,0,0\n".encode()
+                     + b"1,2,\xff,0,0,0\n")
+    with pytest.raises(ValueError) as err:
+        read_trace(str(path))
+    assert str(err.value) == f"{path}: line 4: non-numeric field in '1,2,\\udcff,0,0,0'"
+    path.write_bytes(f"# stream=caf\xe9\n{TRACE_HEADER}\n".encode())
+    assert read_trace(str(path)) == ({"stream": "caf\xe9"}, [])
+
+
 def test_trace_non_numeric_field_names_path_and_line(tmp_path):
     path = str(tmp_path / "t.csv")
     with open(path, "w") as fh:
@@ -373,6 +401,15 @@ def test_uniform_stream_shape_and_determinism():
     assert len(a) == 500
     assert all(ev.t == i for i, ev in enumerate(a))
     assert all(0 <= ev.site < 8 and 0 <= ev.j < 100 for ev in a)
+
+
+@pytest.mark.parametrize("gen", [gen_uniform_stream, gen_zipf_stream])
+def test_stream_generators_check_their_shape(gen):
+    for (m, k, n), name in (((0, 4, 10), "m"), ((64, 0, 10), "k"), ((64, 4, -5), "n")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            gen(m, k, n, 3)
+    assert gen(1, 1, 0, 3) == []
+    assert {ev.j for ev in gen(1, 1, 5, 3)} == {0}
 
 
 def test_zipf_stream_is_skewed():
@@ -478,7 +515,7 @@ def test_threshold_run_fires_and_freezes_traffic():
     # after the firing event no further messages are ever sent
     tail = rows[fire_pos:]
     assert all(row.cum_messages == tail[0].cum_messages for row in tail)
-    assert inst.out == 1 and inst.terminated
+    assert inst.out == 1
 
 
 def test_plan_events_match_the_per_event_definitions():
@@ -520,7 +557,7 @@ def test_threshold_run_fans_out_runs_of_events(monkeypatch):
     events = gen_uniform_stream(g.m, g.k, 2000, seed=7)
     rows, inst = simulate(events, g)
     fire_pos = next(i for i, row in enumerate(rows) if row.fired_instances == 1)
-    assert inst.terminated and fire_pos > 500
+    assert inst.out and fire_pos > 500
     assert 0 < calls <= fire_pos // 50
 
 

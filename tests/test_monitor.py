@@ -93,8 +93,8 @@ def solo_step(solo: ThresholdInstance, rows, c: int, ev) -> int:
     """Deliver one site update to a standalone instance, whose site rows
     are rows, the way the monitor does: same event key, candidates the
     rows whose level set holds the coordinate, nothing sent once it has
-    terminated. Returns the messages sent."""
-    if solo.terminated:
+    fired. Returns the messages sent."""
+    if solo.out:
         return 0
     emit = sends(rows, rows.guard, c, ev.j, event_key(ev.site, ev.t))
     for f in emit.tolist():
@@ -262,8 +262,8 @@ def test_run_equals_on_event_one_event_at_a_time(p, a, stream, seed, n, split):
         for x, y in zip(mon.copies, bare.copies):
             assert x.counts == y.counts
             assert np.array_equal(x.med, y.med)
-            assert (x.est, x.est_decreases, x.dropped, x.terminated) == \
-                (y.est, y.est_decreases, y.dropped, y.terminated)
+            assert (x.est, x.est_decreases, x.dropped, x.out) == \
+                (y.est, y.est_decreases, y.dropped, y.out)
         assert column_state(mon) == column_state(bare)
         assert np.array_equal(mon.live, bare.live)
 
@@ -339,7 +339,7 @@ def test_silent_monitor_skips_fanout(monkeypatch):
 
     one = Monitor(monitor_params(tau=50.0), tau=50.0)
     drive(one, events)
-    assert one.copies[0].terminated and one.live_pairs == 0
+    assert one.copies[0].out and one.live_pairs == 0
 
     def no_fanout(*args):
         raise AssertionError("fanout called with no live pair")
@@ -353,12 +353,11 @@ def test_majority_vote_gates_instance_fire():
     mon = Monitor(g)
     events = gen_uniform_stream(g.m, g.k, 800, seed=21)
     drive(mon, events)
-    assert mon.fired_count() > 0
+    # an instance counts as fired once a majority of its copies has fired
+    assert mon.fired_count() == sum(f >= mon.majority for f in mon.fired_copies) > 0
     for i in range(mon.n_instances):
-        if mon.instance_fired[i]:
-            assert mon.fired_copies[i] >= mon.majority
-        else:
-            assert mon.fired_copies[i] < mon.majority
+        copies = mon.copies[i * mon.a : (i + 1) * mon.a]
+        assert mon.fired_copies[i] == sum(copy.out == 1 for copy in copies)
 
 
 def test_fired_instances_fall_silent():
@@ -368,7 +367,7 @@ def test_fired_instances_fall_silent():
     drive(mon, events)
     live = mon.live
     for i in range(mon.n_instances):
-        if mon.instance_fired[i]:
+        if mon.fired_copies[i] >= mon.majority:
             for c in range(mon.a):
                 pair = i * mon.a + c
                 lo = pair * mon.block
@@ -595,7 +594,7 @@ def test_threshold_run_with_no_crossing_at_all():
     assert all(counts.size == 0 for counts, _, _ in copy.crossings())
     events = gen_uniform_stream(16, 4, 2, seed=1)
     rows, inst = simulate(events, g, mode="threshold")
-    assert [row.estimate for row in rows] == [0.0, 0.0] and not inst.terminated
+    assert [row.estimate for row in rows] == [0.0, 0.0] and not inst.out
 
 
 def test_ladder_literal_path_replays_the_incremental_one():
@@ -613,10 +612,10 @@ def test_ladder_literal_path_replays_the_incremental_one():
             events = gen_uniform_stream(g.m, g.k, g.n, seed=5)
         mon = Monitor(g)
         for c, j, ev in zip(*(x.tolist() for x in plan_events(events, g.k)[:3])):
-            before = [(copy.est, copy.terminated) for copy in mon.copies]
+            before = [(copy.est, copy.out) for copy in mon.copies]
             mon.on_event(c, j, ev)
             for copy, was in zip(mon.copies, before):
-                if (copy.est, copy.terminated) != was:
+                if (copy.est, copy.out) != was:
                     med, est = copy._full_pass()
                     assert copy.est == est == copy.estimate_full()
                     assert np.array_equal(copy.med, med)

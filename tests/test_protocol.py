@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpmon.protocol import (
+    C_FIRE,
     FanRows,
     GlobalParams,
     Message,
@@ -59,11 +60,11 @@ def test_params_validation():
     with pytest.raises(ValueError):
         small_params(tau=0.5)
     with pytest.raises(ValueError):
-        small_params(gamma=1.5)
-    with pytest.raises(ValueError):
-        small_params(c_fire=0.0)
-    with pytest.raises(ValueError):
         small_params(a=4)
+    # fixed by eps, not settable: gamma = eps/10 and the fire line's C_FIRE
+    for name in ("gamma", "c_fire"):
+        with pytest.raises(TypeError, match=name):
+            small_params(**{name: 0.25})
 
 
 @pytest.mark.parametrize("field", ["p", "tau", "b", "c_b"])
@@ -116,7 +117,8 @@ def test_params_reject_a_top_rung_past_the_largest_float():
 
 def test_params_defaults_resolve():
     g = GlobalParams(k=8, m=4096, n=20000, p=2.0, eps=0.2)
-    assert g.gamma == pytest.approx(0.02)
+    assert g.gamma == 0.2 / 10.0
+    assert ThresholdInstance(g, tau=1000.0).fire_line == (1.0 - C_FIRE * 0.2) * 1000.0 == 950.0
     assert g.b == 64.0
     assert g.l_max == 12
     assert g.r == 5 * ceil_log2(20000)
@@ -411,7 +413,7 @@ def test_fire_latches_and_drops_are_counted():
             fired = True
             received_at_fire = inst.messages_received
             break
-    assert fired and inst.out == 1 and inst.terminated
+    assert fired and inst.out == 1
     for _ in range(5):
         assert deliver(inst, 1, 1, 0) is False
     assert inst.dropped == 5
@@ -422,7 +424,7 @@ def test_fire_latches_and_drops_are_counted():
     count_after, js, keys, _ = plan_events(gen_uniform_stream(g.m, g.k, 400, seed=31), g.k)
     sent = mon.run(count_after, js, keys)
     copy = mon.copies[0]
-    assert copy.terminated and sent[-1] == 0
+    assert copy.out and sent[-1] == 0
     received = copy.messages_received
     for c in (1, int(count_after.max()) + 1, g.n):
         assert mon.on_event(c, 3, 0) == 0
