@@ -22,6 +22,14 @@ if TYPE_CHECKING:
 NEVER = np.iinfo(np.int32).max
 
 
+def pow_overflows(x: float, y: float) -> bool:
+    """Whether the float power x**y is past the float range."""
+    try:
+        return not math.isfinite(x**y)
+    except OverflowError:
+        return True
+
+
 class Crossings(NamedTuple):
     """A crossing table: one entry per crossing, in ascending order of
     at = base + count, where base[copy * n_levels + level] spaces the
@@ -58,10 +66,14 @@ class Buckets:
         self.u = np.maximum(root[:, None] / level_div / b, 1.0)
         eta_p = [e**p for e in eta]
         self.h_cap = []
-        for e, e_p, top in zip(eta, eta_p, (n * self.u[:, 0]).tolist()):
+        for t, e, e_p, top in zip(tau, eta, eta_p, (n * self.u[:, 0]).tolist()):
             h_full = math.ceil((1.0 / gamma) * math.log(n / e_p, zeta))
             h_reach = int(math.floor(math.log(top / e, zeta))) + 2 if top >= e else 1
             self.h_cap.append(min(h_full, h_reach))
+            # the tables' extremes, checked before any is built: the level
+            # ratio tau / (eta**p b) at h = 0, and zeta**(p h) at the last slot
+            if t / (e_p * b) == math.inf or pow_overflows(zeta, p * (self.h_cap[-1] + 1)):
+                raise ValueError(f"tau={t}: its bucket tables pass the float range at eta={e}")
 
         sizes = np.array(self.h_cap) + 2
         self.off = np.concatenate(([0], np.cumsum(sizes)))

@@ -81,6 +81,13 @@ class Options:
                     setattr(args, dest, default)
 
 
+def int_list(text: str) -> list[int]:
+    """A nonempty comma-separated list of ints, such as "4,8,16"."""
+    if not (values := [int(v) for v in text.split(",") if v]):
+        raise ValueError(f"no integer in {text!r}")
+    return values
+
+
 def _params_from_args(args: argparse.Namespace, m: int, k: int, n: int,
                       tau: Optional[float]) -> GlobalParams:
     kw = dict(k=k, m=m, n=n, p=args.p, eps=args.eps, tau=tau, seed=args.seed)
@@ -129,13 +136,11 @@ def cmd_run_monitor(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_stream(args: argparse.Namespace) -> int:
+    m, k, n = args.m, args.k, args.n
     if args.kind == "uniform":
-        events = harness.gen_uniform_stream(args.m, args.k, args.n, args.seed)
-        m, k, n = args.m, args.k, args.n
+        events = harness.gen_uniform_stream(m, k, n, args.seed)
     elif args.kind == "zipf":
-        events = harness.gen_zipf_stream(args.m, args.k, args.n, args.seed,
-                                         s=args.s)
-        m, k, n = args.m, args.k, args.n
+        events = harness.gen_zipf_stream(m, k, n, args.seed, s=args.s)
     else:
         if not args.hard:
             raise ValueError("--kind btx needs --hard INSTANCE_FILE")
@@ -256,24 +261,19 @@ def cmd_verify_reduction(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_comm(args: argparse.Namespace) -> int:
-    ks = [int(v) for v in args.k_list.split(",") if v]
-    if not ks:
-        raise ValueError("empty --k-list")
     prov: dict[str, object] = {"m": args.m, "n": args.n, "p": args.p,
                                "eps": args.eps, "trials": args.trials,
                                "seed": args.seed}
     rows = []
-    for k in ks:
+    for k in args.k_list:
         tot_msgs = tot_bits = 0
         for trial in range(args.trials):
             rng_items = np.random.Generator(
                 np.random.PCG64(derive(args.seed, SALT_STREAM, 31, trial)))
             rng_sites = np.random.Generator(
                 np.random.PCG64(derive(args.seed, SALT_STREAM, 32, trial, k)))
-            js = rng_items.integers(0, args.m, size=args.n)
-            sites = rng_sites.integers(0, k, size=args.n)
-            events = [harness.StreamEvent(t, int(sites[t]), int(js[t]))
-                      for t in range(args.n)]
+            events = harness.events_of(np.arange(args.n), rng_sites.integers(0, k, size=args.n),
+                                       rng_items.integers(0, args.m, size=args.n))
             tau = max(1.0, float(harness.exact_fp_of_events(events, args.p)) / 2.0)
             params = _params_from_args(args, args.m, k, args.n, tau)
             trace, _ = harness.simulate(events, params, mode="threshold",
@@ -355,7 +355,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, Options]]:
     sp = sub.add_parser("bench-comm",
                         help="communication cost versus site count")
     opts = Options(sp)
-    opts.add("--k-list", default="4,8,16,32")
+    opts.add("--k-list", type=int_list, default=(4, 8, 16, 32))
     opts.add("--m", type=int, default=4096)
     opts.add("--n", type=int, default=10000)
     opts.add("--p", type=float, default=2.0)

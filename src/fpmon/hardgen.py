@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .harness import StreamEvent
+from .harness import StreamEvent, events_of
 from .sampling import SALT_HARD, derive
 
 
@@ -344,15 +344,9 @@ def btx_to_stream(inst: BtxInstance) -> tuple[list[StreamEvent], int]:
     """Flatten an instance into an insertion stream over the coordinate
     space block * n_cols + col, ordered site-major then (block, column)-major.
     Returns (events, universe size)."""
-    m = inst.n_blocks * inst.n_cols
-    events = []
-    t = 0
-    for site in range(inst.k):
-        blocks, cols = np.nonzero(inst.matrices[:, site, :])
-        for blk, col in zip(blocks.tolist(), cols.tolist()):
-            events.append(StreamEvent(t, site, blk * inst.n_cols + col))
-            t += 1
-    return events, m
+    sites, blocks, cols = np.nonzero(inst.matrices.transpose(1, 0, 2))
+    return (events_of(np.arange(sites.size), sites, blocks * inst.n_cols + cols),
+            inst.n_blocks * inst.n_cols)
 
 
 # -- majority bits -----------------------------------------------------------

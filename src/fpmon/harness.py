@@ -10,15 +10,16 @@ per recorded event with floats printed to 12 significant digits.
 
 from __future__ import annotations
 
-import math
 import re
+from collections import Counter
 from itertools import chain, islice, repeat
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .monitor import Monitor, occurrence
-from .oracles import fp_power
+from .oracles import FreqVector, exact_fp, fp_power
 # fanout is not called here, and event_key only in its vectorized form
 # (plan_events); bench/tracing.py patches both as harness globals
 from .protocol import C_FIRE, GlobalParams, fanout  # noqa: F401
@@ -98,7 +99,12 @@ def read_stream(path: str) -> tuple[int, int, int, list[StreamEvent]]:
         cols = _stream_columns(rows)
     del lines  # before the events are built, for peak memory
     _check_stream(*cols, m, k, n, path)
-    return m, k, n, _tuples(StreamEvent, cols)
+    return m, k, n, events_of(*cols)
+
+
+def events_of(ts, sites, js) -> list[StreamEvent]:
+    """The StreamEvent list of a stream's aligned t, site and j arrays."""
+    return _tuples(StreamEvent, (ts, sites, js))
 
 
 def _tuples(cls: type, cols) -> list:
@@ -211,8 +217,7 @@ def gen_uniform_stream(m: int, k: int, n: int, seed: int) -> list[StreamEvent]:
     _check_shape(m, k, n)
     rng = np.random.Generator(np.random.PCG64(derive(seed, SALT_STREAM, 0)))
     sites = rng.integers(0, k, size=n)
-    js = rng.integers(0, m, size=n)
-    return [StreamEvent(t, int(sites[t]), int(js[t])) for t in range(n)]
+    return events_of(np.arange(n), sites, rng.integers(0, m, size=n))
 
 
 def gen_zipf_stream(m: int, k: int, n: int, seed: int,
@@ -225,8 +230,7 @@ def gen_zipf_stream(m: int, k: int, n: int, seed: int,
     w = np.arange(1, m + 1, dtype=np.float64) ** -s
     w /= w.sum()
     js = rng.choice(m, size=n, p=w)
-    sites = rng.integers(0, k, size=n)
-    return [StreamEvent(t, int(sites[t]), int(js[t])) for t in range(n)]
+    return events_of(np.arange(n), rng.integers(0, k, size=n), js)
 
 
 # -- simulation ------------------------------------------------------------
@@ -330,10 +334,6 @@ def simulate(events: list[StreamEvent], params: GlobalParams,
 
 
 def exact_fp_of_events(events: list[StreamEvent], p: float) -> float | int:
-    """Independent recomputation of the final F_p of a stream."""
-    agg: dict[int, int] = {}
-    for ev in events:
-        agg[ev.j] = agg.get(ev.j, 0) + 1
-    if float(p).is_integer():
-        return sum(c ** int(p) for c in agg.values())
-    return math.fsum(float(c) ** p for c in agg.values())
+    """Independent recomputation of a stream's final F_p: the exact oracle."""
+    counts = Counter(map(attrgetter("j"), events))
+    return exact_fp(FreqVector(1 + max([0, *counts]), counts), p)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .buckets import Buckets, Columns
+from .buckets import Buckets, Columns, pow_overflows
 from .sampling import (
     SALT_COIN,
     SALT_INSTANCE,
@@ -116,18 +116,16 @@ class GlobalParams:
         self.gamma = self.eps / 10.0
         self.l_max = ceil_log2(self.m)
         if self.i_max is None:
-            self.i_max = math.ceil(
-                math.log(self.n**2 * 2.0**self.p, 1.0 + self.eps)
-            )
+            try:
+                self.i_max = math.ceil(math.log(self.n**2 * 2.0**self.p, 1.0 + self.eps))
+            except OverflowError:
+                raise ValueError(f"n={self.n}, p={self.p}: the default i_max, log_(1+eps) of "
+                                 f"n**2 * 2**p, is past the float range") from None
         if self.i_max < 0:
             raise ValueError(f"i_max must be >= 0, got {self.i_max}")
         # the largest value a ladder computes: its estimate once the top rung
         # (1+eps)**i_max fires
-        try:
-            top = (1.0 + self.eps) ** (self.i_max + 0.5)
-        except OverflowError:
-            top = math.inf
-        if not math.isfinite(top):
+        if pow_overflows(1.0 + self.eps, self.i_max + 0.5):
             raise ValueError(f"i_max={self.i_max}: top rung estimate (1+eps)**(i_max+0.5) "
                              f"= {1.0 + self.eps}**{self.i_max + 0.5} is not a finite float")
         if self.a is None:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .hardgen import BtxInstance, btx_to_stream
-from .oracles import FreqVector, exact_fp
+from .harness import exact_fp_of_events
 from .sampling import SALT_EMBED, derive
 
 
@@ -31,18 +31,12 @@ class MomentTriple:
 
 def btx_moments(inst: BtxInstance, p: Optional[float] = None) -> MomentTriple:
     """Exact-oracle moment triple of a blockwise-XOR instance."""
-    if p is None:
-        p = inst.p
-    events, m = btx_to_stream(inst)
-    full = FreqVector(m)
-    first = FreqVector(m)
-    second = FreqVector(m)
-    half = inst.k // 2
-    for ev in events:
-        full.add(ev.j)
-        (first if ev.site < half else second).add(ev.j)
-    return MomentTriple(float(exact_fp(full, p)), float(exact_fp(first, p)),
-                        float(exact_fp(second, p)))
+    p = inst.p if p is None else p
+    events, _ = btx_to_stream(inst)
+    # the stream is site-major: its first events are the first half's ones
+    cut = int(np.count_nonzero(inst.matrices[:, : inst.k // 2]))
+    return MomentTriple(*(float(exact_fp_of_events(part, p))
+                          for part in (events, events[:cut], events[cut:])))
 
 
 def btx_from_moments(t: MomentTriple, k: int, p: float,

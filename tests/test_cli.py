@@ -303,6 +303,11 @@ def test_bad_config_value_names_file_line_and_key(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert f"{cfg}: line 3: b: " in err and "'abc'" in err
+    # a list option is parsed by its type too, so its errors name the line
+    cfg.write_text("m=64\nk_list=4,x\n")
+    assert run("bench-comm", "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == (f"error: {cfg}: line 2: k_list: invalid literal "
+                                       f"for int() with base 10: 'x'\n")
 
 
 @pytest.mark.parametrize("line", ["seeed = 7", "literal = 1", "gamma = 0.02",
@@ -367,6 +372,47 @@ def test_bad_i_max_is_one_error_line(tmp_path, capsys, extra):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: i_max") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["4,x", ""])
+def test_bad_k_list_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as err:
+        run("bench-comm", "--k-list", value)
+    assert err.value.code == 2
+    assert "argument --k-list: invalid int_list value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run-threshold", "run-monitor"])
+@pytest.mark.parametrize("header,extra,start", [
+    (f"16 2 {10**200}", [], f"error: n={10**200}, p=2.0: the default i_max"),
+    ("16 2 50", ["--p", "2000"], "error: n=50, p=2000.0: the default i_max"),
+], ids=["201-digit-n", "p-2000"])
+def test_default_i_max_past_the_float_range_is_one_error_line(tmp_path, capsys, command,
+                                                              header, extra, start):
+    stream = tmp_path / "s.txt"
+    stream.write_text(f"{header}\n0 0 1\n1 1 2\n")
+    out = tmp_path / "t.csv"
+    tau = ["--tau", "100"] if command == "run-threshold" else []
+    code = run(command, "--stream", str(stream), "--p", "2", "--eps", "0.2", *tau, *extra,
+               "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_tau_whose_bucket_tables_overflow_is_one_error_line(tmp_path, capsys):
+    stream = str(tmp_path / "s.txt")
+    run("gen-stream", "--kind", "uniform", "--m", "64", "--k", "4",
+        "--n", "100", "--out", stream)
+    out = tmp_path / "t.csv"
+    code = run("run-threshold", "--stream", stream, "--p", "2", "--eps", "0.2",
+               "--tau", "1e308", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tau=1e+308: its bucket tables") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -34,7 +34,7 @@ from fpmon.hardgen import (
     write_instance,
     xor_eval,
 )
-from fpmon.harness import validate_stream
+from fpmon.harness import StreamEvent, validate_stream
 from fpmon.oracles import FreqVector, exact_fp
 from fpmon.sampling import SALT_HARD, derive
 
@@ -315,6 +315,24 @@ def test_btx_to_stream_conservation():
     for site in range(inst.k):
         ones = int(inst.matrices[:, site, :].sum())
         assert sum(1 for ev in events if ev.site == site) == ones
+
+
+@pytest.mark.parametrize("k", [4, 8, 16])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_btx_to_stream_equals_a_per_site_loop(k, p):
+    # the reference: each site's ones in (block, column) order, site after site
+    for seed in (0, 1):
+        inst = gen_btx(k=k, p=p, eps=0.5, seed=seed)
+        want = []
+        for site in range(k):
+            blocks, cols = np.nonzero(inst.matrices[:, site, :])
+            for blk, col in zip(blocks.tolist(), cols.tolist()):
+                want.append(StreamEvent(len(want), site, blk * inst.n_cols + col))
+        events, m = btx_to_stream(inst)
+        assert m == inst.n_blocks * inst.n_cols
+        assert events == want
+        assert all(type(ev) is StreamEvent and all(type(x) is int for x in ev)
+                   for ev in events)
 
 
 def test_btx_stream_moment_matches_column_sums():

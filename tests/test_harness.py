@@ -412,6 +412,16 @@ def test_stream_generators_check_their_shape(gen):
     assert {ev.j for ev in gen(1, 1, 5, 3)} == {0}
 
 
+@pytest.mark.parametrize("gen", [gen_uniform_stream, gen_zipf_stream])
+def test_stream_generators_build_int_events(gen):
+    events = gen(64, 4, 300, 3)
+    assert [ev.t for ev in events] == list(range(300))
+    assert all(type(ev) is StreamEvent and all(type(x) is int for x in ev)
+               for ev in events)
+    assert {ev.site for ev in events} <= set(range(4))
+    assert {ev.j for ev in events} <= set(range(64))
+
+
 def test_zipf_stream_is_skewed():
     events = gen_zipf_stream(1000, 4, 5000, seed=3, s=1.3)
     counts = {}
@@ -622,6 +632,13 @@ def test_exact_fp_of_events_int_and_float():
     events = [StreamEvent(t, 0, j) for t, j in enumerate([1, 1, 2, 1, 3])]
     assert exact_fp_of_events(events, 2) == 9 + 1 + 1
     assert exact_fp_of_events(events, 2.5) == pytest.approx(3**2.5 + 2.0)
+    assert exact_fp_of_events([], 2) == 0 and exact_fp_of_events([], 2.5) == 0.0
+    # the exact oracle's checks: p > 0 and coordinates >= 0
+    for p in (0, -1.5):
+        with pytest.raises(ValueError, match="moment order p must be positive"):
+            exact_fp_of_events(events, p)
+    with pytest.raises(ValueError, match="coordinate -1 outside"):
+        exact_fp_of_events(events + [StreamEvent(5, 0, -1)], 2)
 
 
 def test_provenance_contains_resolved_config():

@@ -115,6 +115,37 @@ def test_params_reject_a_top_rung_past_the_largest_float():
             small_params(eps=eps, i_max=top + 1)
 
 
+@pytest.mark.parametrize("kw", [dict(n=10**200), dict(p=2000.0)])
+def test_params_default_i_max_past_the_float_range_is_a_value_error(kw):
+    # the default i_max is log_(1+eps)(n**2 * 2**p); a 201-digit n does not
+    # convert to a float, and 2.0**2000 overflows
+    g = {**dict(k=4, m=64, n=100, p=2.0, eps=0.2), **kw}
+    with pytest.raises(ValueError, match=rf"^n={g['n']}, p={g['p']}: the default i_max"):
+        GlobalParams(**g)
+    assert GlobalParams(**g, i_max=10).i_max == 10
+
+
+@pytest.mark.filterwarnings("error")  # and no numpy overflow warning before it
+def test_tau_whose_bucket_tables_overflow_is_a_value_error():
+    # the tables reach zeta**(p * (h_cap + 1)), and h_cap grows with tau
+    g = GlobalParams(k=4, m=64, n=100, p=2.0, eps=0.2)
+    assert ThresholdInstance(g, tau=1e300).h_cap > 0
+    for build in (ThresholdInstance, Monitor):
+        with pytest.raises(ValueError, match=r"^tau=1e\+308: its bucket tables pass the float"):
+            build(g, tau=1e308)
+    with pytest.raises(ValueError, match=r"^tau=1e\+308: "):
+        ThresholdInstance(GlobalParams(k=4, m=64, n=100, p=2.0, eps=0.2, tau=1e308))
+    # a ladder whose top rungs' level ratios tau / (eta**p b) overflow,
+    # although the top rung estimate (1+eps)**(i_max + 1/2) is finite
+    ladder = dict(k=4, m=16, n=100, p=2.0, eps=0.9, b=1.0, r=1, a=1)
+    with pytest.raises(ValueError, match=r"^tau=\S+: its bucket tables pass the float"):
+        Monitor(GlobalParams(**ladder, i_max=1105))
+    events = gen_uniform_stream(16, 4, 100, 0)
+    mon = Monitor(GlobalParams(**ladder, i_max=1100))
+    mon.run(*plan_events(events, 4)[:3])
+    assert mon.n_events == 100
+
+
 def test_params_defaults_resolve():
     g = GlobalParams(k=8, m=4096, n=20000, p=2.0, eps=0.2)
     assert g.gamma == 0.2 / 10.0

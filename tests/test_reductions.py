@@ -33,11 +33,18 @@ def test_btx_moments_frozen_example():
     w = (scale * (t.w1 + t.w2) - t.w0) / (scale - 1.0)
     assert w == 647.0
     assert btx_from_moments(t, inst.k, inst.p, inst.eps) == 0
-    # independent recomputation straight from the matrices
-    m = inst.matrices.astype(np.int64)
-    assert t.w0 == float((m.sum(axis=1) ** 2).sum())
-    assert t.w1 == float((m[:, :4, :].sum(axis=1) ** 2).sum())
-    assert t.w2 == float((m[:, 4:, :].sum(axis=1) ** 2).sum())
+    # independent recomputation straight from the matrices, on this instance
+    # and at other orders and seeds: exact ints for integer p, the fsum of
+    # float powers otherwise
+    others = [gen_btx(k=8, p=p, eps=0.5, seed=s) for p in (1.5, 2.0, 3.0) for s in (1, 2, 3)]
+    for inst in [inst, *others]:
+        t, p = btx_moments(inst), inst.p
+        m = inst.matrices.astype(np.int64)
+        for got, part in ((t.w0, m), (t.w1, m[:, :4, :]), (t.w2, m[:, 4:, :])):
+            counts = part.sum(axis=1).ravel().tolist()
+            want = (sum(c ** int(p) for c in counts) if p.is_integer() else
+                    math.fsum(float(c) ** p for c in counts if c))
+            assert got == float(want)
 
 
 def test_btx_from_moments_decision_margin():
