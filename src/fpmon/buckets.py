@@ -67,13 +67,19 @@ class Buckets:
         eta_p = [e**p for e in eta]
         self.h_cap = []
         for t, e, e_p, top in zip(tau, eta, eta_p, (n * self.u[:, 0]).tolist()):
+            if e_p == 0.0 or n / e_p == math.inf:
+                raise ValueError(f"p={p}: eta**p at eta={e} is {e_p}, too small for the "
+                                 f"bucket count log(n / eta**p)")
             h_full = math.ceil((1.0 / gamma) * math.log(n / e_p, zeta))
             h_reach = int(math.floor(math.log(top / e, zeta))) + 2 if top >= e else 1
-            self.h_cap.append(min(h_full, h_reach))
+            self.h_cap.append(h := min(h_full, h_reach))
             # the tables' extremes, checked before any is built: the level
             # ratio tau / (eta**p b) at h = 0, and zeta**(p h) at the last slot
-            if t / (e_p * b) == math.inf or pow_overflows(zeta, p * (self.h_cap[-1] + 1)):
+            if t / (e_p * b) == math.inf:
                 raise ValueError(f"tau={t}: its bucket tables pass the float range at eta={e}")
+            if pow_overflows(zeta, p * (h + 1)):
+                raise ValueError(f"n={n}: h_cap={h} puts its bucket weights "
+                                 f"(1+gamma)**(p*(h_cap+1)) past the float range")
 
         sizes = np.array(self.h_cap) + 2
         self.off = np.concatenate(([0], np.cumsum(sizes)))

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import hardgen, harness, reductions
+from . import hardgen, harness, oracles, reductions
 from .protocol import GlobalParams
 from .sampling import SALT_STREAM, derive
 
@@ -214,7 +214,7 @@ def cmd_verify_reduction(args: argparse.Namespace) -> int:
             inst = hardgen.gen_bit_disj(args.k, nprime, args.beta,
                                         derive(args.seed, 12, t))
             n_true = sum(inst.z)
-            w = float(np.unique(inst.xs).size)
+            w = float(oracles.exact_distinct(inst.xs, nprime))
             lam = (reductions.collision_rate(n_true, lprime)
                    if n_true >= 1 else 0.0)
             est = reductions.bit_from_f0(w, nprime, lprime, lam)

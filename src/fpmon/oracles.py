@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 def _check_p(p: float) -> None:
     if not p > 0:
@@ -100,6 +102,17 @@ def exact_fp(v: FreqVector, p: float):
 def exact_f0(v: FreqVector) -> int:
     """Number of coordinates with nonzero count."""
     return len(v.counts)
+
+
+def exact_distinct(items, universe: int) -> int:
+    """Number of distinct values in an integer array over [0, universe),
+    read off a boolean table of the universe."""
+    items = np.asarray(items, dtype=np.int64).ravel()
+    if items.size and not 0 <= items.min() <= items.max() < universe:
+        raise ValueError(f"items must lie in [0, {universe})")
+    seen = np.zeros(universe, dtype=bool)
+    seen[items] = True
+    return int(np.count_nonzero(seen))
 
 
 def exact_quantile(items: Sequence[int] | Iterable[int], phi: float) -> int:

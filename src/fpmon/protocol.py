@@ -33,7 +33,6 @@ from .sampling import (
     premix64,
     premix64_np,
     unit_open_zero,
-    unpremix64_np,
 )
 
 _TWO53 = 2.0**53
@@ -165,9 +164,8 @@ class FanRows:
     The coin and send keys are stored premixed (coin_pm, send_pm: see
     sampling.premix64), so each row's hash starts with one xor. A send hash
     h passes the thinning trial iff h <= send_lim, the integer form of
-    (h >> 11) < qscaled (see send_limit). guard, coin_key, send_key,
-    member_thresh, qscaled, z_of and l_of are read back on first use; a
-    Monitor's run reads none of them.
+    (h >> 11) < q * 2**53 for the row's send probability
+    q = min(b / tau_l^(1/p), 1) (see send_limit).
     """
 
     def __init__(self, params: GlobalParams, tau: Sequence[float],
@@ -191,45 +189,13 @@ class FanRows:
         root = np.array([float(t) ** (1.0 / params.p) for t in tau])[:, None, None]
         tau_l_root = root / np.array([2.0 ** (v / params.p) for v in range(n_levels)])
         self._guard = tau_l_root / (params.k * params.b)
-        self._qscaled = np.minimum(params.b / tau_l_root, 1.0) * _TWO53
-        self.send_lim = np.broadcast_to(send_limit(self._qscaled), shape).ravel()
+        qscaled = np.minimum(params.b / tau_l_root, 1.0) * _TWO53
+        self.send_lim = np.broadcast_to(send_limit(qscaled), shape).ravel()
 
     def guards(self) -> np.ndarray:
         """A new array of each row's guard tau_l^(1/p) / (k b); a Monitor's
         gate starts as one."""
         return np.broadcast_to(self._guard, self.shape).flatten()
-
-    @functools.cached_property
-    def guard(self) -> np.ndarray:
-        return self.guards()
-
-    @functools.cached_property
-    def z_of(self) -> np.ndarray:
-        z = np.arange(1, self.shape[1] + 1, dtype=np.int32)[None, :, None]
-        return np.broadcast_to(z, self.shape).ravel()
-
-    @functools.cached_property
-    def l_of(self) -> np.ndarray:
-        l = np.arange(self.shape[2], dtype=np.int32)[None, None, :]
-        return np.broadcast_to(l, self.shape).ravel()
-
-    @functools.cached_property
-    def coin_key(self) -> np.ndarray:
-        return unpremix64_np(self.coin_pm)
-
-    @functools.cached_property
-    def send_key(self) -> np.ndarray:
-        return unpremix64_np(self.send_pm)
-
-    @functools.cached_property
-    def member_thresh(self) -> np.ndarray:
-        return np.resize(self.member_tile, self.size)
-
-    @functools.cached_property
-    def qscaled(self) -> np.ndarray:
-        """Each row's send probability q = min(b / tau_l^(1/p), 1), times
-        2**53."""
-        return np.broadcast_to(self._qscaled, self.shape).ravel()
 
 
 def send_limit(qscaled: np.ndarray) -> np.ndarray:
@@ -277,7 +243,7 @@ def fanout(rows: FanRows, gate: np.ndarray, count_after, ev,
     keyed thinning trial succeeds.
 
     gate holds each row's guard, or +inf for a row that sends nothing: a
-    Monitor's gate is +inf on the rows of a silent pair, and rows.guard
+    Monitor's gate is +inf on the rows of a silent pair, and rows.guards()
     lets every row send.
 
     count_after and ev are one update's scalars, or arrays aligned with
@@ -322,9 +288,7 @@ class ThresholdInstance:
     2**l * |bucket population|, and sums medians weighted by
     eta**p * (1+gamma)**(p h). Only a message that takes its counter into or
     out of a readable bucket can move a median, and each such message moves
-    one or two histograms and their medians. estimate_full() rebuilds the
-    estimate from the raw counters alone; it is the reference the tests
-    check the running estimate against, bit for bit.
+    one or two histograms and their medians.
 
     Counters live in a buckets.Columns, whose owner bumps them and calls
     apply(), the coordinator step, only at the counts that its crossing
@@ -380,7 +344,6 @@ class ThresholdInstance:
         self.out = 0  # 1 once fired; a fired copy takes no more messages
         self.dropped = 0
         self.est_decreases = 0
-        self._bucket_cache: dict[tuple[int, int], int] = {}
 
     @functools.cached_property
     def columns(self) -> Columns:
@@ -403,19 +366,6 @@ class ThresholdInstance:
         """Bucket index of a counter value; -1 below the first edge,
         h_cap + 1 beyond the last tracked edge."""
         return int(np.searchsorted(self.edge, value, side="right")) - 1
-
-    def _bucket_of_count(self, l: int, count: int) -> int:
-        key = (l, count)
-        if key not in self._bucket_cache:
-            self._bucket_cache[key] = self.bucket_of_value(count * float(self.u[l]))
-        return self._bucket_cache[key]
-
-    def _readable(self, h: int, l: int) -> bool:
-        return 0 <= h <= self.h_cap and self.lvl_of_h[h] == l
-
-    def counter_value(self, z: int, l: int, j: int) -> float:
-        """Current counter value f_{z,l,j} = message count * u_l."""
-        return self.counts.get((z, l, j), 0) * float(self.u[l])
 
     # -- estimation --------------------------------------------------------
 
@@ -455,45 +405,6 @@ class ThresholdInstance:
                 self.med[h] = float(m << int(self.lvl_of_h[h]))
                 return True
         return False
-
-    def _full_pass(self) -> tuple[np.ndarray, float]:
-        """Rebuild bucket histograms, medians, and the weighted-median sum
-        from the raw counters alone."""
-        hist: dict[int, np.ndarray] = {}
-        for (z, l, j), c in self.counts.items():
-            h = self._bucket_of_count(l, c)
-            if self._readable(h, l):
-                arr = hist.get(h)
-                if arr is None:
-                    arr = np.zeros(self.params.r, dtype=np.int32)
-                    hist[h] = arr
-                arr[z - 1] += 1
-        med = np.zeros(self.h_cap + 1, dtype=np.float64)
-        for h, arr in hist.items():
-            med_count = int(np.partition(arr, self._med_idx)[self._med_idx])
-            med[h] = float(med_count << int(self.lvl_of_h[h]))
-        return med, float(np.dot(med, self.weight))
-
-    def estimate(self) -> float:
-        """Current class-weighted sum of bucket medians."""
-        return self.est
-
-    def estimate_full(self) -> float:
-        """Estimate recomputed from scratch; equals estimate() exactly."""
-        return self._full_pass()[1]
-
-    def crossings(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """For each level l: the ascending counts c >= 1 at which a level-l
-        counter going from c - 1 to c leaves or enters a bucket readable at
-        l, which are the only messages that move a histogram; and for each
-        such count, the readable bucket left and the one entered (-1 for
-        none). Counts stop at n, since a counter takes at most one message
-        per update of its coordinate. Read out of this copy's keys in its
-        Buckets' crossing table."""
-        t, n_levels = self._buckets.crossings, self._buckets.n_levels
-        key, count = np.divmod(t.at, self._buckets.n + 1)
-        return [(count[sel], t.left[sel], t.entered[sel]) for sel in
-                (key == (self._pair + 1) * n_levels - 1 - l for l in range(n_levels))]
 
     # -- coordinator step ---------------------------------------------------
 

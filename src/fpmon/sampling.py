@@ -57,12 +57,6 @@ def premix64_np(x) -> np.ndarray:
     return np.bitwise_xor(x, t, out=t)
 
 
-def unpremix64_np(x) -> np.ndarray:
-    """The inverse of premix64 over a uint64 array, into a new array."""
-    x = np.asarray(x, dtype=np.uint64)
-    return x ^ (x >> np.uint64(30)) ^ (x >> np.uint64(60))
-
-
 def finish64_np(x: np.ndarray, scratch: np.ndarray | None = None,
                 last: bool = True) -> np.ndarray:
     """The rest of mix64, in place on a premixed uint64 array x, so that

@@ -9,7 +9,6 @@ from pathlib import Path
 from fpmon import hardgen, harness, monitor, protocol, reductions, sampling
 from fpmon.harness import gen_uniform_stream, simulate
 from fpmon.protocol import GlobalParams
-from replay import deliver
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
@@ -110,16 +109,16 @@ def test_bench_hardgen_workload_passes_its_checks_at_tiny_size(monkeypatch, tmp_
 def test_construction_builds_no_more_than_the_bench_times():
     # the bench times ThresholdInstance(params) as threshold-uniform's
     # setup_s and Monitor(params) as the monitor workloads': a standalone
-    # instance builds its crossing table and counters when its first message
-    # is delivered, and a Monitor builds its table in __init__, not on its
-    # first event
+    # instance builds its crossing table and counters when they are first
+    # read, and a Monitor builds its table in __init__, not on its first
+    # event
     g = GlobalParams(k=4, m=64, n=2000, p=2.0, eps=0.5, b=8.0, r=3, seed=1,
                      tau=50.0, a=1)
     inst = protocol.ThresholdInstance(g)
     assert "crossings" not in vars(inst._buckets)
     assert "columns" not in vars(inst)
-    deliver(inst, 0, 1, 0)
-    assert "crossings" in vars(inst._buckets) and list(inst.columns.by_j) == [0]
+    assert inst.counts == {}
+    assert "crossings" in vars(inst._buckets) and inst.columns.by_j == {}
     for mon in (monitor.Monitor(g), monitor.Monitor(g, tau=g.tau)):
         assert "crossings" in vars(mon._buckets)
         assert mon.columns.table is mon._buckets.crossings

@@ -416,6 +416,17 @@ def test_tau_whose_bucket_tables_overflow_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_p_whose_eta_power_underflows_is_one_error_line(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    stream.write_text("64 4 50\n0 0 1\n1 1 2\n")
+    out = tmp_path / "m.csv"
+    assert run("run-monitor", "--stream", str(stream), "--p", "2000", "--eps", "0.2",
+               "--i-max", "5", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: p=2000.0: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_i_max_zero_runs_a_one_rung_ladder(tmp_path):
     stream = str(tmp_path / "s.txt")
     run("gen-stream", "--kind", "uniform", "--m", "16", "--k", "2",

@@ -112,15 +112,28 @@ LADDER_TABLES = {
 
 
 def ladder_tables(mon: Monitor) -> dict[str, np.ndarray]:
-    """Every table a Monitor builds with its ladder, by name."""
-    bk, rows = mon._buckets, mon.rows
+    """Every table a Monitor builds with its ladder, by name. The rows'
+    tables are rebuilt, as they were once stored, from the stored ones: the
+    keys unpremixed, and each row's send probability times 2**53 from its
+    formula."""
+    bk, rows, g = mon._buckets, mon.rows, mon.params
     tables = dict(u=bk.u, h_cap=np.asarray(bk.h_cap, dtype=np.int64), off=bk.off,
                   edge=bk.edge, weight=bk.weight, lvl=bk.lvl,
                   first=mon.columns.first, row_at=mon.columns.row_at)
     tables.update((f"crossings.{k}", v) for k, v in bk.crossings._asdict().items())
-    tables.update((f"rows.{k}", getattr(rows, k)) for k in
-                  ("z_of", "l_of", "coin_key", "send_key", "member_thresh",
-                   "guard", "qscaled"))
+    z = np.arange(1, g.r + 1, dtype=np.int32)[:, None]
+    l = np.arange(g.l_max + 1, dtype=np.int32)
+    root = np.array([c.tau ** (1.0 / g.p) for c in mon.copies])[:, None, None]
+    tau_l_root = root / np.array([2.0 ** (v / g.p) for v in range(g.l_max + 1)])
+    tables.update({
+        "rows.z_of": np.broadcast_to(z, rows.shape).ravel(),
+        "rows.l_of": np.broadcast_to(l, rows.shape).ravel(),
+        **{f"rows.{name}_key": pm ^ (pm >> np.uint64(30)) ^ (pm >> np.uint64(60))
+           for name, pm in (("coin", rows.coin_pm), ("send", rows.send_pm))},
+        "rows.member_thresh": np.resize(rows.member_tile, rows.size),
+        "rows.guard": rows.guards(),
+        "rows.qscaled": np.broadcast_to(np.minimum(g.b / tau_l_root, 1.0) * 2.0**53,
+                                        rows.shape).ravel()})
     tables.update(
         eta=np.array([c.eta for c in mon.copies]),
         coin=np.array([c.coin.master_seed for c in mon.copies], dtype=np.uint64),

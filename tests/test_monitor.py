@@ -1,5 +1,6 @@
 """Ladder monitor: amplified threshold copies, majority vote, estimate."""
 
+import bisect
 import gc
 import itertools
 import math
@@ -15,7 +16,7 @@ import fpmon.protocol
 from fpmon.buckets import NEVER
 from fpmon.harness import gen_uniform_stream, gen_zipf_stream, plan_events, simulate
 from fpmon.monitor import Monitor
-from fpmon.protocol import GlobalParams, ThresholdInstance
+from fpmon.protocol import FanRows, GlobalParams, ThresholdInstance, send_limit
 from fpmon.sampling import (
     GOLDEN,
     MASK64,
@@ -24,12 +25,11 @@ from fpmon.sampling import (
     SLICE,
     derive,
     event_key,
-    level_of,
-    coordinate_key,
     member_threshold,
+    premix64,
     unit_open_zero,
 )
-from replay import deliver, sends, site_rows
+import reference
 from test_sampling import unmix64
 
 
@@ -61,7 +61,7 @@ def test_ladder_shape_and_bits():
     assert mon.taus[0] == 1.0
     assert mon.taus[-1] == (1.5) ** g.i_max
     assert mon.message_bits == g.message_bits(n_streams=len(mon.copies))
-    assert mon.rows.size == len(mon.copies) * site_rows(mon.copies[0]).size
+    assert mon.rows.size == len(mon.copies) * mon.block == len(mon.copies) * g.r * (g.l_max + 1)
 
 
 def test_estimate_starts_at_zero_then_tracks_highest_rung():
@@ -89,91 +89,29 @@ def with_site_counts(events, k: int):
         yield ev, d[ev.j]
 
 
-def solo_step(solo: ThresholdInstance, rows, c: int, ev) -> int:
-    """Deliver one site update to a standalone instance, whose site rows
-    are rows, the way the monitor does: same event key, candidates the
-    rows whose level set holds the coordinate, nothing sent once it has
-    fired. Returns the messages sent."""
-    if solo.out:
-        return 0
-    emit = sends(rows, rows.guard, c, ev.j, event_key(ev.site, ev.t))
-    for f in emit.tolist():
-        deliver(solo, ev.j, int(rows.z_of[f]), int(rows.l_of[f]))
-    return int(emit.size)
-
-
-def assert_same_run(copy: ThresholdInstance, solo: ThresholdInstance) -> None:
-    assert copy.counts == solo.counts
-    assert copy.est == solo.est
-    assert np.array_equal(copy.med, solo.med)
-    assert copy.out == solo.out
-    assert copy.messages_received == solo.messages_received
-    assert copy.dropped == solo.dropped
-    assert copy.est_decreases == solo.est_decreases
-
-
-def test_amplified_copy_is_bit_identical_to_standalone_instance():
-    # copy c of rung i replays exactly as a ThresholdInstance built with the
-    # same derived seed triple and the same event keys, for a in {1, 3},
-    # p in {1.5, 2, 3}, uniform and Zipf streams; the copies checked include
-    # every copy that fired mid-event and dropped the rest of that event
-    mid_event_fires = 0
-    for a, p, stream in itertools.product((1, 3), (1.5, 2.0, 3.0),
-                                          ("uniform", "zipf")):
-        g = monitor_params(a=a, p=p)
-        if stream == "zipf":
-            events = gen_zipf_stream(g.m, g.k, 600, seed=9, s=1.1)
-        else:
-            events = gen_uniform_stream(g.m, g.k, 600, seed=9)
-        mon = Monitor(g)
-        # the event after which each pair is silent: it fired, or a majority
-        # of its rung did and it keeps only that event's messages
-        silent_after = np.full(len(mon.copies), len(events))
-        for t, (ev, cnt) in enumerate(with_site_counts(events, g.k)):
-            mon.on_event(cnt, ev.j, event_key(ev.site, ev.t))
-            now = ~mon.live[:: mon.block] & (silent_after == len(events))
-            silent_after[now] = t
-
-        pairs = {i * a + c for i in (2, 8, g.i_max) for c in range(a)}
-        dropping = {q for q, copy in enumerate(mon.copies) if copy.dropped}
-        mid_event_fires += len(dropping)
-        for pair in sorted(pairs | dropping):
-            i, c = divmod(pair, a)
-            solo = ThresholdInstance(
-                g,
-                tau=(1.0 + g.eps) ** i,
-                coin_seed=derive(g.seed, SALT_INSTANCE, i, c, 0),
-                send_seed=derive(g.seed, SALT_INSTANCE, i, c, 1),
-                eta_seed=derive(g.seed, SALT_INSTANCE, i, c, 2),
-            )
-            stop, rows = silent_after[pair], site_rows(solo)
-            for t, (ev, cnt) in enumerate(with_site_counts(events, g.k)):
-                if t > stop:
-                    break
-                solo_step(solo, rows, cnt, ev)
-            assert_same_run(mon.copies[pair], solo)
-    assert mid_event_fires > 0
-
-
 def test_one_rung_monitor_is_a_threshold_instance():
     # Monitor(g, tau=T) is the threshold run: one rung at T with one copy,
-    # unamplified bits, and a copy that replays ThresholdInstance(g) with
-    # its default seeds, event for event
+    # unamplified bits, and a copy with ThresholdInstance(g)'s default seeds
+    # and tables, which runs as the reference's threshold run, event for
+    # event
     g = monitor_params(a=3, tau=2000.0)
     mon = Monitor(g, tau=g.tau)
     assert (mon.n_instances, mon.a, mon.majority) == (1, 1, 1)
     assert mon.taus == [g.tau]
     assert len(mon.copies) == 1
     assert mon.message_bits == g.message_bits()
+    copy, solo = mon.copies[0], ThresholdInstance(g)
+    assert (copy.coin, copy.send_seed, copy.eta) == (solo.coin, solo.send_seed, solo.eta)
+    for name in ("u", "edge", "weight", "lvl_of_h"):
+        assert np.array_equal(getattr(copy, name), getattr(solo, name)), name
     events = gen_uniform_stream(g.m, g.k, 600, seed=9)
-    solo = ThresholdInstance(g)
-    rows = site_rows(solo)
+    ref, cum = reference.Run(g), 0
     for ev, c in with_site_counts(events, g.k):
-        msgs = mon.on_event(c, ev.j, event_key(ev.site, ev.t))
-        assert msgs == solo_step(solo, rows, c, ev)
-        assert_same_run(mon.copies[0], solo)
-        assert mon.fired_count() == solo.out
-    assert solo.out == 1 and solo.dropped > 0  # the run crosses tau mid-event
+        cum += mon.on_event(c, ev.j, event_key(ev.site, ev.t))
+        _, _, est, sent, _, fired = ref.event(*ev)
+        assert (cum, mon.estimate(), mon.fired_count()) == (sent, est, fired)
+        assert (copy.est, copy.dropped) == (ref.copies[0].est, ref.copies[0].dropped)
+    assert copy.out == 1 and copy.dropped > 0  # the run crosses tau mid-event
 
 
 def test_planned_runs_replay_unplanned_events(monkeypatch):
@@ -276,7 +214,7 @@ def test_one_rung_monitor_estimate_is_its_copys():
     count_after, js, keys, _ = plan_events(gen_uniform_stream(g.m, g.k, g.n, seed=1), g.k)
     for c, j, ev in zip(count_after.tolist(), js.tolist(), keys.tolist()):
         mon.on_event(c, j, ev)
-        assert mon.estimate() == mon.copies[0].estimate()
+        assert mon.estimate() == mon.copies[0].est
     assert mon.copies[0].out == 1 and mon.record[-1][1] == mon.copies[0].est > g.tau
 
 
@@ -401,8 +339,8 @@ def test_copies_use_disjoint_randomness():
     etas = {c.eta for c in mon.copies}
     assert len(etas) == len(mon.copies)
     rows = mon.rows
-    keys = {int(k) for lo in range(0, rows.size, mon.block)
-            for k in (rows.coin_key[lo], rows.send_key[lo])}
+    keys = {int(k) for lo in range(0, rows.size, mon.block)  # premixed: a bijection
+            for k in (rows.coin_pm[lo], rows.send_pm[lo])}
     assert len(keys) == 2 * len(mon.copies)
 
 
@@ -468,24 +406,24 @@ def test_ladder_rows_equal_scalar_keys_and_formulas():
     for p in (1.5, 2.0, 3.0):
         g = monitor_params(a=3, p=p, r=3, b=3.0)
         mon = Monitor(g)
-        rows, n_levels = mon.rows, g.l_max + 1
+        rows, n_levels, guard = mon.rows, g.l_max + 1, mon.rows.guards()
         for flat in range(rows.size):
             pair, within = divmod(flat, mon.block)
             z, l = within // n_levels + 1, within % n_levels
             copy = mon.copies[pair]
             tau_l_root = copy.tau ** (1.0 / p) / 2.0 ** (l / p)
-            assert (rows.z_of[flat], rows.l_of[flat]) == (z, l)
-            assert int(rows.coin_key[flat]) == copy.coin.key(z, l)
-            assert int(rows.send_key[flat]) == derive(copy.send_seed, SALT_SEND, z, l)
-            assert int(rows.member_thresh[flat]) == member_threshold(l)
-            assert rows.guard[flat] == tau_l_root / (g.k * g.b)
-            assert rows.qscaled[flat] == min(g.b / tau_l_root, 1.0) * 2.0**53
+            assert int(rows.coin_pm[flat]) == premix64(copy.coin.key(z, l))
+            assert int(rows.send_pm[flat]) == premix64(derive(copy.send_seed, SALT_SEND, z, l))
+            assert int(rows.member_tile[flat % n_levels]) == member_threshold(l)
+            assert guard[flat] == tau_l_root / (g.k * g.b)
+            qscaled = min(g.b / tau_l_root, 1.0) * 2.0**53
+            assert rows.send_lim[flat] == send_limit(np.array([qscaled]))[0]
         for pair in (0, len(mon.copies) // 2, len(mon.copies) - 1):
-            own, lo = site_rows(mon.copies[pair]), pair * mon.block
-            for name in ("z_of", "l_of", "coin_key", "send_key", "member_thresh",
-                         "guard", "qscaled"):
-                block = getattr(rows, name)[lo : lo + mon.block]
-                assert np.array_equal(getattr(own, name), block), name
+            copy, block = mon.copies[pair], slice(pair * mon.block, (pair + 1) * mon.block)
+            own = FanRows(g, [copy.tau], [copy.coin.master_seed], [copy.send_seed])
+            for name in ("coin_pm", "send_pm", "send_lim"):
+                assert np.array_equal(getattr(own, name), getattr(rows, name)[block]), name
+            assert np.array_equal(own.guards(), guard[block])
 
 
 def coordinate_hashing_to(key: int, h: int) -> int:
@@ -510,7 +448,7 @@ def test_column_rows_equal_in_sample(m, slice_, monkeypatch):
     js = rng.integers(0, m, 40).tolist()
     for pair, z, l in ((0, 1, g.l_max), (0, 2, g.l_max - 1), (7, 2, g.l_max),
                        (9, 1, min(32, g.l_max)), (10, 2, min(31, g.l_max - 2))):
-        key = int(rows.coin_key[pair * mon.block + (z - 1) * (g.l_max + 1) + l])
+        key = mon.copies[pair].coin.key(z, l)
         for y in (member_threshold(l), member_threshold(l) + 1):
             js += [coordinate_hashing_to(key, y), coordinate_hashing_to(key, y ^ (y >> 31))]
     js = list(dict.fromkeys(js))
@@ -518,12 +456,37 @@ def test_column_rows_equal_in_sample(m, slice_, monkeypatch):
     for j in js[20:]:
         mon._build_columns([j])
     deep = 0
+    n_levels = g.l_max + 1
     for j in js:
         want = [f for f in range(rows.size) if live[f] and mon.copies[f // mon.block].coin
-                .in_sample(int(rows.z_of[f]), int(rows.l_of[f]), j)]
+                .in_sample(f % mon.block // n_levels + 1, f % n_levels, j)]
         assert mon.columns.by_j[j][0].tolist() == want
-        deep += sum(int(rows.l_of[f]) == g.l_max for f in want)
+        deep += sum(f % n_levels == g.l_max for f in want)
     assert deep >= 2
+
+
+def crossings_of(mon: Monitor, pair: int, l: int) -> list[tuple[int, int, int]]:
+    """(count, bucket left, bucket entered) of each crossing of copy pair's
+    level-l counters, read from the Monitor's crossing table."""
+    t, n_levels = mon._buckets.crossings, mon.params.l_max + 1
+    key, count = np.divmod(t.at, mon.params.n + 1)
+    sel = key == (pair + 1) * n_levels - 1 - l
+    return list(zip(count[sel].tolist(), t.left[sel].tolist(), t.entered[sel].tolist()))
+
+
+def scan(g: GlobalParams, copy: ThresholdInstance, l: int) -> list[tuple[int, int, int]]:
+    """The crossings of a level-l counter, one count at a time, by the
+    reference's bucket formulas: (c, left, entered) where the counter going
+    from c - 1 to c leaves or enters a bucket readable at l."""
+    u, h_cap, edge, _, lvl = reference.bucket_tables(g, copy.tau, copy.eta)
+    out, h_prev = [], -1
+    for c in range(1, g.n + 1):
+        h = bisect.bisect_right(edge, c * u[l]) - 1
+        left, entered = ((x if 0 <= x <= h_cap and lvl[x] == l else -1) for x in (h_prev, h))
+        if h != h_prev and (left >= 0 or entered >= 0):
+            out.append((c, left, entered))
+        h_prev = h
+    return out
 
 
 def test_crossings_equal_a_scan_of_every_count():
@@ -533,21 +496,9 @@ def test_crossings_equal_a_scan_of_every_count():
     for p in (1.5, 2.0, 3.0):
         g = monitor_params(a=1, p=p)
         mon = Monitor(g)
-        for copy in mon.copies:
-            table = copy.crossings()
-            assert len(table) == g.l_max + 1
-            for l, (counts, left, entered) in enumerate(table):
-                scan = []
-                h_prev = copy._bucket_of_count(l, 0)
-                for c in range(1, g.n + 1):
-                    h = copy._bucket_of_count(l, c)
-                    out = h_prev if copy._readable(h_prev, l) else -1
-                    into = h if copy._readable(h, l) else -1
-                    if h != h_prev and (out >= 0 or into >= 0):
-                        scan.append((c, out, into))
-                    h_prev = h
-                got = list(zip(counts.tolist(), left.tolist(), entered.tolist()))
-                assert got == scan, (copy.tau, l)
+        for pair, copy in enumerate(mon.copies):
+            for l in range(g.l_max + 1):
+                assert crossings_of(mon, pair, l) == scan(g, copy, l), (copy.tau, l)
 
 
 def test_bucket_tables_equal_scalar_formulas():
@@ -558,22 +509,11 @@ def test_bucket_tables_equal_scalar_formulas():
         g = monitor_params(a=3, p=p, tau=tau, n=3000, b=3.0)
         mon = Monitor(g) if tau is None else Monitor(g, tau=g.tau)
         for copy in mon.copies:
-            gamma, zeta, eta, t = g.gamma, 1.0 + g.gamma, copy.eta, copy.tau
-            root = t ** (1.0 / p)
-            u = np.array([max(root / 2.0 ** (l / p) / g.b, 1.0)
-                          for l in range(g.l_max + 1)])
-            h_full = math.ceil((1.0 / gamma) * math.log(g.n / eta**p, zeta))
-            top = g.n * float(u[0])
-            h_reach = (int(math.floor(math.log(top / eta, zeta))) + 2
-                       if top >= eta else 1)
-            h_cap = min(h_full, h_reach)
-            hs = np.arange(h_cap + 2, dtype=np.float64)
-            assert np.array_equal(copy.u, u)
+            u, h_cap, edge, weight, levels = reference.bucket_tables(g, copy.tau, copy.eta)
+            assert copy.u.tolist() == u
             assert copy.h_cap == h_cap
-            assert np.array_equal(copy.edge, eta * zeta**hs)
-            assert np.array_equal(copy.weight, eta**p * zeta ** (p * hs[: h_cap + 1]))
-            levels = [level_of(h, eta, gamma, p, t, g.b, g.l_max)
-                      for h in range(h_cap + 1)]
+            assert np.array_equal(copy.edge, edge)
+            assert np.array_equal(copy.weight, weight)
             assert copy.lvl_of_h.tolist() == levels
         # the crossing table is built in bucket order and must come out sorted
         assert (np.diff(mon._buckets.crossings.at) > 0).all()
@@ -585,24 +525,20 @@ def test_threshold_run_with_no_crossing_at_all():
     # an eta): the crossing table is empty, and the run never fires
     g = GlobalParams(k=4, m=16, n=2, p=1.5, eps=0.9, b=1.0, tau=1e9, seed=4)
     mon = Monitor(g, tau=g.tau)
-    copy = mon.copies[0]
     for l in range(g.l_max + 1):
-        hs = [copy._bucket_of_count(l, c) for c in range(g.n + 1)]
-        assert not any(copy._readable(h, l) for h in hs if h >= 0)
+        assert scan(g, mon.copies[0], l) == crossings_of(mon, 0, l) == []
     table = mon._buckets.crossings
     assert table.at.size == 0 and (table.first == np.iinfo(np.int32).max).all()
-    assert all(counts.size == 0 for counts, _, _ in copy.crossings())
     events = gen_uniform_stream(16, 4, 2, seed=1)
     rows, inst = simulate(events, g, mode="threshold")
     assert [row.estimate for row in rows] == [0.0, 0.0] and not inst.out
 
 
 def test_ladder_literal_path_replays_the_incremental_one():
-    # the literal recomputation (the full pass, which rebuilds medians and
-    # estimate from the raw counters alone) agrees bit for bit with the running state of every
-    # copy whose estimate moved or that fired in an event, right after that
-    # event, through mid-event fires, at p in {1.5, 2, 3} on a uniform and a
-    # skewed stream
+    # the reference's literal path (every message bumps its counter, every
+    # median is a sort) agrees bit for bit with the running state of every
+    # copy right after every event, through mid-event fires, at p in
+    # {1.5, 2, 3} on a uniform and a skewed stream
     checked = dropped = 0
     for p, stream in itertools.product((1.5, 2.0, 3.0), ("uniform", "zipf")):
         g = monitor_params(p=p, n=300)
@@ -610,16 +546,14 @@ def test_ladder_literal_path_replays_the_incremental_one():
             events = gen_zipf_stream(g.m, g.k, g.n, seed=5, s=1.1)
         else:
             events = gen_uniform_stream(g.m, g.k, g.n, seed=5)
-        mon = Monitor(g)
-        for c, j, ev in zip(*(x.tolist() for x in plan_events(events, g.k)[:3])):
-            before = [(copy.est, copy.out) for copy in mon.copies]
-            mon.on_event(c, j, ev)
-            for copy, was in zip(mon.copies, before):
-                if (copy.est, copy.out) != was:
-                    med, est = copy._full_pass()
-                    assert copy.est == est == copy.estimate_full()
-                    assert np.array_equal(copy.med, med)
-                    checked += 1
+        mon, ref = Monitor(g), reference.Run(g, "monitor")
+        for ev, c, j, key in zip(events, *(x.tolist() for x in plan_events(events, g.k)[:3])):
+            mon.on_event(c, j, key)
+            ref.event(*ev)
+            for copy, want in zip(mon.copies, ref.copies):
+                same = (copy.est, copy.out, copy.dropped) == (want.est, want.out, want.dropped)
+                assert same and np.array_equal(copy.med, want.med), (copy.tau, ev)
+                checked += copy.est > 0
         dropped += sum(copy.dropped > 0 for copy in mon.copies)
     assert checked > 0 and dropped > 0
 
@@ -631,10 +565,8 @@ def test_columns_keep_each_counters_next_crossing():
     _, mon = simulate(gen_zipf_stream(64, 4, 300, seed=5, s=1.1), g, mode="monitor")
     assert sum(c.dropped for c in mon.copies) > 0
     n_levels = g.l_max + 1
-    tables = [copy.crossings() for copy in mon.copies]
     for rows, count, nxt in mon.columns.by_j.values():
         for row, c, want in zip(rows.tolist(), count.tolist(), nxt.tolist()):
             pair, within = divmod(row, mon.block)
-            at = tables[pair][within % n_levels][0]
-            above = at[at > c]
-            assert want == (int(above[0]) if above.size else NEVER)
+            above = [at for at, _, _ in crossings_of(mon, pair, within % n_levels) if at > c]
+            assert want == (above[0] if above else NEVER)

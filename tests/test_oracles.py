@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from fpmon.oracles import (
     FreqVector,
     SignedMultiset,
     apply_update,
+    exact_distinct,
     exact_entropy,
     exact_f0,
     exact_fp,
@@ -56,6 +58,17 @@ def test_exact_fp_known_values():
     assert exact_fp(v, 3) == 27 + 1 + 8
     assert exact_fp(v, 2.0) == 14
     assert exact_f0(v) == 3
+
+
+def test_exact_distinct_equals_unique_size():
+    rng = np.random.default_rng(3)
+    cases = [rng.integers(0, 1000, 500), np.array([], dtype=np.int64),
+             np.full(40, 7), rng.integers(0, 5, (30, 8)), np.arange(1000)]
+    for x in cases:
+        assert exact_distinct(x, 1000) == np.unique(x).size
+    for bad in ([-1, 2], [0, 1000]):
+        with pytest.raises(ValueError, match=r"^items must lie in \[0, 1000\)"):
+            exact_distinct(bad, 1000)
 
 
 def test_exact_fp_float_close_to_int():

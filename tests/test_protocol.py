@@ -20,10 +20,10 @@ from fpmon.protocol import (
     members,
     send_limit,
 )
-from fpmon.harness import gen_uniform_stream, plan_events
+from fpmon.harness import gen_uniform_stream, plan_events, simulate
 from fpmon.monitor import Monitor
-from fpmon.sampling import MASK64, premix64_np, unpremix64_np
-from replay import deliver, sends, site_rows
+from fpmon.sampling import MASK64, SALT_SEND, derive, member_threshold, premix64
+import reference
 
 
 def small_params(**kw):
@@ -32,9 +32,22 @@ def small_params(**kw):
     return GlobalParams(**base)
 
 
+def site_rows(g):
+    """A threshold run's site rows, one block of FanRows, and its copy."""
+    mon = Monitor(g, tau=g.tau)
+    return mon.rows, mon.copies[0]
+
+
+def sends(rows, gate, count_after, j: int, ev: int) -> np.ndarray:
+    """Ascending flat rows that send for one update of coordinate j:
+    fanout over the rows whose level set holds j."""
+    cand = np.flatnonzero(members(rows, rows.coin_pm, [j]))
+    return cand[fanout(rows, gate, count_after, ev, cand)]
+
+
 def gate_of(rows, live):
     """fanout's gate for a live mask: the guard, or +inf where not live."""
-    return np.where(live, rows.guard, np.inf)
+    return np.where(live, rows.guards(), np.inf)
 
 
 def test_ceil_log2():
@@ -146,6 +159,22 @@ def test_tau_whose_bucket_tables_overflow_is_a_value_error():
     assert mon.n_events == 100
 
 
+@pytest.mark.filterwarnings("error")
+def test_p_whose_eta_power_underflows_is_a_value_error():
+    # at p = 2000 every eta**p underflows to 0.0, and the bucket count
+    # log(n / eta**p) has no value
+    with pytest.raises(ValueError, match=r"^p=2000\.0: eta\*\*p at eta=\S+ is 0\.0, "):
+        Monitor(GlobalParams(k=4, m=64, n=50, p=2000.0, eps=0.2, i_max=5))
+
+
+@pytest.mark.filterwarnings("error")
+def test_n_whose_bucket_tables_overflow_is_a_value_error():
+    # n, not tau, drives h_cap and with it zeta**(p * (h_cap + 1)) past the
+    # float range; rung 0 has tau = 1
+    with pytest.raises(ValueError, match=rf"^n={10**200}: h_cap=\d+ puts its bucket "):
+        Monitor(GlobalParams(k=4, m=64, n=10**200, p=2.0, eps=0.2, i_max=5))
+
+
 def test_params_defaults_resolve():
     g = GlobalParams(k=8, m=4096, n=20000, p=2.0, eps=0.2)
     assert g.gamma == 0.2 / 10.0
@@ -179,27 +208,32 @@ def test_message_bits_examples():
 
 
 def test_counter_value_is_count_times_increment():
-    g = small_params()
+    g = small_params(tau=10.0**5, b=64.0, k=1)
     inst = ThresholdInstance(g)
     root = g.tau ** (1.0 / g.p)
     for l in range(g.l_max + 1):
         expect = max(root / 2 ** (l / g.p) / g.b, 1.0)
         assert float(inst.u[l]) == expect
-    deliver(inst, 5, 1, 0)
-    deliver(inst, 5, 1, 0)
-    deliver(inst, 5, 1, 0)
-    assert inst.counter_value(1, 0, 5) == 3 * float(inst.u[0])
     # subsampled level: increment is exactly tau_l^{1/p} / b
     assert float(inst.u[0]) == root / g.b
     # deep level: increment clamps at one count per message
     assert float(inst.u[g.l_max]) == 1.0
+    # the buckets read a counter at count * u_l: a run's counters, medians
+    # and estimate are the reference's, which looks each such value up
+    # among the edges and sorts each bucket's counts for its median
+    events = gen_uniform_stream(g.m, g.k, g.n, seed=23)
+    _, copy = simulate(events, g)
+    _, (ref,) = reference.run(events, g)
+    assert copy.counts == ref.counts and len(copy.counts) > 100
+    assert np.array_equal(copy.med, ref.med) and np.count_nonzero(copy.med) > 5
+    assert copy.est == ref.est > 0 and not copy.out
 
 
 def test_guard_is_strict():
     # guard = tau_l^{1/p} / (k b); eligibility requires count strictly above
     g = small_params()  # root = 64, k*b = 32 -> guard(l=0) = 2.0
-    rows = site_rows(ThresholdInstance(g))
-    assert rows.guard[0] == pytest.approx(2.0)
+    rows, _ = site_rows(g)
+    assert rows.guards()[0] == pytest.approx(2.0)
     row0 = np.zeros(rows.size, dtype=bool)
     row0[0] = True
     for j in range(40):
@@ -208,30 +242,31 @@ def test_guard_is_strict():
 
 def test_site_never_sends_below_guard():
     g = small_params(tau=1024.0)
-    rows = site_rows(ThresholdInstance(g))
+    rows, _ = site_rows(g)
+    guard = rows.guards()
     counts: dict[int, int] = {}
     rng = random.Random(11)
     sent = 0
     for t in range(3000):
         j = rng.randrange(g.m)
         c = counts[j] = counts.get(j, 0) + 1
-        flat = sends(rows, rows.guard, c, j, ev=t)
-        assert (c > rows.guard[flat]).all()
+        flat = sends(rows, guard, c, j, ev=t)
+        assert (c > guard[flat]).all()
         sent += flat.size
     assert sent > 0
 
 
 def test_messages_ordered_by_repetition_then_level():
     g = small_params(tau=1024.0)
-    rows = site_rows(ThresholdInstance(g))
+    rows, _ = site_rows(g)
     counts: dict[int, int] = {}
     rng = random.Random(5)
     seen_multi = 0
     for t in range(4000):
         j = rng.randrange(g.m)
         c = counts[j] = counts.get(j, 0) + 1
-        flat = sends(rows, rows.guard, c, j, ev=t)
-        keys = list(zip(rows.z_of[flat].tolist(), rows.l_of[flat].tolist()))
+        flat = sends(rows, rows.guards(), c, j, ev=t)
+        keys = [divmod(f, g.l_max + 1) for f in flat.tolist()]  # (z - 1, l)
         assert keys == sorted(keys)
         if len(keys) > 1:
             seen_multi += 1
@@ -241,13 +276,13 @@ def test_messages_ordered_by_repetition_then_level():
 def test_send_probability_binomial():
     # a level with q < 1: empirical send rate within 4 sigma of q
     g = small_params(tau=65536.0, b=8.0)  # root = 256, q(l=0) = 8/256
-    rows = site_rows(ThresholdInstance(g))
-    q = float(rows.qscaled[0]) / 2.0**53
-    assert q == pytest.approx(8.0 / 256.0)
+    rows, _ = site_rows(g)
+    q = (int(rows.send_lim[0]) + 1 >> 11) / 2.0**53
+    assert q == 8.0 / 256.0
     trials, sent = 20000, 0
     row0 = np.zeros(rows.size, dtype=bool)
     row0[0] = True
-    count = int(rows.guard[0]) + 10
+    count = int(rows.guards()[0]) + 10
     for ev in range(trials):
         if 0 in sends(rows, gate_of(rows, row0), count, 7, ev):
             sent += 1
@@ -258,17 +293,15 @@ def test_send_probability_binomial():
 def test_q_one_levels_always_send_when_sampled():
     # deep levels with tau_l^{1/p} <= b send every eligible sampled update
     g = small_params(tau=4096.0, b=64.0)  # root = 64 -> q = 1 at every level
-    inst = ThresholdInstance(g)
-    rows = site_rows(inst)
-    assert (rows.qscaled == 2.0**53).all()
+    rows, inst = site_rows(g)
+    assert (rows.send_lim == MASK64).all()
     js = np.arange(g.m)
     for flat in range(rows.size):
-        z = int(rows.z_of[flat])
-        l = int(rows.l_of[flat])
+        z, l = flat // (g.l_max + 1) + 1, flat % (g.l_max + 1)
         mask = inst.coin.sample_mask(z, l, js)
         row = np.zeros(rows.size, dtype=bool)
         row[flat] = True
-        count = int(math.ceil(rows.guard[flat])) + 1
+        count = int(math.ceil(rows.guards()[flat])) + 1
         for j in js[mask][:5]:
             assert flat in sends(rows, gate_of(rows, row), count, int(j), ev=0)
 
@@ -278,8 +311,7 @@ def test_fanout_of_several_updates_is_the_union_of_scalar_calls():
     # own scalar call, shifted to its candidates' positions, with a live
     # mask, binding guards and levels that thin
     g = small_params(tau=65536.0)
-    inst = ThresholdInstance(g)
-    rows = site_rows(inst)
+    rows, inst = site_rows(g)
     gate = gate_of(rows, np.random.default_rng(1).random(rows.size) < 0.8)
     rng = random.Random(3)
     updates = [(rng.randrange(1, 40), rng.randrange(g.m), rng.randrange(2**64))
@@ -287,7 +319,7 @@ def test_fanout_of_several_updates_is_the_union_of_scalar_calls():
     cands, want, offset = [], [], 0
     for c, j, ev in updates:
         cand = np.array([f for f in range(rows.size)
-                         if inst.coin.in_sample(int(rows.z_of[f]), int(rows.l_of[f]), j)])
+                         if inst.coin.in_sample(f // (g.l_max + 1) + 1, f % (g.l_max + 1), j)])
         assert cand.tolist() == np.flatnonzero(members(rows, rows.coin_pm, [j])).tolist()
         sent = fanout(rows, gate, c, ev, cand)
         assert cand[sent].tolist() == sends(rows, gate, c, j, ev).tolist()
@@ -321,80 +353,64 @@ def test_send_limit_equals_the_float_trial(q):
 
 def test_fan_rows_keep_premixed_keys_and_integer_send_limits():
     g = small_params(tau=65536.0, b=64.0)  # q = 1 from level 4 on
-    rows = site_rows(ThresholdInstance(g))
-    assert (premix64_np(rows.coin_key) == rows.coin_pm).all()
-    assert (premix64_np(rows.send_key) == rows.send_pm).all()
-    assert (unpremix64_np(rows.coin_pm) == rows.coin_key).all()
-    assert (rows.send_lim == send_limit(rows.qscaled)).all()
-    assert (rows.qscaled < 2.0**53).any() and (rows.qscaled == 2.0**53).any()
-    assert (rows.send_lim[rows.qscaled == 2.0**53] == MASK64).all()
+    rows, inst = site_rows(g)
+    for flat in range(rows.size):
+        z, l = flat // (g.l_max + 1) + 1, flat % (g.l_max + 1)
+        assert int(rows.coin_pm[flat]) == premix64(inst.coin.key(z, l))
+        assert int(rows.send_pm[flat]) == premix64(derive(inst.send_seed, SALT_SEND, z, l))
+        q = min(g.b / (g.tau ** (1.0 / g.p) / 2.0 ** (l / g.p)), 1.0)
+        assert rows.send_lim[flat] == send_limit(np.array([q * 2.0**53]))[0]
+        assert (rows.send_lim[flat] == MASK64) == (q == 1.0)
+    assert (rows.send_lim < MASK64).any() and (rows.send_lim == MASK64).any()
 
 
 def test_apply_order_invariance_without_fire():
-    # counters commute; with no fire inside the sequence, any delivery order
-    # yields identical final counters and estimate
-    g = small_params(tau=10.0**9)
-    msgs = []
-    rng = random.Random(7)
-    for _ in range(300):
-        msgs.append((rng.randrange(g.m), rng.randrange(1, g.r + 1),
-                     rng.randrange(g.l_max + 1)))
-    a = ThresholdInstance(g)
-    for j, z, l in msgs:
-        deliver(a, j, z, l)
-    shuffled = msgs[:]
-    rng.shuffle(shuffled)
-    b = ThresholdInstance(g)
-    for j, z, l in shuffled:
-        deliver(b, j, z, l)
-    assert a.counts == b.counts
-    assert a.est == b.est
+    # counters commute; with no fire, an event sends the same messages in
+    # any order of the events, and any order yields identical final
+    # counters and estimate
+    g = small_params(tau=10.0**5, b=64.0, k=1)
+    count_after, js, keys, _ = plan_events(gen_uniform_stream(g.m, g.k, g.n, seed=7), g.k)
+    perm = np.random.default_rng(7).permutation(js.size)
+    a, b = Monitor(g, tau=g.tau), Monitor(g, tau=g.tau)
+    sent = a.run(count_after, js, keys)
+    assert b.run(count_after[perm], js[perm], keys[perm]).tolist() == sent[perm].tolist()
+    a, b = a.copies[0], b.copies[0]
+    assert a.counts == b.counts and sent.sum() > 300
+    assert a.est == b.est > 0
     assert a.out == b.out == 0
 
 
 def test_literal_and_incremental_estimates_are_identical():
-    # the running estimate equals the literal recomputation from the raw
-    # counters (the full pass) after every message
-    g = small_params(tau=10.0**9, r=5)
-    a = ThresholdInstance(g)
-    rng = random.Random(13)
-    for _ in range(600):
-        j = rng.randrange(g.m)
-        z = rng.randrange(1, g.r + 1)
-        l = rng.randrange(g.l_max + 1)
-        deliver(a, j, z, l)
-        assert a.est == a.estimate_full()  # bit-identical, no tolerance
+    # the running estimate equals the reference's literal one, whose
+    # medians are sorted counts, after every event
+    g = small_params(tau=10.0**5, b=64.0, k=1, r=5)
+    events = gen_uniform_stream(g.m, g.k, g.n, seed=13)
+    rows, copy = simulate(events, g)
+    want, _ = reference.run(events, g)
+    assert [row.estimate for row in rows] == [w[2] for w in want]  # no tolerance
+    assert len({row.estimate for row in rows}) > 10 and not copy.out
 
 
-def test_estimate_full_matches_running_estimate_after_protocol_run():
+def test_recorded_estimates_match_the_reference_after_protocol_run():
     # a threshold run through the engine's own path. Only an event that
     # delivers a crossing message moves the estimate, and the Monitor's
     # record marks each one; each mark is checked on a replay that stops
     # right after its event: the running estimate there is the recorded one
-    # and equals the full pass
+    # and the reference's after that event
     g = small_params(tau=2000.0)
-    count_after, js, keys, _ = plan_events(gen_uniform_stream(g.m, g.k, g.n, seed=2), g.k)
+    events = gen_uniform_stream(g.m, g.k, g.n, seed=2)
+    count_after, js, keys, _ = plan_events(events, g.k)
     mon = Monitor(g, tau=g.tau)
     mon.run(count_after, js, keys)
     assert mon.copies[0].out == 1  # tau = 2000 << F_2 of 1000 updates over 64 coordinates
+    want, _ = reference.run(events, g)
     replay, at = Monitor(g, tau=g.tau), 0
     for i, est, _ in mon.record[1:]:
         replay.run(count_after[at : i + 1], js[at : i + 1], keys[at : i + 1])
         at = i + 1
-        assert replay.copies[0].est == est == replay.copies[0].estimate_full()
+        assert replay.copies[0].est == est == want[i][2]
     assert len(mon.record) > 2 and replay.copies[0].out == 1
     assert replay.record == mon.record  # stream positions, over every run call
-
-
-def test_full_pass_medians_match_maintained_medians():
-    g = small_params(tau=10.0**8)
-    inst = ThresholdInstance(g)
-    rng = random.Random(23)
-    for t in range(2500):
-        j = rng.randrange(g.m)
-        z = rng.randrange(1, g.r + 1)
-        deliver(inst, j, z, rng.randrange(g.l_max + 1))
-    assert np.array_equal(inst._full_pass()[0], inst.med)
 
 
 @settings(max_examples=60, deadline=None)
@@ -431,35 +447,21 @@ def test_bucket_interval_semantics():
 
 
 def test_fire_latches_and_drops_are_counted():
+    # a threshold run that fires in the middle of an event: the copy's later
+    # messages of that event are sent and dropped, and bump no counter; a
+    # fired run's sites send nothing more, at whatever count they have
+    # reached locally
     g = small_params(tau=100.0)
-    inst = ThresholdInstance(g)
-    fired = False
-    received_at_fire = 0
-    rng = random.Random(31)
-    for t in range(4000):
-        j = rng.randrange(g.m)
-        z = rng.randrange(1, g.r + 1)
-        ret = deliver(inst, j, z, 0)
-        if ret:
-            fired = True
-            received_at_fire = inst.messages_received
-            break
-    assert fired and inst.out == 1
-    for _ in range(5):
-        assert deliver(inst, 1, 1, 0) is False
-    assert inst.dropped == 5
-    assert inst.messages_received == received_at_fire
-    # a fired threshold run's sites send nothing more, at whatever count
-    # they have reached locally
     mon = Monitor(g, tau=g.tau)
     count_after, js, keys, _ = plan_events(gen_uniform_stream(g.m, g.k, 400, seed=31), g.k)
     sent = mon.run(count_after, js, keys)
-    copy = mon.copies[0]
-    assert copy.out and sent[-1] == 0
-    received = copy.messages_received
+    copy, fire = mon.copies[0], mon.record[-1][0]  # the last crossing fired it
+    assert copy.out and sent[fire] > copy.dropped > 0 and sent[fire + 1 :].sum() == 0
+    received, dropped = copy.messages_received, copy.dropped
+    assert received + dropped == sent.sum()
     for c in (1, int(count_after.max()) + 1, g.n):
         assert mon.on_event(c, 3, 0) == 0
-    assert copy.messages_received == received
+    assert (copy.messages_received, copy.dropped) == (received, dropped)
 
 
 def test_tau_required_and_positive():
@@ -484,23 +486,22 @@ def test_site_state_has_no_receive_channel():
 
 def test_fan_rows_canonical_layout():
     g = small_params(r=3)
-    rows = site_rows(ThresholdInstance(g))
-    assert rows.size == 3 * (g.l_max + 1)
+    rows, inst = site_rows(g)
+    assert rows.size == 3 * (g.l_max + 1) and rows.shape == (1, 3, g.l_max + 1)
     # z-major then l: flat index i = (z-1)*(l_max+1) + l
     for i in range(rows.size):
         z, l = divmod(i, g.l_max + 1)
-        assert rows.z_of[i] == z + 1
-        assert rows.l_of[i] == l
+        assert int(rows.coin_pm[i]) == premix64(inst.coin.key(z + 1, l))
+        assert int(rows.member_tile[i]) == member_threshold(l)
 
 
 def test_fan_rows_guard_and_q_formulas():
     g = small_params(tau=6561.0, p=4.0, b=3.0, k=4)
     rows = FanRows(g, [6561.0], [ThresholdInstance(g).coin.master_seed], [1])
     root = 6561.0**0.25
-    for i in range(rows.size):
-        l = int(rows.l_of[i])
-        tau_l_root = root / 2 ** (l / 4.0)
-        assert rows.guard[i] == pytest.approx(tau_l_root / (4 * 3.0))
-        assert rows.qscaled[i] / 2.0**53 == pytest.approx(
+    for i, guard in enumerate(rows.guards().tolist()):
+        tau_l_root = root / 2 ** (i % (g.l_max + 1) / 4.0)
+        assert guard == pytest.approx(tau_l_root / (4 * 3.0))
+        assert (int(rows.send_lim[i]) + 1 >> 11) / 2.0**53 == pytest.approx(
             min(3.0 / tau_l_root, 1.0)
         )
