@@ -1,8 +1,10 @@
 """Continuous distributed monitoring of frequency moments F_p (p > 1).
 
-Simulator for a one-way k-site protocol that tracks F_p within a (1 + eps)
-factor, with exact oracles, hard-instance generators, and estimator
-reductions for validating it.
+Simulator for a k-site protocol that tracks F_p within a (1 + eps) factor,
+with exact oracles, hard-instance generators, and estimator reductions for
+validating it. Sites send messages to the coordinator; its one signal back
+is a fire notice that silences a fired copy's rows, and that notice is not
+billed yet.
 """
 
 from .harness import (
@@ -29,8 +31,6 @@ from .oracles import (
 )
 from .protocol import (
     GlobalParams,
-    Message,
-    SiteState,
     ThresholdInstance,
 )
 from .sampling import PublicCoin, derive, level_of, mix64
@@ -40,11 +40,9 @@ __version__ = "0.1.0"
 __all__ = [
     "FreqVector",
     "GlobalParams",
-    "Message",
     "Monitor",
     "PublicCoin",
     "SignedMultiset",
-    "SiteState",
     "StreamEvent",
     "ThresholdInstance",
     "TraceRow",

@@ -205,6 +205,8 @@ def cmd_verify_reduction(args: argparse.Namespace) -> int:
                      [f"btx,{trials},{non_star},{agree},{frac:.12g}"], prov)
         return 0 if frac >= 0.95 else 1
     if which == "f0bit":
+        if args.nprime < 3:
+            raise ValueError(f"--nprime must be >= 3, got {args.nprime}")
         nprime = args.nprime - ((args.nprime - 3) % 4)
         lprime = (nprime + 1) // 4
         prov.update(k=args.k, eps=args.eps, beta=args.beta, nprime=nprime)

@@ -4,7 +4,9 @@ One threshold instance per tau_i = (1+eps)**i for i in 0..i_max, each
 amplified by `a` independent copies with disjoint seed streams; an instance
 counts as fired once a strict majority of its copies has fired. The running
 estimate is the geometric midpoint of the bracket above the highest fired
-instance. Fired instances stop generating traffic; everything stays one-way.
+instance. Sites send messages to the coordinator; its one signal back is a
+fire notice, after which the fired copy's rows send nothing (the notice is
+not billed yet). A fired instance silences all its copies.
 
 A single-threshold run is the one-rung, one-copy case of the same ladder,
 driven by the same run driver (Monitor.run).

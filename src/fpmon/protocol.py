@@ -5,8 +5,9 @@ updates; the coordinator maintains per-repetition counters, groups them into
 geometric value classes, and raises its output bit once the class-weighted
 sum of medians crosses the firing line just below tau.
 
-Communication is strictly site -> coordinator: no type in this module gives
-the coordinator a channel back to the sites.
+Sites send messages to the coordinator. The coordinator's one signal back
+is a fire notice: once a copy fires, its rows at the sites send nothing more
+(the notice is not billed yet).
 """
 
 from __future__ import annotations
@@ -95,6 +96,10 @@ class GlobalParams:
             raise ValueError(f"universe size m must be >= 2, got {self.m}")
         if self.n < 2:
             raise ValueError(f"stream bound n must be >= 2, got {self.n}")
+        try:
+            float(self.n)
+        except OverflowError:
+            raise ValueError(f"stream bound n={self.n} is past the float range") from None
         if not self.p > 1:
             raise ValueError(f"moment order p must exceed 1, got {self.p}")
         if not 0.0 < self.eps < 1.0:
@@ -139,16 +144,6 @@ class GlobalParams:
         if n_streams > 1:
             bits += ceil_log2(n_streams)
         return bits
-
-
-@dataclass(frozen=True)
-class Message:
-    """One site -> coordinator report: coordinate j hit the level-l set of
-    repetition z and survived the thinning trial."""
-
-    j: int
-    z: int
-    l: int
 
 
 class FanRows:
@@ -259,18 +254,6 @@ def fanout(rows: FanRows, gate: np.ndarray, count_after, ev,
     h ^= premix64_np(np.take(ev, idx)) if ev.ndim else np.uint64(premix64(int(ev)))
     finish64_np(h)
     return idx[h <= np.take(rows.send_lim, flat)]
-
-
-@dataclass
-class SiteState:
-    """Local view of one site: its own frequency vector, no inbox.
-
-    Sites never receive protocol messages; the class has no receive or
-    apply-message operation by design.
-    """
-
-    site_id: int
-    counts: dict[int, int] = field(default_factory=dict)
 
 
 class ThresholdInstance:

@@ -136,7 +136,8 @@ class PublicCoin:
     """Shared level sets: coordinate j belongs to the level-l set of
     repetition z with probability 2**-l, as a pure function of
     (master_seed, z, l, j). Distinct (z, l) pairs use independent hash
-    streams; the sets are not nested.
+    streams; the sets are not nested. protocol.members is the engine's
+    form of in_sample, over many coordinates and rows at once.
     """
 
     master_seed: int
@@ -155,11 +156,6 @@ class PublicCoin:
             raise ValueError(f"coordinate {j} is negative")
         h = mix64(self.key(z, l) ^ coordinate_key(j))
         return h <= member_threshold(l)
-
-    def sample_mask(self, z: int, l: int, js: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an array of coordinates."""
-        h = mix64_np(np.uint64(self.key(z, l)) ^ coordinate_key_np(js))
-        return h <= np.uint64(member_threshold(l))
 
 
 def level_of(h: int, eta: float, gamma: float, p: float, tau: float,

@@ -1,5 +1,7 @@
-"""The one-way F_p protocol transcribed message by message in plain Python:
-the reference that the engine (harness.simulate) is checked against.
+"""The F_p protocol transcribed message by message in plain Python: the
+reference that the engine (harness.simulate) is checked against. Sites send
+messages to the coordinator; its one signal back is a fire notice, after
+which the fired copy's rows send nothing. The notice is not billed yet.
 
 It shares no engine code. From fpmon it takes only GlobalParams, C_FIRE and
 the scalar definitions in fpmon.sampling: derive and its salts, mix64,

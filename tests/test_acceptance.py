@@ -6,6 +6,7 @@ the `slow` marker so `-m "not slow"` skips them during development.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from fpmon.harness import (
     write_trace,
 )
 from fpmon.oracles import exact_distinct
-from fpmon.protocol import GlobalParams, Message, SiteState
+from fpmon.protocol import FanRows, GlobalParams, members
 from fpmon.reductions import (
     bit_from_f0,
     btx_from_moments,
@@ -47,7 +48,8 @@ from fpmon.reductions import (
     gaussian_embed,
     gp_moment,
 )
-from fpmon.sampling import SALT_STREAM, PublicCoin, derive
+from fpmon.sampling import SALT_INSTANCE, SALT_STREAM, derive, event_key
+import reference
 
 pytestmark = pytest.mark.acceptance
 
@@ -145,8 +147,8 @@ def test_criterion_3_communication_scaling():
 
 def test_criterion_4_counter_exactness_and_determinism(tmp_path):
     # zero tolerance: every coordinator counter equals its message count
-    # times (tau/2^l)^(1/p)/b; reruns are byte-identical; sites have no
-    # receive channel
+    # times (tau/2^l)^(1/p)/b; reruns are byte-identical; each event's
+    # messages follow from the site's own state and the fire bit alone
     g = GlobalParams(k=4, m=64, n=3000, p=2.0, eps=0.2, tau=5000.0, b=8.0,
                      r=9, seed=7)
     events = gen_zipf_stream(64, 4, 3000, seed=5)
@@ -173,12 +175,20 @@ def test_criterion_4_counter_exactness_and_determinism(tmp_path):
         d2 = fh.read()
     identical = d1 == d2
 
-    one_way = (
-        not hasattr(SiteState, "receive")
-        and not hasattr(SiteState, "apply")
-        and not hasattr(SiteState, "on_message")
-        and set(Message.__dataclass_fields__) == {"j", "z", "l"}
-    )
+    # one-way: a site-only replay of the run. Each site knows its own
+    # counts, the public seeds and the event keys; from the coordinator it
+    # hears one bit, the fire notice, seen on the previous row
+    copy = reference.Copy(g, g.tau, *(derive(g.seed, SALT_INSTANCE, 0, 0, s) for s in range(3)))
+    own: Counter = Counter()  # (site, j) -> that site's count of j
+    one_way, sent, fired = len(rows) == len(events), 0, False
+    for ev, row in zip(events, rows):
+        own[ev.site, ev.j] += 1
+        replay = 0 if fired else len(copy.sends(own[ev.site, ev.j], ev.j,
+                                                event_key(ev.site, ev.t)))
+        one_way &= (row.t == ev.t and row.cum_messages - sent == replay
+                    and row.cum_bits == row.cum_messages * g.message_bits())
+        sent, fired = row.cum_messages, row.fired_instances == 1
+    one_way &= fired  # the replay reached the fire notice
     ok = exact and populated and identical and one_way
     assert report(
         4, "counter exactness and determinism", ok,
@@ -189,12 +199,13 @@ def test_criterion_4_counter_exactness_and_determinism(tmp_path):
 def test_criterion_5_sampling_marginals():
     # empirical level-set membership within 4 sigma of 2^-l for l in 0..10
     m = 100_000
-    coin = PublicCoin(master_seed=2024, r=2, l_max=12)
-    js = np.arange(m)
+    g = GlobalParams(k=1, m=m, n=2, p=2.0, eps=0.5, r=2)
+    rows = FanRows(g, [1.0], [2024], [0])  # one copy, public-coin seed 2024
+    sets = members(rows, rows.coin_pm, np.arange(m))  # repetition 1: columns 0 .. l_max
     worst = 0.0
     ok = True
     for l in range(11):
-        got = int(coin.sample_mask(1, l, js).sum())
+        got = int(sets[:, l].sum())
         pr = 2.0**-l
         sigma = math.sqrt(m * pr * (1 - pr))
         if sigma == 0.0:

@@ -197,6 +197,13 @@ def test_verify_reduction_f0bit(tmp_path):
     assert frac >= 0.9
 
 
+@pytest.mark.parametrize("nprime", ["2", "0"])
+def test_verify_reduction_f0bit_names_the_nprime_given(capsys, nprime):
+    # the universe is rounded down to 3 (mod 4); below 3 there is none
+    assert run("verify-reduction", "f0bit", "--trials", "1", "--nprime", nprime) == 1
+    assert capsys.readouterr().err == f"error: --nprime must be >= 3, got {nprime}\n"
+
+
 def test_bench_comm(tmp_path):
     out = str(tmp_path / "bench.csv")
     assert run("bench-comm", "--k-list", "4,8", "--m", "256", "--n", "2000",
@@ -399,6 +406,16 @@ def test_default_i_max_past_the_float_range_is_one_error_line(tmp_path, capsys, 
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(start) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_n_past_the_float_range_is_one_error_line(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    stream.write_text(f"16 2 {10**400}\n0 0 1\n1 1 2\n")
+    out = tmp_path / "m.csv"
+    assert run("run-monitor", "--stream", str(stream), "--p", "2", "--eps", "0.2",
+               "--i-max", "5", "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: stream bound n={10**400} is past the float range\n"
     assert not out.exists()
 
 

@@ -12,8 +12,6 @@ from fpmon.protocol import (
     C_FIRE,
     FanRows,
     GlobalParams,
-    Message,
-    SiteState,
     ThresholdInstance,
     ceil_log2,
     fanout,
@@ -175,6 +173,12 @@ def test_n_whose_bucket_tables_overflow_is_a_value_error():
         Monitor(GlobalParams(k=4, m=64, n=10**200, p=2.0, eps=0.2, i_max=5))
 
 
+def test_n_past_the_float_range_is_a_value_error():
+    # the bucket tables divide by float(n), and a 401-digit n has none
+    with pytest.raises(ValueError, match=rf"^stream bound n={10**400} is past the float range"):
+        GlobalParams(k=4, m=64, n=10**400, p=2.0, eps=0.2, i_max=5)
+
+
 def test_params_defaults_resolve():
     g = GlobalParams(k=8, m=4096, n=20000, p=2.0, eps=0.2)
     assert g.gamma == 0.2 / 10.0
@@ -293,12 +297,12 @@ def test_send_probability_binomial():
 def test_q_one_levels_always_send_when_sampled():
     # deep levels with tau_l^{1/p} <= b send every eligible sampled update
     g = small_params(tau=4096.0, b=64.0)  # root = 64 -> q = 1 at every level
-    rows, inst = site_rows(g)
+    rows, _ = site_rows(g)
     assert (rows.send_lim == MASK64).all()
     js = np.arange(g.m)
+    sets = members(rows, rows.coin_pm, js)
     for flat in range(rows.size):
-        z, l = flat // (g.l_max + 1) + 1, flat % (g.l_max + 1)
-        mask = inst.coin.sample_mask(z, l, js)
+        mask = sets[:, flat]
         row = np.zeros(rows.size, dtype=bool)
         row[flat] = True
         count = int(math.ceil(rows.guards()[flat])) + 1
@@ -473,15 +477,6 @@ def test_tau_required_and_positive():
     for tau in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="tau"):
             ThresholdInstance(g, tau=tau)
-
-
-def test_site_state_has_no_receive_channel():
-    # one-way structural check: sites expose no way to ingest a Message
-    assert not hasattr(SiteState, "receive")
-    assert not hasattr(SiteState, "apply")
-    assert not hasattr(SiteState, "on_message")
-    msg_fields = set(Message.__dataclass_fields__)
-    assert msg_fields == {"j", "z", "l"}
 
 
 def test_fan_rows_canonical_layout():

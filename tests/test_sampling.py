@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpmon.protocol import FanRows, GlobalParams, members
 from fpmon.sampling import (
     GOLDEN,
     MASK64,
@@ -134,23 +135,22 @@ def test_in_sample_deterministic_and_validates():
         coin.in_sample(1, 11, 2)
 
 
-def test_sample_mask_matches_scalar():
-    coin = PublicCoin(master_seed=99, r=3, l_max=8)
-    js = np.arange(500)
-    for z in (1, 3):
-        for l in (0, 1, 4, 8):
-            mask = coin.sample_mask(z, l, js)
-            scalar = np.array([coin.in_sample(z, l, int(j)) for j in js])
-            assert (mask == scalar).all()
+def level_sets(master_seed: int, r: int, m: int):
+    """The engine's level sets over coordinates 0 .. m-1, for the one-copy
+    FanRows with this public-coin seed: a function (z, l) -> membership
+    mask, read from one protocol.members pass."""
+    g = GlobalParams(k=1, m=m, n=2, p=2.0, eps=0.5, r=r)
+    rows = FanRows(g, [1.0], [master_seed], [0])
+    sets = members(rows, rows.coin_pm, np.arange(m))
+    return lambda z, l: sets[:, (z - 1) * (g.l_max + 1) + l]
 
 
 def test_level_set_marginals_within_4_sigma():
     # empirical membership rate per level over a large universe
     m = 100_000
-    coin = PublicCoin(master_seed=1234, r=2, l_max=12)
-    js = np.arange(m)
+    sets = level_sets(1234, r=2, m=m)
     for l in range(0, 11):
-        got = int(coin.sample_mask(1, l, js).sum())
+        got = int(sets(1, l).sum())
         pr = 2.0**-l
         sigma = math.sqrt(m * pr * (1 - pr)) if l else 0.0
         assert abs(got - m * pr) <= 4 * sigma + 1e-9, (l, got)
@@ -158,10 +158,8 @@ def test_level_set_marginals_within_4_sigma():
 
 def test_levels_are_independent_not_nested():
     m = 100_000
-    coin = PublicCoin(master_seed=77, r=2, l_max=12)
-    js = np.arange(m)
-    m3 = coin.sample_mask(1, 3, js)
-    m4 = coin.sample_mask(1, 4, js)
+    sets = level_sets(77, r=2, m=m)
+    m3, m4 = sets(1, 3), sets(1, 4)
     # nested sets would force m4 subset of m3; independent ones will not be
     assert int((m4 & ~m3).sum()) > 0
     # correlation between distinct levels stays near zero
@@ -173,10 +171,8 @@ def test_levels_are_independent_not_nested():
 
 def test_repetitions_are_independent():
     m = 100_000
-    coin = PublicCoin(master_seed=31, r=3, l_max=6)
-    js = np.arange(m)
-    a = coin.sample_mask(1, 2, js)
-    b = coin.sample_mask(2, 2, js)
+    sets = level_sets(31, r=3, m=m)
+    a, b = sets(1, 2), sets(2, 2)
     assert (a != b).any()
     ca = a.astype(float) - a.mean()
     cb = b.astype(float) - b.mean()
