@@ -126,21 +126,35 @@ def validate_two_disj(inst: TwoDisjInstance) -> None:
             raise ValueError("disjoint instance must share no element")
 
 
+def _outside(y, nprime: int) -> np.ndarray:
+    """[0, nprime) without the elements of y, in order."""
+    keep = np.ones(nprime, dtype=bool)
+    keep[np.asarray(y)] = False
+    return np.flatnonzero(keep)
+
+
 def sample_x_given_y(y: np.ndarray, nprime: int, beta: float,
                      rng: np.random.Generator,
                      outside: Optional[np.ndarray] = None
                      ) -> tuple[np.ndarray, int]:
     """Draw x from the conditional pair law given y: with probability beta,
     one uniform element of y plus |y|-1 uniform elements outside y; else |y|
-    uniform elements outside y. Returns (sorted x, intersect_bit)."""
+    uniform elements outside y. Returns (sorted x, intersect_bit).
+
+    The outside elements are a uniform subset of `outside` (sorted, the
+    complement of y in [0, nprime)): `Generator.choice` without replacement
+    shuffles only as many positions as it keeps. They are marked, with the
+    witness, in a table of [0, nprime) whose nonzero positions are x in
+    order, so nothing is permuted or sorted whole."""
     lp = len(y)
     if outside is None:
-        outside = np.setdiff1d(np.arange(nprime), y)
-    if bool(rng.random() < beta):
-        w = y[int(rng.integers(lp))]
-        rest = rng.permutation(outside)[: lp - 1]
-        return np.sort(np.concatenate(([w], rest))), 1
-    return np.sort(rng.permutation(outside)[:lp]), 0
+        outside = _outside(y, nprime)
+    x = np.zeros(nprime, dtype=bool)
+    bit = int(rng.random() < beta)
+    if bit:
+        x[y[int(rng.integers(lp))]] = True
+    x[outside[rng.choice(outside.size, lp - bit, replace=False, shuffle=False)]] = True
+    return np.flatnonzero(x), bit
 
 
 # -- k-site lift with shared reference set ----------------------------------
@@ -180,7 +194,7 @@ def gen_bit_disj(k: int, nprime: int, beta: float, seed: int) -> BitDisjInstance
     xs = np.empty((k, lp), dtype=np.int64)
     xs[0] = first.x
     z = [1 if first.intersecting else 0]
-    outside = np.setdiff1d(np.arange(nprime), y)
+    outside = _outside(y, nprime)
     rng = _rng(seed, 3)
     for i in range(1, k):
         xs[i], bit = sample_x_given_y(y, nprime, beta, rng, outside=outside)
@@ -203,15 +217,21 @@ def validate_bit_disj(inst: BitDisjInstance) -> None:
     _check_set("y", inst.y, lp, inst.nprime)
     if xs.shape[1] != lp:
         raise ValueError(f"site 0: set must hold {lp} distinct elements")
-    srt = xs if (np.diff(xs, axis=1) > 0).all() else np.sort(xs, axis=1)
+    # one comparison of neighbours serves both tests: a generated instance
+    # rises strictly, so it is sorted and has no duplicate; otherwise sort,
+    # and a step that does not rise is a duplicate
+    rises = xs[:, 1:] > xs[:, :-1]
+    srt = xs
+    if not rises.all():
+        srt = np.sort(xs, axis=1)
+        rises = srt[:, 1:] > srt[:, :-1]
     # |x ∩ y| by lookup in a membership table of [0, nprime); an element
     # out of range is clipped, and its site fails the range check first
     in_y = np.zeros(inst.nprime, dtype=bool)
     in_y[inst.y] = True
-    hits = in_y.take(srt, mode="clip").sum(axis=1)
+    hits = np.count_nonzero(in_y.take(srt, mode="clip"), axis=1)
     checks = [
-        ((np.diff(srt, axis=1) == 0).any(axis=1),
-         f"set must hold {lp} distinct elements"),
+        (~rises.all(axis=1), f"set must hold {lp} distinct elements"),
         ((srt[:, 0] < 0) | (srt[:, -1] >= inst.nprime),
          f"element outside [0, {inst.nprime})"),
         (hits != z, "|x ∩ y| must equal z_i = {bit}"),
@@ -279,36 +299,64 @@ def gen_btx(k: int, p: float, eps: float, seed: int) -> BtxInstance:
                        owners, specials, tuple(types))
 
 
+_BTX_TYPES = ("00", "01", "10", "11")
+
+
 def validate_btx(inst: BtxInstance) -> None:
+    """Checks every block at once; the error names the first block that
+    fails, with the first of its checks that fails."""
     k, n_cols, n_blocks = inst.k, inst.n_cols, inst.n_blocks
     if k < 4 or (k & (k - 1)) != 0:
         raise ValueError(f"k must be a power of two and >= 4, got {k}")
-    if inst.matrices.shape != (n_blocks, k, n_cols):
-        raise ValueError(f"matrix shape {inst.matrices.shape} does not match "
+    mats = inst.matrices
+    if mats.shape != (n_blocks, k, n_cols):
+        raise ValueError(f"matrix shape {mats.shape} does not match "
                          f"({n_blocks}, {k}, {n_cols})")
+    owners, specials = np.asarray(inst.owners), np.asarray(inst.specials)
+    for name, a, shape in (("owners", owners, (n_blocks, n_cols)),
+                           ("specials", specials, (n_blocks,))):
+        if a.shape != shape:
+            raise ValueError(f"{name} shape {a.shape} does not match {shape}")
     if len(inst.types) != n_blocks:
         raise ValueError("need one type per block")
-    for blk in range(n_blocks):
-        mat = inst.matrices[blk]
-        if not np.isin(mat, (0, 1)).all():
-            raise ValueError(f"block {blk}: entries must be bits")
-        msp = int(inst.specials[blk])
-        if not 0 <= msp < n_cols:
-            raise ValueError(f"block {blk}: special column {msp} out of range")
-        typ = inst.types[blk]
-        if typ not in ("00", "01", "10", "11"):
-            raise ValueError(f"block {blk}: unknown type {typ!r}")
-        x, y = int(typ[0]), int(typ[1])
-        if not ((mat[: k // 2, msp] == x).all() and (mat[k // 2 :, msp] == y).all()):
-            raise ValueError(f"block {blk}: special column does not match type {typ}")
-        rest = np.delete(mat, msp, axis=1)
-        owners = np.delete(inst.owners[blk], msp)
-        sums = rest.sum(axis=0)
-        if (sums > 1).any():
-            raise ValueError(f"block {blk}: a non-special column holds two ones")
-        placed = rest[owners, np.arange(n_cols - 1)]
-        if not (placed == sums).all():
-            raise ValueError(f"block {blk}: a one sits off its owner row")
+    blocks = np.arange(n_blocks)
+    special = np.arange(n_cols) == specials[:, None]
+    # an out-of-range special column or owner is not looked up (the special
+    # column reads as zeros, the owner as row 0): its block fails the range
+    # check first
+    sp_ok = special.any(axis=1)
+    col = np.zeros((n_blocks, k), dtype=mats.dtype)
+    col[sp_ok] = mats[blocks[sp_ok], :, specials[sp_ok]]
+    xy = np.array([[int(t[0]), int(t[1])] if t in _BTX_TYPES else [0, 0]
+                   for t in inst.types], dtype=np.int64).reshape(n_blocks, 2)
+    want = np.repeat(xy, k // 2, axis=1)     # x on the top half, y below
+    own_ok = (owners >= 0) & (owners < k)
+    sums = mats.sum(axis=1, dtype=np.int64)
+    placed = mats[blocks[:, None], np.where(own_ok, owners, 0), np.arange(n_cols)]
+
+    def first_bad_owner(b: int) -> str:
+        c = int(np.argmin(own_ok[b]))
+        return f"owner {owners[b, c]} of column {c} outside [0, {k})"
+
+    checks = [
+        (((mats != 0) & (mats != 1)).any(axis=(1, 2)),
+         lambda b: "entries must be bits"),
+        (~sp_ok, lambda b: f"special column {specials[b]} out of range"),
+        (np.array([t not in _BTX_TYPES for t in inst.types], dtype=bool),
+         lambda b: f"unknown type {inst.types[b]!r}"),
+        ((col != want).any(axis=1),
+         lambda b: f"special column does not match type {inst.types[b]}"),
+        (((sums > 1) & ~special).any(axis=1),
+         lambda b: "a non-special column holds two ones"),
+        (~own_ok.all(axis=1), first_bad_owner),
+        (((placed != sums) & ~special).any(axis=1),
+         lambda b: "a one sits off its owner row"),
+    ]
+    bad = np.logical_or.reduce([failed for failed, _ in checks])
+    if bad.any():
+        b = int(np.argmax(bad))
+        msg = next(text for failed, text in checks if failed[b])
+        raise ValueError(f"block {b}: {msg(b)}")
 
 
 def xor_eval(matrix: np.ndarray) -> int:
@@ -639,8 +687,13 @@ def read_instance(path: str):
         if ((row < 0) | (row >= n_blocks * n)).any():
             raise fail(no, f"site {site} holds an item outside [0, {n_blocks * n})")
         matrices[row // n, site, row % n] = 1
-    owners = np.array([meta(f"owners{blk}") for blk in range(n_blocks)],
-                      dtype=np.int32)
+    owners = np.empty((n_blocks, n), dtype=np.int32)
+    for blk in range(n_blocks):
+        row = meta(f"owners{blk}")
+        if row.size != n:
+            raise fail(metas[f"owners{blk}"][0],
+                       f"block {blk} has {row.size} owners, not {n}")
+        owners[blk] = row
     return BtxInstance(k, meta("p", float), eps, seed, n, n_blocks,
                        meta("inv_eps", int), matrices, owners,
                        meta("specials").astype(np.int32),

@@ -125,6 +125,53 @@ def test_conditional_sampler_matches_pair_law():
     assert abs(bits - draws * beta) <= 4 * sigma
 
 
+def _chi_square(observed, expected) -> float:
+    return float((((observed - expected) ** 2) / expected).sum())
+
+
+def _chi_square_cap(bins: int) -> float:
+    """4 sigma above the mean of a chi-square with bins - 1 degrees of
+    freedom."""
+    return (bins - 1) + 4 * math.sqrt(2 * (bins - 1))
+
+
+def test_conditional_sampler_law_at_bench_size():
+    # nprime = 40003, the criterion-7 and bench size: l' = 10001 of 30002
+    # outside elements, where Generator.choice shuffles a tail (the
+    # nprime = 7 test above reaches Floyd's algorithm instead). Over many
+    # draws every outside element is as likely as any other to be picked,
+    # the intersecting branch comes up at rate beta, and the witness is
+    # uniform over y; each is checked in equal-width bins
+    nprime, beta, draws, bins = 40003, 0.5, 600, 20
+    y = gen_two_disj(nprime, 0.0, seed=5).y
+    lp = y.size
+    outside = np.setdiff1d(np.arange(nprime), y)
+    in_y = np.zeros(nprime, dtype=bool)
+    in_y[y] = True
+    rng = np.random.Generator(np.random.PCG64(derive(99, SALT_HARD, 8)))
+    picked = np.zeros(bins)
+    witnessed = np.zeros(bins // 2)
+    bits = 0
+    for _ in range(draws):
+        x, bit = sample_x_given_y(y, nprime, beta, rng, outside=outside)
+        assert x.size == lp and (np.diff(x) > 0).all()
+        hit = in_y[x]
+        assert hit.sum() == bit
+        bits += bit
+        if bit:
+            witnessed[np.searchsorted(y, x[hit][0]) * witnessed.size // lp] += 1
+        picked += np.bincount(np.searchsorted(outside, x[~hit]) * bins // outside.size,
+                              minlength=bins)
+
+    width = np.bincount(np.arange(outside.size) * bins // outside.size)
+    expect = picked.sum() * width / outside.size
+    assert _chi_square(picked, expect) <= _chi_square_cap(bins)
+    sigma = math.sqrt(draws * beta * (1 - beta))
+    assert abs(bits - draws * beta) <= 4 * sigma
+    width = np.bincount(np.arange(lp) * witnessed.size // lp)
+    assert _chi_square(witnessed, bits * width / lp) <= _chi_square_cap(witnessed.size)
+
+
 # -- k-site lift ----------------------------------------------------------------
 
 
@@ -263,6 +310,153 @@ def test_btx_validator_catches_mutations():
     inst.matrices[blk, (owner + 1) % inst.k, col] = 1
     with pytest.raises(ValueError):
         validate_btx(inst)
+
+
+def _btx_mutants():
+    inst = gen_btx(k=8, p=2.0, eps=0.25, seed=4)  # 16 blocks of 8 x 64
+
+    def mutant(*cells):
+        """inst with each (array name, index, value) cell set."""
+        new = dataclasses.replace(inst, matrices=inst.matrices.copy(),
+                                  owners=inst.owners.copy(),
+                                  specials=inst.specials.copy())
+        for name, index, value in cells:
+            getattr(new, name)[index] = value
+        return new
+
+    def one_col(blk, row=None):
+        """A non-special column of blk whose one sits on its owner row (on
+        `row` if given), and that owner."""
+        sums = inst.matrices[blk].sum(axis=0)
+        sums[int(inst.specials[blk])] = 0
+        col = next(int(c) for c in np.flatnonzero(sums == 1)
+                   if row is None or inst.owners[blk, c] == row)
+        return col, int(inst.owners[blk, col])
+
+    def two_ones(blk):
+        col, owner = one_col(blk)
+        return [("matrices", (blk, (owner + 1) % 8, col), 1)]
+
+    def moved_one(blk):
+        col, owner = one_col(blk)
+        return [("matrices", (blk, owner, col), 0),
+                ("matrices", (blk, (owner + 1) % 8, col), 1)]
+
+    zero2 = int(np.flatnonzero(inst.matrices[2].sum(axis=0) == 0)[0])
+    sp5 = int(inst.specials[5])
+    row3, _ = one_col(0, row=3)
+    col9, _ = one_col(9)
+    return [
+        pytest.param(mutant(("matrices", (2, 1, zero2), 2)),
+                     "block 2: entries must be bits", id="not a bit"),
+        pytest.param(mutant(("specials", 3, 64)),
+                     "block 3: special column 64 out of range",
+                     id="special out of range"),
+        pytest.param(dataclasses.replace(
+                         inst, types=inst.types[:4] + ("2x",) + inst.types[5:]),
+                     "block 4: unknown type '2x'", id="unknown type"),
+        pytest.param(mutant(("matrices", (5, 0, sp5), 1 - inst.matrices[5, 0, sp5])),
+                     f"block 5: special column does not match type {inst.types[5]}",
+                     id="special column off its type"),
+        pytest.param(mutant(*two_ones(6)),
+                     "block 6: a non-special column holds two ones", id="two ones"),
+        pytest.param(mutant(*moved_one(7)),
+                     "block 7: a one sits off its owner row", id="one off its owner"),
+        # as an index, -5 wraps round to row 3, where this column's one sits
+        pytest.param(mutant(("owners", (0, row3), -5)),
+                     f"block 0: owner -5 of column {row3} outside [0, 8)",
+                     id="negative owner"),
+        pytest.param(mutant(("owners", (9, col9), 8)),
+                     f"block 9: owner 8 of column {col9} outside [0, 8)",
+                     id="owner past k"),
+        pytest.param(dataclasses.replace(inst, owners=inst.owners[:, :-1]),
+                     "owners shape (16, 63) does not match (16, 64)",
+                     id="owners shape"),
+        pytest.param(dataclasses.replace(inst, specials=inst.specials[:-1]),
+                     "specials shape (15,) does not match (16,)",
+                     id="specials shape"),
+        pytest.param(mutant(*moved_one(10), *two_ones(1)),
+                     "block 1: a non-special column holds two ones",
+                     id="first failing block"),
+    ]
+
+
+@pytest.mark.parametrize("bad, message", _btx_mutants())
+def test_btx_validator_names_the_failing_block(bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_btx(bad)
+
+
+def _validate_btx_per_block(inst):
+    """The per-block loop that validate_btx checks at once, for owners in
+    [0, k) and arrays of the right shape: the first failing block's first
+    failing check, or None."""
+    k, n_cols = inst.k, inst.n_cols
+    for blk in range(inst.n_blocks):
+        mat = inst.matrices[blk]
+        if not np.isin(mat, (0, 1)).all():
+            return f"block {blk}: entries must be bits"
+        msp = int(inst.specials[blk])
+        if not 0 <= msp < n_cols:
+            return f"block {blk}: special column {msp} out of range"
+        typ = inst.types[blk]
+        if typ not in ("00", "01", "10", "11"):
+            return f"block {blk}: unknown type {typ!r}"
+        x, y = int(typ[0]), int(typ[1])
+        if not ((mat[: k // 2, msp] == x).all() and (mat[k // 2 :, msp] == y).all()):
+            return f"block {blk}: special column does not match type {typ}"
+        rest = np.delete(mat, msp, axis=1)
+        sums = rest.sum(axis=0)
+        if (sums > 1).any():
+            return f"block {blk}: a non-special column holds two ones"
+        placed = rest[np.delete(inst.owners[blk], msp), np.arange(n_cols - 1)]
+        if not (placed == sums).all():
+            return f"block {blk}: a one sits off its owner row"
+    return None
+
+
+def test_btx_validator_equals_a_per_block_loop():
+    # random edits of cells, owners, specials and types, one to three at a
+    # time: validate_btx raises exactly the loop's first message, or passes
+    # where the loop finds nothing
+    rng = np.random.Generator(np.random.PCG64(derive(7, SALT_HARD, 9)))
+    base = gen_btx(k=8, p=2.0, eps=0.25, seed=4)
+    failed = 0
+    for _ in range(300):
+        inst = dataclasses.replace(base, matrices=base.matrices.copy(),
+                                   owners=base.owners.copy(),
+                                   specials=base.specials.copy())
+        for _ in range(rng.integers(1, 4)):
+            blk = int(rng.integers(inst.n_blocks))
+            edit = rng.integers(4)
+            if edit == 0:
+                inst.matrices[blk, rng.integers(8), rng.integers(64)] = rng.integers(3)
+            elif edit == 1:
+                inst.owners[blk, rng.integers(64)] = rng.integers(8)
+            elif edit == 2:
+                inst.specials[blk] = rng.integers(-2, 67)
+            else:
+                types = list(inst.types)
+                types[blk] = ("00", "01", "10", "11", "2x")[rng.integers(5)]
+                inst.types = tuple(types)
+        want = _validate_btx_per_block(inst)
+        if want is None:
+            validate_btx(inst)
+        else:
+            failed += 1
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                validate_btx(inst)
+    assert failed >= 200
+
+
+def test_btx_file_with_an_owner_past_k_fails_validation(tmp_path):
+    # line 15 of a k = 8 file is "#meta owners0 ..."; its first owner
+    # becomes 99
+    path = str(tmp_path / "btx.txt")
+    write_instance(path, gen_btx(8, 2.0, 0.25, 1))
+    _edit_line(path, 15, lambda ln: "#meta owners0 99 " + ln.split(None, 3)[3])
+    with pytest.raises(ValueError, match=re.escape("block 0: owner 99 of column 0")):
+        validate_btx(read_instance(path))
 
 
 def test_btx_type_frequencies():
@@ -434,12 +628,29 @@ def test_two_disj_round_trip(tmp_path):
 
 
 def test_bit_disj_file_bytes_are_pinned(tmp_path):
-    # the draws, their conversion to tuples and the file format together:
-    # the digest was recorded once and is not to be edited
+    # the draws and the file format together: the digest is re-recorded
+    # only for an intended change of the draws (the format alone is pinned
+    # below)
     path = tmp_path / "bd.txt"
     write_instance(str(path), gen_bit_disj(k=256, nprime=403, beta=0.25, seed=11))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "81721fb4ba4e99496dfa0ff78eed7c1361193efa7adff22359d48eed0f3acf04")
+        "d0b2da2ef7234afb62f33f149e1fa69d5afbccfac2b07b1ea1cf629aaca8cc8e")
+
+
+def test_bit_disj_file_format_is_pinned(tmp_path):
+    # the format alone, on a hand-built instance: no sampler is involved
+    inst = BitDisjInstance(k=2, nprime=7, beta=0.25, seed=3,
+                           y=np.array([1, 4]), xs=np.array([[1, 5], [0, 6]]),
+                           z=(1, 0))
+    path = tmp_path / "bd.txt"
+    write_instance(str(path), inst)
+    assert path.read_bytes() == (b"BITDISJ 2 7 0.25 3\n"
+                                 b"0: 1 5\n"
+                                 b"1: 0 6\n"
+                                 b"#meta y 1 4\n"
+                                 b"#meta z 1 0\n")
+    validate_bit_disj(inst)
+    assert read_instance(str(path)) == inst
 
 
 def test_bit_disj_round_trip(tmp_path):
@@ -533,11 +744,13 @@ def test_malformed_disj_file_names_path_and_line(tmp_path, case):
 
 
 # a BTX site row's items index its (block, column) matrix cells, so the
-# reader range-checks them, the row count and the block count itself;
+# reader range-checks them, the row count and the block count itself, and
+# counts each block's owners;
 # (line, edit of that line or None to delete it, line the error names):
 # lines 2..9 are the site rows of a k = 8 instance, line 11 its block count,
-# and line 30 its last
+# line 15 block 0's owners, and line 30 its last
 _MALFORMED_BTX = {
+    "short owner row": (15, lambda ln: ln.rsplit(" ", 1)[0], 15),
     "item past the last block": (3, lambda ln: ln + " 99999", 3),
     "negative item": (5, lambda ln: ln + " -1", 5),
     "site row k": (9, lambda ln: ln + "\n8: 0", 10),
