@@ -524,7 +524,7 @@ def _decimal(values) -> bytes:
     return buf.tobytes().translate(None, b"\0")[:-1]
 
 
-_I64 = np.iinfo(np.int64)
+_I64, _I32 = np.iinfo(np.int64), np.iinfo(np.int32)
 
 
 def _ints(text: bytes) -> np.ndarray:
@@ -665,6 +665,15 @@ def read_instance(path: str):
             raise fail(hno, f"{typ} instance has no '#meta {key}' line")
         return parse(*metas[key], conv)
 
+    def int32s(key: str) -> np.ndarray:
+        # the BTX owner and special tables are int32: a value past that
+        # range is an error, not a wrap into it
+        vals = meta(key)
+        if ((vals < _I32.min) | (vals > _I32.max)).any():
+            raise fail(metas[key][0], f"'#meta {key}' holds a value outside "
+                                      f"[{_I32.min}, {_I32.max}]")
+        return vals.astype(np.int32)
+
     if typ == "TWODISJ":
         witness = meta("witness", int)
         return TwoDisjInstance(n, eps, seed, table[0], table[1],
@@ -689,12 +698,12 @@ def read_instance(path: str):
         matrices[row // n, site, row % n] = 1
     owners = np.empty((n_blocks, n), dtype=np.int32)
     for blk in range(n_blocks):
-        row = meta(f"owners{blk}")
+        row = int32s(f"owners{blk}")
         if row.size != n:
             raise fail(metas[f"owners{blk}"][0],
                        f"block {blk} has {row.size} owners, not {n}")
         owners[blk] = row
     return BtxInstance(k, meta("p", float), eps, seed, n, n_blocks,
                        meta("inv_eps", int), matrices, owners,
-                       meta("specials").astype(np.int32),
+                       int32s("specials"),
                        tuple(meta("types", bytes.decode).split()))

@@ -48,6 +48,14 @@ class Monitor:
     Python, to their copy's apply(), the coordinator step; run() is the
     only caller that delivers messages.
 
+    Column arrays are as narrow as the run's bounds allow (see Columns):
+    counts and next crossings are int16 while n <= 32766, and row ids
+    uint16 on ladders of at most 65,535 rows, else int32. An entry takes
+    6 bytes on the bench's monitor ladders and 8 in the criterion-2 regime
+    (69,030 rows), against 12 as three int32 arrays; that regime's peak RSS
+    went from 365 MB to 267 MB. run() never takes a Monitor past n events,
+    so no count passes n.
+
     An event's messages depend only on the event and on which rows are
     live, and rows only ever fall silent. So run() takes a stream's events
     as arrays and drives them a run at a time: max(1, SLICE // live rows)
@@ -131,10 +139,10 @@ class Monitor:
         """Columns of new coordinates js, from one membership hash over
         (js x live rows). A silent row never speaks again, so it gets no
         column entry."""
-        block, fan = self.block, self.rows
+        block, fan, dtype = self.block, self.rows, self.columns.row_dtype
         if self._live_keys is None:
-            pairs = np.flatnonzero(self.gate[::block] < np.inf).astype(np.int32)
-            flat = (pairs[:, None] * block + np.arange(block, dtype=np.int32)).ravel()
+            pairs = np.flatnonzero(self.gate[::block] < np.inf).astype(dtype)
+            flat = (pairs[:, None] * block + np.arange(block, dtype=dtype)).ravel()
             self._live_keys = flat, fan.coin_pm.reshape(-1, block)[pairs].ravel()
         # live rows are whole pair blocks, so a live key's level is its
         # place in them modulo the level count, as members needs
@@ -154,9 +162,11 @@ class Monitor:
         Messages are delivered in flat canonical order, and a copy that
         fires mid-event drops the rest of that event's messages addressed to
         it. Each event that delivered a crossing message is recorded, at its
-        stream position. Raises ValueError, before any event runs, at the
-        first event whose coordinate is outside [0, m), whose count is below
-        1 or whose key is outside [0, 2**64)."""
+        stream position. Raises ValueError, before any event runs, if the
+        events would take the Monitor past n events over its run() calls (a
+        count past n is in no crossing table and may not fit its column's
+        dtype), and at the first event whose coordinate is outside [0, m),
+        whose count is below 1 or whose key is outside [0, 2**64)."""
         # a list's entries are compared as the Python ints they are: numpy
         # reads a list of keys both below and above 2**63 as float64
         count_after, js, evs = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
@@ -164,6 +174,9 @@ class Monitor:
         if not count_after.shape == js.shape == evs.shape == (js.size,):
             raise ValueError("count_after, js and evs must be aligned 1-d arrays, got "
                              f"shapes {count_after.shape}, {js.shape}, {evs.shape}")
+        if self.n_events + js.size > self.params.n:
+            raise ValueError(f"{js.size} events after {self.n_events} pass the stream "
+                             f"bound n={self.params.n}")
         bad = np.flatnonzero(~((js >= 0) & (js < self.params.m) & (count_after >= 1)
                                & (evs >= 0) & (evs <= MASK64)))
         if bad.size:
@@ -228,7 +241,7 @@ class Monitor:
             if not one:  # a repeated counter can pass its next crossing
                 keep = np.flatnonzero(t.at.take(e, mode="clip") == at)
                 hit, hit_pos, hit_rows, e = (x[keep] for x in (hit, hit_pos, hit_rows, e))
-            nxtval = t.next[e]
+            nxtval = self.columns.next_count[e]
             pair, z = np.divmod(hit_rows // self.columns.n_levels, self.params.r)
             ev_of = ([0] * hit.size if one else
                      np.searchsorted(cut[1:], hit, side="right").tolist())

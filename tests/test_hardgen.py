@@ -451,12 +451,16 @@ def test_btx_validator_equals_a_per_block_loop():
 
 def test_btx_file_with_an_owner_past_k_fails_validation(tmp_path):
     # line 15 of a k = 8 file is "#meta owners0 ..."; its first owner
-    # becomes 99
-    path = str(tmp_path / "btx.txt")
-    write_instance(path, gen_btx(8, 2.0, 0.25, 1))
-    _edit_line(path, 15, lambda ln: "#meta owners0 99 " + ln.split(None, 3)[3])
-    with pytest.raises(ValueError, match=re.escape("block 0: owner 99 of column 0")):
-        validate_btx(read_instance(path))
+    # becomes k or more, which fits int32, so the file reads and the
+    # validator rejects it
+    for owner in (8, 99):
+        path = str(tmp_path / f"btx{owner}.txt")
+        write_instance(path, gen_btx(8, 2.0, 0.25, 1))
+        _edit_line(path, 15, lambda ln: f"#meta owners0 {owner} " + ln.split(None, 3)[3])
+        inst = read_instance(path)
+        assert inst.owners[0, 0] == owner
+        with pytest.raises(ValueError, match=re.escape(f"block 0: owner {owner} of column 0")):
+            validate_btx(inst)
 
 
 def test_btx_type_frequencies():
@@ -751,6 +755,13 @@ def test_malformed_disj_file_names_path_and_line(tmp_path, case):
 # line 15 block 0's owners, and line 30 its last
 _MALFORMED_BTX = {
     "short owner row": (15, lambda ln: ln.rsplit(" ", 1)[0], 15),
+    # owners and specials are int32: 2**40 + 3 must not read back as 3
+    "owner past int32": (15, lambda ln: "#meta owners0 1099511627779 " + ln.split(None, 3)[3],
+                         15),
+    "owner below int32": (16, lambda ln: "#meta owners1 -2147483649 " + ln.split(None, 3)[3],
+                          16),
+    "special past int32": (13, lambda ln: "#meta specials 2147483648 " + ln.split(None, 3)[3],
+                           13),
     "item past the last block": (3, lambda ln: ln + " 99999", 3),
     "negative item": (5, lambda ln: ln + " -1", 5),
     "site row k": (9, lambda ln: ln + "\n8: 0", 10),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import fpmon.monitor
 import fpmon.protocol
-from fpmon.buckets import NEVER
+from fpmon.buckets import NEVER, Buckets, Columns
 from fpmon.harness import gen_uniform_stream, gen_zipf_stream, plan_events, simulate
 from fpmon.monitor import Monitor
 from fpmon.protocol import FanRows, GlobalParams, ThresholdInstance, send_limit
@@ -153,11 +153,11 @@ def column_state(mon: Monitor) -> dict:
     """(j, flat row) -> (count, next crossing count) of every counter that
     took a message. A column's rows are those live when it was made, so
     two runs can hold different untouched rows: each must still be at count
-    0 with its first crossing as its next one."""
+    0 with its first crossing, in the column's count dtype, as its next one."""
     state = {}
     for j, (rows, count, nxt) in mon.columns.by_j.items():
         untouched = count == 0
-        assert np.array_equal(nxt[untouched], mon.columns.first[rows[untouched]])
+        assert np.array_equal(nxt[untouched], mon.columns.first_count[rows[untouched]])
         for row, c, x in zip(rows.tolist(), count.tolist(), nxt.tolist()):
             if c:
                 state[j, row] = (c, x)
@@ -228,6 +228,21 @@ def test_run_rejects_misaligned_arrays():
     assert mon.columns.by_j == {} and mon.live.all()
 
 
+def test_run_rejects_events_past_n():
+    # a counter's count never passes n, the bound its crossing table and its
+    # column dtype are built for: run refuses, before it runs any of them,
+    # the events that would take the Monitor past n over its run() calls
+    mon = Monitor(monitor_params(n=10))
+    counts, js, keys, _ = plan_events(gen_uniform_stream(64, 4, 10, seed=4), 4)
+    mon.run(counts[:6], js[:6], keys[:6])
+    with pytest.raises(ValueError, match=r"^5 events after 6 pass the stream bound n=10$"):
+        mon.run(counts[5:], js[5:], keys[5:])
+    assert mon.n_events == 6
+    mon.run(counts[6:], js[6:], keys[6:])
+    with pytest.raises(ValueError, match="after 10 pass"):
+        mon.on_event(1, 0, 0)
+
+
 @pytest.mark.parametrize("count_after, j, key", [
     (1, 64, 0), (1, 10**6, 0), (1, -1, 0),   # coordinate outside [0, m)
     (0, 3, 0), (-5, 3, 0),                   # a site count below 1
@@ -275,7 +290,7 @@ def test_silent_monitor_skips_fanout(monkeypatch):
     block_live = [bool(mon.live[p * mon.block]) for p in range(len(mon.copies))]
     assert 0 < mon.live_pairs == sum(block_live) < len(mon.copies)
 
-    one = Monitor(monitor_params(tau=50.0), tau=50.0)
+    one = Monitor(monitor_params(tau=50.0, n=2 * len(events)), tau=50.0)  # two drives
     drive(one, events)
     assert one.copies[0].out and one.live_pairs == 0
 
@@ -558,9 +573,46 @@ def test_ladder_literal_path_replays_the_incremental_one():
     assert checked > 0 and dropped > 0
 
 
+@pytest.mark.parametrize("n, m, r, copies, counts, rows", [
+    (32766, 2, 1, 1, np.int16, np.uint16),
+    (32767, 2, 1, 1, np.int32, np.uint16),
+    (500, 4, 5, 4369, np.int16, np.uint16),  # 3 levels: 65,535 rows
+    (500, 2, 8, 4096, np.int16, np.int32),  # 2 levels: 65,536 rows
+])
+def test_column_dtypes_follow_the_runs_bounds(n, m, r, copies, counts, rows):
+    # counts and next crossings are int16 up to n = 32766 and row ids uint16
+    # up to 65,535 rows; past either bound the column array is int32
+    g = GlobalParams(k=4, m=m, n=n, p=2.0, eps=0.5, b=8.0, r=r, a=1, seed=0)
+    cols = Columns(Buckets(g, [100.0] * copies, [0.5] * copies), r)
+    assert cols.first.size == copies * r * (g.l_max + 1)
+    assert (cols.count_dtype, cols.row_dtype) == (counts, rows)
+    cols.add([3], np.arange(2, dtype=rows), [2])
+    assert [x.dtype for x in cols.by_j[3]] == [rows, counts, counts]
+    # the sentinel, the count dtype's max, is above every count 0 .. n; the
+    # count-dtype tables are the int32 ones with NEVER clamped to it
+    assert cols.never == np.iinfo(counts).max > n
+    assert (cols.table.next == NEVER).any()
+    for narrow, wide in ((cols.first_count, cols.first), (cols.next_count, cols.table.next)):
+        assert narrow.dtype == counts
+        assert (wide[wide != NEVER] <= n).all()
+        assert np.array_equal(narrow, np.where(wide == NEVER, cols.never, wide))
+
+
+def test_columns_hold_six_bytes_per_entry_at_the_bench_size():
+    # the bench's monitor ladder (231 copies, 45,045 rows, n = 500): uint16
+    # row ids, int16 counts and int16 next crossings
+    g = GlobalParams(k=8, m=4096, n=500, p=2.0, eps=0.2, b=32.0, r=15, a=3, seed=1)
+    _, mon = simulate(gen_uniform_stream(4096, 8, 200, seed=1), g, mode="monitor")
+    cols = mon.columns.by_j.values()
+    entries = sum(rows.size for rows, _, _ in cols)
+    assert entries > 10**5 and mon.rows.size == 45045
+    assert sum(x.nbytes for col in cols for x in col) == 6 * entries
+
+
 def test_columns_keep_each_counters_next_crossing():
     # after mid-event fires, every column row's next crossing count is still
-    # the first crossing of its (copy, level) above its count
+    # the first crossing of its (copy, level) above its count, or the
+    # column's sentinel past the last one
     g = monitor_params(p=3.0, n=300)
     _, mon = simulate(gen_zipf_stream(64, 4, 300, seed=5, s=1.1), g, mode="monitor")
     assert sum(c.dropped for c in mon.copies) > 0
@@ -569,4 +621,4 @@ def test_columns_keep_each_counters_next_crossing():
         for row, c, want in zip(rows.tolist(), count.tolist(), nxt.tolist()):
             pair, within = divmod(row, mon.block)
             above = [at for at, _, _ in crossings_of(mon, pair, within % n_levels) if at > c]
-            assert want == (above[0] if above else NEVER)
+            assert want == (above[0] if above else mon.columns.never)

@@ -10,7 +10,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from fpmon.harness import gen_uniform_stream, gen_zipf_stream, simulate
+from fpmon.harness import StreamEvent, gen_uniform_stream, gen_zipf_stream, simulate
 from fpmon.protocol import GlobalParams
 
 # the only names the reference takes from fpmon: the parameters, the fire
@@ -47,6 +47,11 @@ def difference(mode: str, p: float, a: int, stream: str, seed: int, n: int, tau:
         events = gen_zipf_stream(m, 4, n, seed=seed, s=1.1)
     else:
         events = gen_uniform_stream(m, 4, n, seed=seed)
+    return compare(events, g, mode)
+
+
+def compare(events, g: GlobalParams, mode: str) -> tuple[str | None, int, int]:
+    """difference() on a given stream and parameters."""
     rows, state = simulate(events, g, mode=mode)
     want_rows, want = reference.run(events, g, mode)
     copies = [state] if mode == "threshold" else state.copies
@@ -96,3 +101,35 @@ def test_simulate_equals_the_reference(mode, p, a, stream, seed, n, tau, reach):
 def test_simulate_equals_the_reference_on_longer_streams(mode, p, a, stream, seed, n, tau, m):
     problem, _, _ = difference(mode, p, a, stream, seed, n, tau, m)
     assert problem is None, problem
+
+
+# Both branches of the columns' dtype rule (buckets.Columns): counts are
+# int32 from n = 32767 on, and row ids int32 past 65,535 rows.
+
+
+def test_int32_counts_past_the_int16_range_equal_the_reference():
+    # 33,000 updates of one coordinate, and b above every rung's
+    # tau**(1/p): every row sends at every event (u = 1, q = 1, no guard
+    # binds), so the top rungs' counters pass 32,767, where int16 would wrap
+    g = GlobalParams(k=4, m=2, n=33000, p=2.0, eps=0.5, b=1e5, r=1, a=1, seed=0)
+    events = [StreamEvent(t, t % 4, 0) for t in range(g.n)]
+    problem, _, _ = compare(events, g, "monitor")
+    assert problem is None, problem
+    _, mon = simulate(events, g, mode="monitor")
+    assert mon.columns.count_dtype == np.int32
+    assert max(c for copy in mon.copies for c in copy.counts.values()) == g.n
+
+
+def test_int32_row_ids_past_65535_rows_equal_the_reference():
+    # 21 rungs of 37 copies at r = 5 and 17 levels: 66,045 rows, and b
+    # above every tau**(1/p), so the top rung's copies, whose rows all lie
+    # past 65,535, take messages
+    g = GlobalParams(k=4, m=2**16, n=10, p=2.0, eps=0.5, b=64.0, r=5, a=37, i_max=20,
+                     seed=0)
+    events = [StreamEvent(t, t % 4, t % 2 * 1237) for t in range(g.n)]
+    problem, _, _ = compare(events, g, "monitor")
+    assert problem is None, problem
+    _, mon = simulate(events, g, mode="monitor")
+    assert mon.rows.size == 66045 and mon.columns.row_dtype == np.int32
+    assert any(copy.counts for pair, copy in enumerate(mon.copies)
+               if pair * mon.block > 65535)
