@@ -18,9 +18,6 @@ from .sampling import SLICE, level_of_np
 if TYPE_CHECKING:
     from .protocol import GlobalParams
 
-# next-crossing count of a counter past its last crossing
-NEVER = np.iinfo(np.int32).max
-
 
 def pow_overflows(x: float, y: float) -> bool:
     """Whether the float power x**y is past the float range."""
@@ -38,17 +35,17 @@ class Crossings(NamedTuple):
     at: np.ndarray
     left: np.ndarray  # the readable bucket left, -1 for none
     entered: np.ndarray  # the readable bucket entered, -1 for none
-    next: np.ndarray  # the key's next crossing count, NEVER past its last
+    next: np.ndarray  # the key's next crossing count, Buckets.never past its last
     base: np.ndarray  # by key
-    first: np.ndarray  # by key: the first crossing count, NEVER for none
+    first: np.ndarray  # by key: the first crossing count, Buckets.never for none
 
 
 class Buckets:
     """Bucket machinery of one threshold instance or, copy after copy, of a
     ladder's instances, built in numpy a run of whole copies at a time (see
     _runs): each copy's eta (as given), per-level counter increments u,
-    bucket cap h_cap, and bucket edges, weights and levels; and, on first
-    use, one crossing table for every copy.
+    bucket cap h_cap, bucket edges, weights and levels, and medians that
+    the copies keep; and, on first use, one crossing table for every copy.
 
     Copy c owns slots off[c] .. off[c] + h_cap[c] + 1 of the flat bucket
     arrays; its last slot holds only edge h_cap + 1, and level -1. Scalar
@@ -61,6 +58,9 @@ class Buckets:
                  eta: Sequence[float]) -> None:
         p, b, gamma, n = params.p, params.b, params.gamma, params.n
         zeta, self.n_levels, self.n, self.eta = 1.0 + gamma, params.l_max + 1, n, eta
+        # every count table's dtype: no count passes n, and never means no crossing
+        self.count_dtype = np.dtype(np.int16 if n < np.iinfo(np.int16).max else np.int32)
+        self.never = int(np.iinfo(self.count_dtype).max)
         root = np.array([t ** (1.0 / p) for t in tau])
         level_div = np.array([2.0 ** (l / p) for l in range(self.n_levels)])
         self.u = np.maximum(root[:, None] / level_div / b, 1.0)
@@ -99,6 +99,7 @@ class Buckets:
             self.lvl[run] = level_of_np(tau[copy], eta_p[copy] * level_ph[h] * b,
                                         params.l_max)
         self.lvl[self.off[1:] - 1] = -1
+        self.med = np.zeros(self.off[-1])  # each copy's bucket medians
 
     def _runs(self) -> list[tuple[int, int]]:
         """Runs of whole copies lo .. hi - 1 of about SLICE bucket slots,
@@ -125,9 +126,9 @@ class Buckets:
         parts = [self._solve(lo, hi) for lo, hi in self._runs()]
         at, left, entered, key, count = map(np.concatenate, zip(*parts))
         head = np.diff(key, prepend=-1) != 0
-        nxt = np.full(count.size, NEVER, dtype=np.int32)
-        nxt[:-1] = np.where(head[1:], NEVER, count[1:])
-        first = np.full(len(self.h_cap) * self.n_levels, NEVER, dtype=np.int32)
+        nxt = np.full(count.size, self.never, dtype=self.count_dtype)
+        nxt[:-1] = np.where(head[1:], self.never, count[1:])
+        first = np.full(len(self.h_cap) * self.n_levels, self.never, dtype=self.count_dtype)
         first[key[head]] = count[head]
         base = (np.arange(len(self.h_cap))[:, None] * self.n_levels
                 + np.arange(self.n_levels)[::-1])
@@ -173,7 +174,7 @@ class Buckets:
         head = np.diff(key, prepend=-1) != 0
         into = np.roll(np.where(head, -1, h), -1)
         sel = np.flatnonzero(np.column_stack((head, leave < past)))
-        count = np.column_stack((enter, leave)).ravel()[sel].astype(np.int32)
+        count = np.column_stack((enter, leave)).ravel()[sel].astype(self.count_dtype)
         left = np.column_stack((np.full_like(h, -1), h)).ravel()[sel]
         entered = np.column_stack((h, into)).ravel()[sel]
         key, level = key[sel >> 1], level[sel >> 1]
@@ -193,18 +194,15 @@ class Columns:
     which point here.
 
     Each column array has the narrowest dtype that the run's own bounds
-    allow, on one code path. A count never exceeds n, so counts and
-    next-crossing counts are int16 when n <= 32766, else int32, and
-    `never`, the next crossing of a counter past its key's last one, is
-    that dtype's max, above every count. Row ids are uint16 when there are
-    at most 65,535 rows, so that a copy's end row fits too, else int32. An
-    entry takes 6 bytes on the bench's monitor ladders (45,045 and 47,385
-    rows at n = 500) and 8 in the criterion-2 regime (69,030 rows at
-    n = 20000): there, 12 bytes made its 26,286,287 entries 315 MB of a
-    365 MB peak RSS, and the peak is now 267 MB. first_count and
-    next_count are the first-crossing and next-crossing tables in the count
-    dtype, so that new entries and crossing write-backs need no cast; first
-    and the crossing table keep their int32 counts and NEVER."""
+    allow, on one code path. Counts and next crossings are in the Buckets'
+    count_dtype, as first, each flat row's first crossing count, and the
+    crossing table are, so new entries and crossing write-backs need no
+    cast. Row ids are uint16 when there are at most 65,535 rows, so that a
+    copy's end row fits too, else int32. An entry takes 6 bytes on the
+    bench's monitor ladders (45,045 and 47,385 rows at n = 500) and 8 in
+    the criterion-2 regime (69,030 rows at n = 20000): there, 12 bytes made
+    its 26,286,287 entries 315 MB of a 365 MB peak RSS, and the peak is now
+    267 MB."""
 
     def __init__(self, buckets: Buckets, r: int) -> None:
         n_levels = buckets.n_levels
@@ -215,22 +213,16 @@ class Columns:
         shape = (len(buckets.h_cap), r, n_levels)
         self.first = np.broadcast_to(t.first.reshape(-1, 1, n_levels), shape).ravel()
         self.row_at = np.broadcast_to(t.base.reshape(-1, 1, n_levels), shape).ravel()
-        small = buckets.n < np.iinfo(np.int16).max
-        self.count_dtype = np.dtype(np.int16 if small else np.int32)
-        self.never = int(np.iinfo(self.count_dtype).max)
         few = self.first.size <= np.iinfo(np.uint16).max
         self.row_dtype = np.dtype(np.uint16 if few else np.int32)
-        self.first_count = np.minimum(self.first, self.never).astype(self.count_dtype)
-        self.next_count = np.minimum(t.next, self.never).astype(self.count_dtype)
         self.by_j: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self.med = np.zeros(buckets.off[-1])  # each copy's medians, by slot
         self.read_out: dict[int, dict[tuple[int, int, int], int]] | None = None
 
     def add(self, js: Sequence[int], rows: np.ndarray, ends: Sequence[int]) -> None:
         """Columns of new coordinates js, at count 0: js[i]'s rows are
         rows[ends[i - 1]:ends[i]], in row_dtype."""
-        count = np.zeros(rows.size, dtype=self.count_dtype)
-        nxt = np.take(self.first_count, rows)
+        count = np.zeros(rows.size, dtype=self.first.dtype)
+        nxt = np.take(self.first, rows)
         for j, lo, hi in zip(js, [0, *ends], ends):
             self.by_j[j] = (rows[lo:hi], count[lo:hi], nxt[lo:hi])
 

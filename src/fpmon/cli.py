@@ -228,6 +228,8 @@ def cmd_verify_reduction(args: argparse.Namespace) -> int:
                      [f"f0bit,{trials},{ok},{frac:.12g},{frac0:.12g}"], prov)
         return 0 if frac >= 0.9 else 1
     if which == "embed":
+        if args.dim < 1:
+            raise ValueError(f"--dim must be >= 1, got {args.dim}")
         r = (args.r if args.r is not None
              else reductions.embed_readings(args.p, args.eps))
         prov.update(p=args.p, eps=args.eps, r=r, dim=args.dim)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
@@ -525,6 +526,7 @@ def _decimal(values) -> bytes:
 
 
 _I64, _I32 = np.iinfo(np.int64), np.iinfo(np.int32)
+_INT = re.compile(rb"-?[0-9]+")  # one int of _ints' grammar: int() also reads "1_0" and "+1"
 
 
 def _ints(text: bytes) -> np.ndarray:
@@ -595,7 +597,11 @@ def read_instance(path: str):
 
     def parse(no: int, text: bytes, conv=_ints):
         try:
-            return conv(text)
+            value = conv(text)
+            if (conv is int and not _INT.fullmatch(text)
+                    or conv is float and not math.isfinite(value)):
+                raise ValueError(f"bad {conv.__name__} {text.decode(errors='replace')!r}")
+            return value
         except ValueError as exc:
             raise fail(no, str(exc)) from None
 
@@ -610,8 +616,8 @@ def read_instance(path: str):
         if len(head) != 5:
             raise fail(hno, "header must be 'TYPE k n eps seed'")
         typ = head[0].decode(errors="replace")
+        k, n, eps, seed = map(parse, [hno] * 4, head[1:], (int, int, float, int))
         try:
-            k, n, eps, seed = int(head[1]), int(head[2]), float(head[3]), int(head[4])
             # the families whose rows all have one length
             if typ in ("TWODISJ", "BITDISJ"):
                 width: Optional[int] = _check_nprime(n)

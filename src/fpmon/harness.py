@@ -10,6 +10,7 @@ per recorded event with floats printed to 12 significant digits.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from itertools import chain, islice, repeat
@@ -27,8 +28,9 @@ from .sampling import MASK64, SALT_EVENT, SALT_STREAM, derive, derive_np
 from .sampling import event_key  # noqa: F401
 
 TRACE_HEADER = "t,true_fp,estimate,cum_messages,cum_bits,fired_instances"
-# one stream field; int() alone also reads "1_0" and non-ASCII digits
+# int and float fields: int() and float() alone also read "1_0" and non-ASCII digits
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
+_FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 WRITE_ROWS = 4096  # trace rows formatted per write
 
 
@@ -195,11 +197,11 @@ def read_trace(path: str) -> tuple[dict[str, str], list[TraceRow]]:
         f = line.split(",")
         if len(f) != 6:
             raise ValueError(f"{path}: line {i}: expected 6 fields, got {line!r}")
-        try:
-            rows.append(TraceRow(int(f[0]), float(f[1]), float(f[2]), int(f[3]),
-                                 int(f[4]), int(f[5])))
-        except ValueError:
+        if not (all(map(_DECIMAL.fullmatch, f[:1] + f[3:])) and all(map(_FLOAT.fullmatch, f[1:3]))
+                and all(math.isfinite(float(x)) for x in f[1:3])):
             raise ValueError(f"{path}: line {i}: non-numeric field in {line!r}")
+        rows.append(TraceRow(int(f[0]), float(f[1]), float(f[2]), int(f[3]),
+                             int(f[4]), int(f[5])))
     return provenance, rows
 
 
@@ -306,10 +308,9 @@ def simulate(events: list[StreamEvent], params: GlobalParams,
         raise ValueError(f"mode must be 'threshold' or 'monitor', got {mode}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    times, sites, js = tuple(zip(*events)) or ((), (), ())
-    ts, sites, js = map(_int_column, (times, sites, js))
+    ts, sites, js = _stream_columns(events)
     _check_stream(ts, sites, js, params.m, params.k, params.n, "<stream>")
-    times = np.array(times, dtype=object)  # the rows' t: the events' own ints
+    times = np.fromiter(map(attrgetter("t"), events), object)  # the rows' t: each event's own
 
     threshold = mode == "threshold"
     if threshold and params.tau is None:

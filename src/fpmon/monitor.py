@@ -26,14 +26,15 @@ from .sampling import derive  # noqa: F401
 class Monitor:
     """All ladder copies multiplexed over one site->coordinator channel.
 
-    Copies share the site vectors; each (instance, copy) pair owns disjoint
-    seed streams keyed by its indices. Message accounting includes messages
+    Copies share the site vectors; pair (i, c)'s coin, send and eta seeds,
+    derive(seed, SALT_INSTANCE, i, c, s) for s = 0, 1, 2, live only as
+    FanRows keys and Buckets etas. Message accounting includes messages
     that arrive after their copy fired (they are delivered and dropped).
 
     With tau given, the ladder is a single rung at tau with a single copy:
-    a threshold run. Its (0, 0) seeds are ThresholdInstance's defaults, so
-    copies[0] is ThresholdInstance(params): the same seeds and tables, and
-    the same state after the same messages. Its estimate() is that copy's.
+    a threshold run. Its eta is ThresholdInstance(params)'s, so copies[0]
+    has that instance's tables, and the same state after the same
+    messages. Its estimate() is that copy's.
 
     The Monitor records its own readings. Only an event that delivers a
     crossing message can move an estimate or fire a copy, so record holds
@@ -77,7 +78,7 @@ class Monitor:
         self.n_instances = len(self.taus)
         self.majority = self.a // 2 + 1
 
-        # (coin, send, eta) seeds of copy (i, c): derive(seed, SALT_INSTANCE, i, c, s)
+        # (coin, send, eta) seeds of pair (i, c), one row per pair
         seeds = derive_np(params.seed & MASK64, SALT_INSTANCE,
                           np.arange(self.n_instances)[:, None, None],
                           np.arange(self.a)[None, :, None],
@@ -86,11 +87,8 @@ class Monitor:
         self._buckets = Buckets(params, taus, unit_open_zero_np(seeds[:, 2]).tolist())
         self.columns = Columns(self._buckets, params.r)
         self.block = self.columns.block
-        self.copies = [
-            ThresholdInstance(params, tau=tau, coin_seed=coin, send_seed=send,
-                              columns=self.columns, pair=pair)
-            for pair, (tau, coin, send) in enumerate(zip(taus, *seeds[:, :2].T.tolist()))
-        ]
+        self.copies = [ThresholdInstance(params, tau=tau, columns=self.columns, pair=pair)
+                       for pair, tau in enumerate(taus)]
 
         # flat candidate rows over (instance, copy, z, l), canonical order
         self.rows = FanRows(params, taus, seeds[:, 0], seeds[:, 1])
@@ -241,7 +239,7 @@ class Monitor:
             if not one:  # a repeated counter can pass its next crossing
                 keep = np.flatnonzero(t.at.take(e, mode="clip") == at)
                 hit, hit_pos, hit_rows, e = (x[keep] for x in (hit, hit_pos, hit_rows, e))
-            nxtval = self.columns.next_count[e]
+            nxtval = t.next[e]
             pair, z = np.divmod(hit_rows // self.columns.n_levels, self.params.r)
             ev_of = ([0] * hit.size if one else
                      np.searchsorted(cut[1:], hit, side="right").tolist())

@@ -25,7 +25,6 @@ from .sampling import (
     SALT_INSTANCE,
     SALT_SEND,
     SLICE,
-    PublicCoin,
     coordinate_key_np,
     derive,
     derive_np,
@@ -276,40 +275,28 @@ class ThresholdInstance:
     Counters live in a buckets.Columns, whose owner bumps them and calls
     apply(), the coordinator step, only at the counts that its crossing
     table lists: a Monitor's run is the one caller that delivers messages.
-    A ladder copy is copy `pair` of its Monitor's Columns; its eta is their
-    Buckets', and eta_seed is not read. A standalone instance is the
-    one-copy case: it builds its own Buckets, and on first use its own
-    Columns. counts and messages_received are read out of the columns on
-    demand.
+    A ladder copy is copy `pair` of its Monitor's Columns and Buckets, and
+    its seeds are its Monitor's FanRows keys. A standalone instance is the
+    one-copy case, at copy (0, 0)'s eta: its own Buckets, and on first use
+    Columns. counts and messages_received are read from the columns.
     """
 
     def __init__(self, params: GlobalParams, tau: Optional[float] = None,
-                 coin_seed: Optional[int] = None,
-                 send_seed: Optional[int] = None,
-                 eta_seed: Optional[int] = None,
                  columns: Optional[Columns] = None, pair: int = 0) -> None:
         self.params = params
         self.tau = params.tau if tau is None else tau
         if self.tau is None:
             raise ValueError("threshold tau is required")
         check_tau(self.tau)
-        if coin_seed is None:
-            coin_seed = derive(params.seed, SALT_INSTANCE, 0, 0, 0)
-        if send_seed is None:
-            send_seed = derive(params.seed, SALT_INSTANCE, 0, 0, 1)
-        self.coin = PublicCoin(coin_seed, params.r, params.l_max)
-        self.send_seed = send_seed
-        self._pair, ladder = pair, columns is not None
+        self._pair = pair
 
-        # per-level counter increments u_l (subsampled levels have u_l > 1)
-        # and the bucket machinery shared verbatim by both estimation passes;
-        # a ladder copy's eta, tables and medians are its Monitor's
-        if ladder:
+        # per-level counter increments u_l (subsampled levels have u_l > 1),
+        # bucket tables and medians: a ladder copy's are its Monitor's
+        if columns is not None:
             self.columns, buckets = columns, columns.buckets
         else:
-            if eta_seed is None:
-                eta_seed = derive(params.seed, SALT_INSTANCE, 0, 0, 2)
-            buckets = Buckets(params, [self.tau], [unit_open_zero(eta_seed)])
+            eta = unit_open_zero(derive(params.seed, SALT_INSTANCE, 0, 0, 2))
+            buckets = Buckets(params, [self.tau], [eta])
         self._buckets, self.eta = buckets, buckets.eta[pair]
         self.u = buckets.u[pair]
         self.h_cap = h_cap = buckets.h_cap[pair]
@@ -317,8 +304,7 @@ class ThresholdInstance:
         self.edge = buckets.edge[lo : lo + h_cap + 2]
         self.weight = buckets.weight[lo : lo + h_cap + 1]
         self.lvl_of_h = buckets.lvl[lo : lo + h_cap + 1]
-        self.med = (columns.med[lo : lo + h_cap + 1] if ladder else
-                    np.zeros(h_cap + 1, dtype=np.float64))
+        self.med = buckets.med[lo : lo + h_cap + 1]
         self.fire_line = (1.0 - C_FIRE * params.eps) * self.tau
         self._r, self._med_idx = params.r, (params.r - 1) // 2
 

@@ -184,6 +184,16 @@ def test_verify_reduction_embed_default_readings(capsys):
     assert "need at least one reading" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_verify_reduction_embed_rejects_an_empty_vector(capsys, dim):
+    # a zero-length vector has norm 0, which every estimate matches: the
+    # check would pass whatever the embedding did
+    assert run("verify-reduction", "embed", "--trials", "3", "--dim", dim) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --dim must be >= 1, got {dim}\n"
+    assert captured.out == ""
+
+
 def test_verify_reduction_f0bit(tmp_path):
     out = str(tmp_path / "f0.csv")
     assert run("verify-reduction", "f0bit", "--trials", "25", "--k", "256",

@@ -23,6 +23,7 @@ from fpmon.harness import (
 )
 from fpmon.monitor import Monitor
 from fpmon.protocol import GlobalParams
+from fpmon.sampling import SALT_INSTANCE, derive
 
 M, K = 256, 4
 THRESHOLD_N, MONITOR_N = 1500, 300
@@ -112,15 +113,25 @@ LADDER_TABLES = {
 
 
 def ladder_tables(mon: Monitor) -> dict[str, np.ndarray]:
-    """Every table a Monitor builds with its ladder, by name. The rows'
-    tables are rebuilt, as they were once stored, from the stored ones: the
-    keys unpremixed, and each row's send probability times 2**53 from its
-    formula."""
+    """Every table a Monitor builds with its ladder, by name. Tables are
+    rebuilt, as they were once stored, from the stored ones: the count
+    tables as int32, with int32's max for no crossing; the rows' keys
+    unpremixed, and each row's send probability times 2**53 from its
+    formula; and each copy's coin and send seeds, which no engine table
+    holds, from the scalar derive."""
     bk, rows, g = mon._buckets, mon.rows, mon.params
+
+    def wide(counts: np.ndarray) -> np.ndarray:
+        # widened before the sentinel is set: int32's max does not fit int16
+        counts = counts.astype(np.int32)
+        return np.where(counts == bk.never, np.iinfo(np.int32).max, counts)
+
+    table = bk.crossings._asdict()
+    table.update(next=wide(table["next"]), first=wide(table["first"]))
     tables = dict(u=bk.u, h_cap=np.asarray(bk.h_cap, dtype=np.int64), off=bk.off,
                   edge=bk.edge, weight=bk.weight, lvl=bk.lvl,
-                  first=mon.columns.first, row_at=mon.columns.row_at)
-    tables.update((f"crossings.{k}", v) for k, v in bk.crossings._asdict().items())
+                  first=wide(mon.columns.first), row_at=mon.columns.row_at)
+    tables.update((f"crossings.{k}", v) for k, v in table.items())
     z = np.arange(1, g.r + 1, dtype=np.int32)[:, None]
     l = np.arange(g.l_max + 1, dtype=np.int32)
     root = np.array([c.tau ** (1.0 / g.p) for c in mon.copies])[:, None, None]
@@ -134,10 +145,11 @@ def ladder_tables(mon: Monitor) -> dict[str, np.ndarray]:
         "rows.guard": rows.guards(),
         "rows.qscaled": np.broadcast_to(np.minimum(g.b / tau_l_root, 1.0) * 2.0**53,
                                         rows.shape).ravel()})
+    pairs = [divmod(pair, mon.a) for pair in range(len(mon.copies))]
     tables.update(
         eta=np.array([c.eta for c in mon.copies]),
-        coin=np.array([c.coin.master_seed for c in mon.copies], dtype=np.uint64),
-        send=np.array([c.send_seed for c in mon.copies], dtype=np.uint64))
+        **{name: np.array([derive(g.seed, SALT_INSTANCE, i, c, s) for i, c in pairs],
+                          dtype=np.uint64) for s, name in enumerate(("coin", "send"))})
     return tables
 
 

@@ -732,6 +732,16 @@ _MALFORMED = {
     "missing bit row": ("bit", 65, None, 66),
     "two row too short": ("two", 3, lambda ln: ln.rsplit(" ", 1)[0], 3),
     "no meta witness": ("two", 5, None, 1),
+    # int() and float() read more than write_instance prints: every integer
+    # field has the rows' -?[0-9]+ grammar, and the header float is finite
+    "header seed 1_0": ("two", 1, lambda ln: "TWODISJ 2 23 0.5 1_0", 1),
+    "header k plus sign": ("bit", 1, lambda ln: ln.replace(" 64 ", " +64 "), 1),
+    "nan header float": ("two", 1, lambda ln: "TWODISJ 2 23 nan 0", 1),
+    "inf header float": ("bit", 1, lambda ln: ln.replace(" 0.25 ", " inf "), 1),
+    "site label 1_0": ("bit", 12, lambda ln: "1_0" + ln[2:], 12),
+    "site label plus sign": ("bit", 3, lambda ln: "+" + ln, 3),
+    "meta witness 1_0": ("two", 5, lambda ln: "#meta witness 1_0", 5),
+    "meta intersecting plus sign": ("two", 4, lambda ln: "#meta intersecting +1", 4),
 }
 
 
@@ -767,6 +777,10 @@ _MALFORMED_BTX = {
     "site row k": (9, lambda ln: ln + "\n8: 0", 10),
     "missing last site row": (9, None, 29),
     "negative block count": (11, lambda ln: "#meta blocks -1", 11),
+    "block count 1_6": (11, lambda ln: "#meta blocks 1_6", 11),
+    "inv_eps plus sign": (12, lambda ln: "#meta inv_eps +4", 12),
+    "nan p": (10, lambda ln: "#meta p nan", 10),
+    "inf p": (10, lambda ln: "#meta p -inf", 10),
 }
 
 

@@ -308,6 +308,29 @@ def test_trace_non_numeric_field_names_path_and_line(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("row", [
+    "1_0,0,0,0,0,0", "0,0,0,+1_0,0,0", "\uff11,0,0,0,0,0", "0,0,0,0,0, 1",  # ints
+    "0,nan,0,0,0,0", "0,0,inf,0,0,0", "0,-Infinity,0,0,0,0", "0,1e999,0,0,0,0",
+    "0,1_0.5,0,0,0,0", "0,0,\uff11.5,0,0,0", "0,0, 1,0,0,0", "0,.,0,0,0,0",  # floats
+    "1_0,nan,inf,0,0,0"])
+def test_trace_field_write_trace_never_prints_names_path_and_line(tmp_path, row):
+    # int() and float() read more than write_trace prints: "1_0" as 10,
+    # nan and inf, spaces and non-ASCII digits; each is a bad field
+    path = tmp_path / "t.csv"
+    path.write_text(f"{TRACE_HEADER}\n0,1,0,0,0,0\n{row}\n", encoding="utf-8")
+    where = re.escape(f"{path}: line 3: ")
+    with pytest.raises(ValueError, match=where + ".*" + re.escape(repr(row))):
+        read_trace(str(path))
+
+
+def test_trace_reads_every_float_form_write_trace_prints(tmp_path):
+    path = str(tmp_path / "t.csv")
+    floats = [0.0, -0.0, 1e-300, 5e-324, -1.5e300, 1e16, 123456.789012, 0.1]
+    write_trace(path, [TraceRow(t, x, -x, 0, 0, 0) for t, x in enumerate(floats)], {})
+    got = [(row.true_fp, row.estimate) for row in read_trace(path)[1]]
+    assert got == [(float("%.12g" % x), float("%.12g" % -x)) for x in floats]
+
+
 def reference_write_trace(path, rows, provenance):
     """write_trace as one f-string per row."""
     with open(path, "w", newline="\n") as fh:

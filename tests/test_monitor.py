@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import fpmon.monitor
 import fpmon.protocol
-from fpmon.buckets import NEVER, Buckets, Columns
+from fpmon.buckets import Buckets, Columns
 from fpmon.harness import gen_uniform_stream, gen_zipf_stream, plan_events, simulate
 from fpmon.monitor import Monitor
 from fpmon.protocol import FanRows, GlobalParams, ThresholdInstance, send_limit
@@ -23,6 +23,7 @@ from fpmon.sampling import (
     SALT_INSTANCE,
     SALT_SEND,
     SLICE,
+    PublicCoin,
     derive,
     event_key,
     member_threshold,
@@ -37,6 +38,27 @@ def monitor_params(**kw):
     base = dict(k=4, m=64, n=800, p=2.0, eps=0.5, b=8.0, r=5, seed=17, a=1)
     base.update(kw)
     return GlobalParams(**base)
+
+
+def spec_seeds(seed: int, i: int, c: int) -> tuple[int, int, int]:
+    """Copy (i, c)'s coin, send and eta seeds, by the scalar spec."""
+    return tuple(derive(seed, SALT_INSTANCE, i, c, s) for s in range(3))
+
+
+def spec_coin(mon: Monitor, pair: int) -> PublicCoin:
+    """The public coin of a Monitor's copy, by the scalar spec."""
+    coin, _, _ = spec_seeds(mon.params.seed, *divmod(pair, mon.a))
+    return PublicCoin(coin, mon.params.r, mon.params.l_max)
+
+
+def assert_rows_hold_seeds(mon: Monitor, pair: int, coin: int, send: int) -> None:
+    """Each of a copy's rows holds the coin and send keys of its (z, l)."""
+    g, n_levels = mon.params, mon.params.l_max + 1
+    key = PublicCoin(coin, g.r, g.l_max).key
+    for within in range(mon.block):
+        z, l, flat = within // n_levels + 1, within % n_levels, pair * mon.block + within
+        assert int(mon.rows.coin_pm[flat]) == premix64(key(z, l))
+        assert int(mon.rows.send_pm[flat]) == premix64(derive(send, SALT_SEND, z, l))
 
 
 def drive(monitor: Monitor, events) -> list[tuple[int, float, int]]:
@@ -91,9 +113,9 @@ def with_site_counts(events, k: int):
 
 def test_one_rung_monitor_is_a_threshold_instance():
     # Monitor(g, tau=T) is the threshold run: one rung at T with one copy,
-    # unamplified bits, and a copy with ThresholdInstance(g)'s default seeds
-    # and tables, which runs as the reference's threshold run, event for
-    # event
+    # unamplified bits, and a copy with copy (0, 0)'s seeds and
+    # ThresholdInstance(g)'s tables, which runs as the reference's threshold
+    # run, event for event
     g = monitor_params(a=3, tau=2000.0)
     mon = Monitor(g, tau=g.tau)
     assert (mon.n_instances, mon.a, mon.majority) == (1, 1, 1)
@@ -101,7 +123,9 @@ def test_one_rung_monitor_is_a_threshold_instance():
     assert len(mon.copies) == 1
     assert mon.message_bits == g.message_bits()
     copy, solo = mon.copies[0], ThresholdInstance(g)
-    assert (copy.coin, copy.send_seed, copy.eta) == (solo.coin, solo.send_seed, solo.eta)
+    coin, send, eta = spec_seeds(g.seed, 0, 0)
+    assert_rows_hold_seeds(mon, 0, coin, send)
+    assert copy.eta == solo.eta == unit_open_zero(eta)
     for name in ("u", "edge", "weight", "lvl_of_h"):
         assert np.array_equal(getattr(copy, name), getattr(solo, name)), name
     events = gen_uniform_stream(g.m, g.k, 600, seed=9)
@@ -157,7 +181,7 @@ def column_state(mon: Monitor) -> dict:
     state = {}
     for j, (rows, count, nxt) in mon.columns.by_j.items():
         untouched = count == 0
-        assert np.array_equal(nxt[untouched], mon.columns.first_count[rows[untouched]])
+        assert np.array_equal(nxt[untouched], mon.columns.first[rows[untouched]])
         for row, c, x in zip(rows.tolist(), count.tolist(), nxt.tolist()):
             if c:
                 state[j, row] = (c, x)
@@ -380,19 +404,22 @@ def test_live_mask_layout_matches_pair_blocks():
 
 @pytest.mark.parametrize("seed", [0, 17, -5, 2**64 + 3])
 def test_copy_seeds_equal_scalar_derive(seed):
+    # copy (i, c)'s rows hold the keys of its coin and send seeds, and its
+    # eta is that of its eta seed, derive(seed, SALT_INSTANCE, i, c, s) for
+    # s = 0, 1, 2; a threshold run's one copy is copy (0, 0)
     g = monitor_params(a=3, seed=seed)
     mon = Monitor(g)
     assert len(mon.copies) == (g.i_max + 1) * 3
     for pair, inst in enumerate(mon.copies):
         i, c = divmod(pair, 3)
-        coin, send, eta = (derive(seed, SALT_INSTANCE, i, c, s) for s in range(3))
-        assert inst.coin.master_seed == coin
-        assert inst.send_seed == send
+        coin, send, eta = spec_seeds(seed, i, c)
+        assert_rows_hold_seeds(mon, pair, coin, send)
         assert inst.eta == unit_open_zero(eta)
         assert inst.tau == mon.taus[i]
-    solo = Monitor(g, tau=10.0).copies[0]
-    assert solo.coin.master_seed == derive(seed, SALT_INSTANCE, 0, 0, 0)
-    assert solo.send_seed == derive(seed, SALT_INSTANCE, 0, 0, 1)
+    solo = Monitor(g, tau=10.0)
+    coin, send, eta = spec_seeds(seed, 0, 0)
+    assert_rows_hold_seeds(solo, 0, coin, send)
+    assert solo.copies[0].eta == ThresholdInstance(g, tau=10.0).eta == unit_open_zero(eta)
 
 
 def test_dropped_monitor_is_freed_without_the_cycle_collector():
@@ -425,17 +452,18 @@ def test_ladder_rows_equal_scalar_keys_and_formulas():
         for flat in range(rows.size):
             pair, within = divmod(flat, mon.block)
             z, l = within // n_levels + 1, within % n_levels
-            copy = mon.copies[pair]
+            copy, (_, send, _) = mon.copies[pair], spec_seeds(g.seed, *divmod(pair, g.a))
             tau_l_root = copy.tau ** (1.0 / p) / 2.0 ** (l / p)
-            assert int(rows.coin_pm[flat]) == premix64(copy.coin.key(z, l))
-            assert int(rows.send_pm[flat]) == premix64(derive(copy.send_seed, SALT_SEND, z, l))
+            assert int(rows.coin_pm[flat]) == premix64(spec_coin(mon, pair).key(z, l))
+            assert int(rows.send_pm[flat]) == premix64(derive(send, SALT_SEND, z, l))
             assert int(rows.member_tile[flat % n_levels]) == member_threshold(l)
             assert guard[flat] == tau_l_root / (g.k * g.b)
             qscaled = min(g.b / tau_l_root, 1.0) * 2.0**53
             assert rows.send_lim[flat] == send_limit(np.array([qscaled]))[0]
         for pair in (0, len(mon.copies) // 2, len(mon.copies) - 1):
             copy, block = mon.copies[pair], slice(pair * mon.block, (pair + 1) * mon.block)
-            own = FanRows(g, [copy.tau], [copy.coin.master_seed], [copy.send_seed])
+            coin, send, _ = spec_seeds(g.seed, *divmod(pair, g.a))
+            own = FanRows(g, [copy.tau], [coin], [send])
             for name in ("coin_pm", "send_pm", "send_lim"):
                 assert np.array_equal(getattr(own, name), getattr(rows, name)[block]), name
             assert np.array_equal(own.guards(), guard[block])
@@ -463,7 +491,7 @@ def test_column_rows_equal_in_sample(m, slice_, monkeypatch):
     js = rng.integers(0, m, 40).tolist()
     for pair, z, l in ((0, 1, g.l_max), (0, 2, g.l_max - 1), (7, 2, g.l_max),
                        (9, 1, min(32, g.l_max)), (10, 2, min(31, g.l_max - 2))):
-        key = mon.copies[pair].coin.key(z, l)
+        key = spec_coin(mon, pair).key(z, l)
         for y in (member_threshold(l), member_threshold(l) + 1):
             js += [coordinate_hashing_to(key, y), coordinate_hashing_to(key, y ^ (y >> 31))]
     js = list(dict.fromkeys(js))
@@ -473,7 +501,7 @@ def test_column_rows_equal_in_sample(m, slice_, monkeypatch):
     deep = 0
     n_levels = g.l_max + 1
     for j in js:
-        want = [f for f in range(rows.size) if live[f] and mon.copies[f // mon.block].coin
+        want = [f for f in range(rows.size) if live[f] and spec_coin(mon, f // mon.block)
                 .in_sample(f % mon.block // n_levels + 1, f % n_levels, j)]
         assert mon.columns.by_j[j][0].tolist() == want
         deep += sum(f % n_levels == g.l_max for f in want)
@@ -543,7 +571,7 @@ def test_threshold_run_with_no_crossing_at_all():
     for l in range(g.l_max + 1):
         assert scan(g, mon.copies[0], l) == crossings_of(mon, 0, l) == []
     table = mon._buckets.crossings
-    assert table.at.size == 0 and (table.first == np.iinfo(np.int32).max).all()
+    assert table.at.size == 0 and (table.first == mon._buckets.never).all()
     events = gen_uniform_stream(16, 4, 2, seed=1)
     rows, inst = simulate(events, g, mode="threshold")
     assert [row.estimate for row in rows] == [0.0, 0.0] and not inst.out
@@ -583,19 +611,19 @@ def test_column_dtypes_follow_the_runs_bounds(n, m, r, copies, counts, rows):
     # counts and next crossings are int16 up to n = 32766 and row ids uint16
     # up to 65,535 rows; past either bound the column array is int32
     g = GlobalParams(k=4, m=m, n=n, p=2.0, eps=0.5, b=8.0, r=r, a=1, seed=0)
-    cols = Columns(Buckets(g, [100.0] * copies, [0.5] * copies), r)
+    bk = Buckets(g, [100.0] * copies, [0.5] * copies)
+    cols = Columns(bk, r)
     assert cols.first.size == copies * r * (g.l_max + 1)
-    assert (cols.count_dtype, cols.row_dtype) == (counts, rows)
+    assert (bk.count_dtype, cols.row_dtype) == (counts, rows)
     cols.add([3], np.arange(2, dtype=rows), [2])
     assert [x.dtype for x in cols.by_j[3]] == [rows, counts, counts]
-    # the sentinel, the count dtype's max, is above every count 0 .. n; the
-    # count-dtype tables are the int32 ones with NEVER clamped to it
-    assert cols.never == np.iinfo(counts).max > n
-    assert (cols.table.next == NEVER).any()
-    for narrow, wide in ((cols.first_count, cols.first), (cols.next_count, cols.table.next)):
-        assert narrow.dtype == counts
-        assert (wide[wide != NEVER] <= n).all()
-        assert np.array_equal(narrow, np.where(wide == NEVER, cols.never, wide))
+    # every count table is in the count dtype, whose max, the sentinel
+    # never, is above every count 0 .. n
+    assert bk.never == np.iinfo(counts).max > n
+    assert (cols.table.next == bk.never).any()
+    for table in (cols.first, cols.table.first, cols.table.next):
+        assert table.dtype == counts
+        assert (table[table != bk.never] <= n).all()
 
 
 def test_columns_hold_six_bytes_per_entry_at_the_bench_size():
@@ -621,4 +649,4 @@ def test_columns_keep_each_counters_next_crossing():
         for row, c, want in zip(rows.tolist(), count.tolist(), nxt.tolist()):
             pair, within = divmod(row, mon.block)
             above = [at for at, _, _ in crossings_of(mon, pair, within % n_levels) if at > c]
-            assert want == (above[0] if above else mon.columns.never)
+            assert want == (above[0] if above else mon._buckets.never)

@@ -20,7 +20,15 @@ from fpmon.protocol import (
 )
 from fpmon.harness import gen_uniform_stream, plan_events, simulate
 from fpmon.monitor import Monitor
-from fpmon.sampling import MASK64, SALT_SEND, derive, member_threshold, premix64
+from fpmon.sampling import (
+    MASK64,
+    SALT_INSTANCE,
+    SALT_SEND,
+    PublicCoin,
+    derive,
+    member_threshold,
+    premix64,
+)
 import reference
 
 
@@ -31,9 +39,11 @@ def small_params(**kw):
 
 
 def site_rows(g):
-    """A threshold run's site rows, one block of FanRows, and its copy."""
+    """A threshold run's site rows, one block of FanRows, and its copy's
+    public coin and send seed by the scalar spec: those of copy (0, 0)."""
     mon = Monitor(g, tau=g.tau)
-    return mon.rows, mon.copies[0]
+    coin, send = (derive(g.seed, SALT_INSTANCE, 0, 0, s) for s in range(2))
+    return mon.rows, PublicCoin(coin, g.r, g.l_max), send
 
 
 def sends(rows, gate, count_after, j: int, ev: int) -> np.ndarray:
@@ -236,7 +246,7 @@ def test_counter_value_is_count_times_increment():
 def test_guard_is_strict():
     # guard = tau_l^{1/p} / (k b); eligibility requires count strictly above
     g = small_params()  # root = 64, k*b = 32 -> guard(l=0) = 2.0
-    rows, _ = site_rows(g)
+    rows = site_rows(g)[0]
     assert rows.guards()[0] == pytest.approx(2.0)
     row0 = np.zeros(rows.size, dtype=bool)
     row0[0] = True
@@ -246,7 +256,7 @@ def test_guard_is_strict():
 
 def test_site_never_sends_below_guard():
     g = small_params(tau=1024.0)
-    rows, _ = site_rows(g)
+    rows = site_rows(g)[0]
     guard = rows.guards()
     counts: dict[int, int] = {}
     rng = random.Random(11)
@@ -262,7 +272,7 @@ def test_site_never_sends_below_guard():
 
 def test_messages_ordered_by_repetition_then_level():
     g = small_params(tau=1024.0)
-    rows, _ = site_rows(g)
+    rows = site_rows(g)[0]
     counts: dict[int, int] = {}
     rng = random.Random(5)
     seen_multi = 0
@@ -280,7 +290,7 @@ def test_messages_ordered_by_repetition_then_level():
 def test_send_probability_binomial():
     # a level with q < 1: empirical send rate within 4 sigma of q
     g = small_params(tau=65536.0, b=8.0)  # root = 256, q(l=0) = 8/256
-    rows, _ = site_rows(g)
+    rows = site_rows(g)[0]
     q = (int(rows.send_lim[0]) + 1 >> 11) / 2.0**53
     assert q == 8.0 / 256.0
     trials, sent = 20000, 0
@@ -297,7 +307,7 @@ def test_send_probability_binomial():
 def test_q_one_levels_always_send_when_sampled():
     # deep levels with tau_l^{1/p} <= b send every eligible sampled update
     g = small_params(tau=4096.0, b=64.0)  # root = 64 -> q = 1 at every level
-    rows, _ = site_rows(g)
+    rows = site_rows(g)[0]
     assert (rows.send_lim == MASK64).all()
     js = np.arange(g.m)
     sets = members(rows, rows.coin_pm, js)
@@ -315,7 +325,7 @@ def test_fanout_of_several_updates_is_the_union_of_scalar_calls():
     # own scalar call, shifted to its candidates' positions, with a live
     # mask, binding guards and levels that thin
     g = small_params(tau=65536.0)
-    rows, inst = site_rows(g)
+    rows, coin, _ = site_rows(g)
     gate = gate_of(rows, np.random.default_rng(1).random(rows.size) < 0.8)
     rng = random.Random(3)
     updates = [(rng.randrange(1, 40), rng.randrange(g.m), rng.randrange(2**64))
@@ -323,7 +333,7 @@ def test_fanout_of_several_updates_is_the_union_of_scalar_calls():
     cands, want, offset = [], [], 0
     for c, j, ev in updates:
         cand = np.array([f for f in range(rows.size)
-                         if inst.coin.in_sample(f // (g.l_max + 1) + 1, f % (g.l_max + 1), j)])
+                         if coin.in_sample(f // (g.l_max + 1) + 1, f % (g.l_max + 1), j)])
         assert cand.tolist() == np.flatnonzero(members(rows, rows.coin_pm, [j])).tolist()
         sent = fanout(rows, gate, c, ev, cand)
         assert cand[sent].tolist() == sends(rows, gate, c, j, ev).tolist()
@@ -357,11 +367,11 @@ def test_send_limit_equals_the_float_trial(q):
 
 def test_fan_rows_keep_premixed_keys_and_integer_send_limits():
     g = small_params(tau=65536.0, b=64.0)  # q = 1 from level 4 on
-    rows, inst = site_rows(g)
+    rows, coin, send = site_rows(g)
     for flat in range(rows.size):
         z, l = flat // (g.l_max + 1) + 1, flat % (g.l_max + 1)
-        assert int(rows.coin_pm[flat]) == premix64(inst.coin.key(z, l))
-        assert int(rows.send_pm[flat]) == premix64(derive(inst.send_seed, SALT_SEND, z, l))
+        assert int(rows.coin_pm[flat]) == premix64(coin.key(z, l))
+        assert int(rows.send_pm[flat]) == premix64(derive(send, SALT_SEND, z, l))
         q = min(g.b / (g.tau ** (1.0 / g.p) / 2.0 ** (l / g.p)), 1.0)
         assert rows.send_lim[flat] == send_limit(np.array([q * 2.0**53]))[0]
         assert (rows.send_lim[flat] == MASK64) == (q == 1.0)
@@ -481,18 +491,18 @@ def test_tau_required_and_positive():
 
 def test_fan_rows_canonical_layout():
     g = small_params(r=3)
-    rows, inst = site_rows(g)
+    rows, coin, _ = site_rows(g)
     assert rows.size == 3 * (g.l_max + 1) and rows.shape == (1, 3, g.l_max + 1)
     # z-major then l: flat index i = (z-1)*(l_max+1) + l
     for i in range(rows.size):
         z, l = divmod(i, g.l_max + 1)
-        assert int(rows.coin_pm[i]) == premix64(inst.coin.key(z + 1, l))
+        assert int(rows.coin_pm[i]) == premix64(coin.key(z + 1, l))
         assert int(rows.member_tile[i]) == member_threshold(l)
 
 
 def test_fan_rows_guard_and_q_formulas():
     g = small_params(tau=6561.0, p=4.0, b=3.0, k=4)
-    rows = FanRows(g, [6561.0], [ThresholdInstance(g).coin.master_seed], [1])
+    rows = FanRows(g, [6561.0], [derive(g.seed, SALT_INSTANCE, 0, 0, 0)], [1])
     root = 6561.0**0.25
     for i, guard in enumerate(rows.guards().tolist()):
         tau_l_root = root / 2 ** (i % (g.l_max + 1) / 4.0)

@@ -103,8 +103,9 @@ def test_simulate_equals_the_reference_on_longer_streams(mode, p, a, stream, see
     assert problem is None, problem
 
 
-# Both branches of the columns' dtype rule (buckets.Columns): counts are
-# int32 from n = 32767 on, and row ids int32 past 65,535 rows.
+# Both branches of the columns' dtype rules (buckets.Buckets and
+# buckets.Columns): counts are int32 from n = 32767 on, and row ids int32
+# past 65,535 rows.
 
 
 def test_int32_counts_past_the_int16_range_equal_the_reference():
@@ -116,7 +117,7 @@ def test_int32_counts_past_the_int16_range_equal_the_reference():
     problem, _, _ = compare(events, g, "monitor")
     assert problem is None, problem
     _, mon = simulate(events, g, mode="monitor")
-    assert mon.columns.count_dtype == np.int32
+    assert mon.columns.by_j[0][1].dtype == np.int32  # coordinate 0's counts
     assert max(c for copy in mon.copies for c in copy.counts.values()) == g.n
 
 
