@@ -19,8 +19,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from . import harness
 from .harness import StreamEvent, events_of
 from .sampling import SALT_HARD, derive
+
+
+_I64, _I32, _U16 = np.iinfo(np.int64), np.iinfo(np.int32), np.iinfo(np.uint16)
 
 
 def _rng(seed: int, *labels: int) -> np.random.Generator:
@@ -42,10 +46,28 @@ def _check_beta(beta: float) -> None:
 # -- promise disjointness pair ----------------------------------------------
 
 
+def _set_dtype(lo: int, hi: int) -> type:
+    """The dtype of a set whose elements lie in [lo, hi]: uint16 while
+    0 <= lo and hi < 2**16, int32 while 0 <= lo and hi < 2**31, else int64.
+    Elements index a universe [0, n'), so a negative one (only ever in a
+    hand-built set) keeps the full width and is stored as written."""
+    if lo < 0 or hi > _I32.max:
+        return np.int64
+    return np.uint16 if hi <= _U16.max else np.int32
+
+
 def _frozen_ints(values) -> np.ndarray:
-    """values as a read-only int64 array (a view: the caller's array stays
-    writable)."""
-    a = np.asarray(values, dtype=np.int64).view()
+    """values as a read-only integer array at the dtype `_set_dtype` gives
+    their range, so every bench, criterion and CLI universe (n' <= 2**16)
+    stores its sets as uint16. A view when values already has that dtype:
+    the caller's array stays writable."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        a = np.asarray(values, dtype=np.int64)
+    if a.dtype != np.uint16:  # no narrower set dtype, so no scan
+        dt = _set_dtype(int(a.min()), int(a.max())) if a.size else np.uint16
+        a = a.astype(dt, copy=False)
+    a = a.view()
     a.flags.writeable = False
     return a
 
@@ -72,7 +94,8 @@ class TwoDisjInstance(_ValueEq):
     """Pair of size-l sets over [nprime] with |x ∩ y| in {0, 1}; the
     intersecting branch is taken with probability beta (analysis regime
     beta <= 1/4; larger values are accepted for direct testing). x and y
-    are read-only int64 arrays."""
+    are read-only arrays at the dtype `_frozen_ints` gives their values:
+    uint16 for any nprime <= 2**16."""
 
     nprime: int
     beta: float
@@ -92,11 +115,11 @@ def gen_two_disj(nprime: int, beta: float, seed: int) -> TwoDisjInstance:
     _check_beta(beta)
     rng = _rng(seed, 1)
     intersecting = bool(rng.random() < beta)
-    perm = rng.permutation(nprime)
+    perm = rng.permutation(nprime).astype(_set_dtype(0, nprime - 1))
     if intersecting:
         w = int(perm[0])
         x = np.sort(perm[: lp])                      # includes w
-        y = np.sort(np.concatenate(([w], perm[lp : 2 * lp - 1])))
+        y = np.sort(np.concatenate((perm[:1], perm[lp : 2 * lp - 1])))
         witness: Optional[int] = w
     else:
         x = np.sort(perm[:lp])
@@ -165,8 +188,9 @@ def sample_x_given_y(y: np.ndarray, nprime: int, beta: float,
 class BitDisjInstance(_ValueEq):
     """k sets over [nprime], each drawn from the pair law conditioned on a
     single shared y; z_i records whether site i intersects y. y is a
-    read-only int64 array and xs a read-only (k, l') int64 array whose row
-    i is site i's set, sorted."""
+    read-only array and xs a read-only (k, l') array whose row i is site
+    i's set, sorted; both at the dtype `_frozen_ints` gives their values,
+    uint16 for any nprime <= 2**16 (5 MB for k = 256 at nprime = 40003)."""
 
     k: int
     nprime: int
@@ -192,7 +216,7 @@ def gen_bit_disj(k: int, nprime: int, beta: float, seed: int) -> BitDisjInstance
             "small for the concentration regime", stacklevel=2)
     first = gen_two_disj(nprime, beta, derive(seed, 2))
     y = first.y
-    xs = np.empty((k, lp), dtype=np.int64)
+    xs = np.empty((k, lp), dtype=_set_dtype(0, nprime - 1))
     xs[0] = first.x
     z = [1 if first.intersecting else 0]
     outside = _outside(y, nprime)
@@ -508,9 +532,14 @@ def quantile_recover(inst: QuantileInstance) -> list[int]:
 
 def _decimal(values) -> bytes:
     """Integers as space-separated decimals, byte for byte what
-    " ".join(map(str, values)) writes, formatted a whole row at a time."""
-    row = np.asarray(values, dtype=np.int64)
-    mag = np.abs(row).astype(np.uint64)     # abs(-2**63) wraps; the cast mends it
+    " ".join(map(str, values)) writes, formatted a whole row at a time. An
+    unsigned row (a uint16 site set) is formatted in its own width."""
+    row = np.asarray(values)
+    if row.dtype.kind == "u":
+        mag = row
+    else:
+        row = np.asarray(values, dtype=np.int64)
+        mag = np.abs(row).astype(np.uint64)  # abs(-2**63) wraps; the cast mends it
     width = len(str(int(mag.max()))) if row.size else 0
     # one column for the sign, width for the digits, one for the separator;
     # NUL marks a byte to drop (no sign, a zero left of the leading digit)
@@ -518,15 +547,15 @@ def _decimal(values) -> bytes:
     buf[:, 0] = np.where(row < 0, ord("-"), 0)
     buf[:, -1] = ord(" ")
     for col in range(width, 0, -1):
-        q = mag // np.uint64(10)
-        digit = mag - q * np.uint64(10) + np.uint64(ord("0"))
+        q = mag // 10
+        digit = mag - q * 10 + ord("0")
         buf[:, col] = digit if col == width else np.where(mag > 0, digit, 0)
         mag = q
     return buf.tobytes().translate(None, b"\0")[:-1]
 
 
-_I64, _I32 = np.iinfo(np.int64), np.iinfo(np.int32)
 _INT = re.compile(rb"-?[0-9]+")  # one int of _ints' grammar: int() also reads "1_0" and "+1"
+_FLOAT = re.compile(harness._FLOAT.pattern.encode())  # read_trace's: float() also reads "0.2_5"
 
 
 def _ints(text: bytes) -> np.ndarray:
@@ -599,7 +628,8 @@ def read_instance(path: str):
         try:
             value = conv(text)
             if (conv is int and not _INT.fullmatch(text)
-                    or conv is float and not math.isfinite(value)):
+                    or conv is float and not (_FLOAT.fullmatch(text)
+                                              and math.isfinite(value))):
                 raise ValueError(f"bad {conv.__name__} {text.decode(errors='replace')!r}")
             return value
         except ValueError as exc:

@@ -241,6 +241,33 @@ def test_bit_disj_validator_names_the_failing_site(bad, message):
         validate_bit_disj(bad)
 
 
+# faults in a uint16 site table: comparisons, not differences, find them,
+# so no unsigned wrap (3 - 5 = 65534) reads as a rise
+_UINT16_FAULTS = {
+    # a descent whose value repeats an element two places back: only the
+    # sorted row shows the duplicate
+    "descending pair": lambda row: {5: row[2]},
+    "duplicate": lambda row: {4: row[3]},
+    "element n'": lambda row: {10: 43},
+    "element 2**16 - 1": lambda row: {0: 2**16 - 1},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_UINT16_FAULTS))
+def test_bit_disj_validator_names_the_site_of_a_uint16_fault(fault):
+    inst = gen_bit_disj(k=64, nprime=43, beta=0.25, seed=9)  # l' = 11
+    assert inst.xs.dtype == np.uint16
+    xs = inst.xs.copy()
+    for site in (23, 40):  # the error names the first
+        for col, value in _UINT16_FAULTS[fault](xs[site]).items():
+            xs[site, col] = value
+    message = ("site 23: set must hold 11 distinct elements"
+               if fault in ("descending pair", "duplicate")
+               else "site 23: element outside [0, 43)")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_bit_disj(dataclasses.replace(inst, xs=xs))
+
+
 def test_bit_disj_rejects_single_site():
     with pytest.raises(ValueError):
         gen_bit_disj(k=1, nprime=23, beta=0.5, seed=0)
@@ -670,7 +697,7 @@ def test_disj_equality_sees_one_element_and_one_bit(tmp_path):
     write_instance(path, inst)
     back = read_instance(path)
     assert back == inst and not back != inst
-    assert back.xs.shape == (64, 11) and back.xs.dtype == np.int64
+    assert back.xs.shape == (64, 11) and back.xs.dtype == np.uint16
     assert (np.diff(back.xs, axis=1) > 0).all()
     with pytest.raises(ValueError):
         back.xs[0, 0] = 1  # read-only
@@ -707,6 +734,51 @@ def test_disj_rows_are_written_as_str_writes_them(tmp_path):
     assert read_instance(path) == inst
 
 
+@pytest.mark.parametrize("nprime, dtype", [(43, np.uint16), (65535, np.uint16),
+                                           (65539, np.int32)])
+def test_disj_sets_take_the_narrowest_dtype_of_their_values(tmp_path, nprime, dtype):
+    # uint16 while every element is below 2**16, else int32; the rule reads
+    # the values, so a file reads back at the dtype it was written from
+    inst = gen_bit_disj(k=32, nprime=nprime, beta=0.25, seed=7)
+    pair = gen_two_disj(nprime, 0.25, seed=7)
+    assert inst.xs.dtype == dtype and inst.xs.max() >= nprime - 4
+    for name, path, obj in (("bd", tmp_path / "bd.txt", inst),
+                            ("td", tmp_path / "td.txt", pair)):
+        write_instance(str(path), obj)
+        back = read_instance(str(path))
+        assert back == obj
+        for field_name in ("xs", "y") if name == "bd" else ("x", "y"):
+            a, b = getattr(obj, field_name), getattr(back, field_name)
+            want = np.uint16 if a.max() < 2**16 else np.int32
+            assert a.dtype == b.dtype == want, (name, field_name)
+            assert not b.flags.writeable
+    with open(tmp_path / "bd.txt") as fh:
+        fh.readline()
+        assert fh.readline() == "0: " + " ".join(map(str, inst.xs[0].tolist())) + "\n"
+
+
+@pytest.mark.parametrize("extreme, dtype", [(-1, np.int64), (2**31, np.int64),
+                                             (2**31 - 1, np.int32),
+                                             (2**16, np.int32),
+                                             (2**16 - 1, np.uint16)])
+def test_hand_built_disj_sets_keep_their_values(tmp_path, extreme, dtype):
+    # a negative element, or one past int32, keeps the set at int64, so it
+    # is stored and written as given
+    xs = np.array([[0, 9, 10, 99], [1, 2, 3, extreme]])
+    inst = BitDisjInstance(k=2, nprime=15, beta=0.25, seed=1,
+                           y=np.array([3, 4, 5, extreme]), xs=xs, z=(0, 1))
+    assert inst.xs.dtype == inst.y.dtype == dtype
+    assert inst.xs.tolist() == xs.tolist() and xs.flags.writeable
+    path = str(tmp_path / "bd.txt")
+    write_instance(path, inst)
+    with open(path) as fh:
+        assert fh.read().splitlines()[1:] == [
+            "0: 0 9 10 99", f"1: 1 2 3 {extreme}", f"#meta y 3 4 5 {extreme}",
+            "#meta z 0 1"]
+    back = read_instance(path)
+    assert back == inst and back.xs.dtype == back.y.dtype == dtype
+
+
 def _edit_line(path, lineno, edit):
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -738,6 +810,9 @@ _MALFORMED = {
     "header k plus sign": ("bit", 1, lambda ln: ln.replace(" 64 ", " +64 "), 1),
     "nan header float": ("two", 1, lambda ln: "TWODISJ 2 23 nan 0", 1),
     "inf header float": ("bit", 1, lambda ln: ln.replace(" 0.25 ", " inf "), 1),
+    # the header float has read_trace's grammar: float() also reads "0.2_5"
+    "header float 0.2_5": ("bit", 1, lambda ln: ln.replace(" 0.25 ", " 0.2_5 "), 1),
+    "header float 1e999": ("two", 1, lambda ln: "TWODISJ 2 23 1e999 0", 1),
     "site label 1_0": ("bit", 12, lambda ln: "1_0" + ln[2:], 12),
     "site label plus sign": ("bit", 3, lambda ln: "+" + ln, 3),
     "meta witness 1_0": ("two", 5, lambda ln: "#meta witness 1_0", 5),
@@ -781,6 +856,8 @@ _MALFORMED_BTX = {
     "inv_eps plus sign": (12, lambda ln: "#meta inv_eps +4", 12),
     "nan p": (10, lambda ln: "#meta p nan", 10),
     "inf p": (10, lambda ln: "#meta p -inf", 10),
+    "p 2_0.0": (10, lambda ln: "#meta p 2_0.0", 10),
+    "p 2.0_0": (10, lambda ln: "#meta p 2.0_0", 10),
 }
 
 

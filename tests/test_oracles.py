@@ -71,6 +71,18 @@ def test_exact_distinct_equals_unique_size():
             exact_distinct(bad, 1000)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64])
+def test_exact_distinct_at_the_inputs_width(dtype):
+    # narrow items are counted and range checked at their own dtype, across
+    # more than one index slice
+    x = np.random.default_rng(4).integers(0, 200, (3, 100_000)).astype(dtype)
+    assert exact_distinct(x, 200) == np.unique(x).size == 200
+    assert exact_distinct(x[:, :3], 200) == np.unique(x[:, :3]).size
+    top = np.array([0, np.iinfo(dtype).max], dtype=dtype)
+    with pytest.raises(ValueError, match=r"^items must lie in \[0, 200\)"):
+        exact_distinct(top, 200)
+
+
 def test_exact_fp_float_close_to_int():
     v = FreqVector(m=6, counts={i: (i + 1) * 13 for i in range(6)})
     assert abs(exact_fp(v, 2.0) - exact_fp(v, 2)) <= 1e-12 * exact_fp(v, 2)
