@@ -21,7 +21,7 @@ import numpy as np
 
 from . import harness
 from .harness import StreamEvent, events_of
-from .sampling import SALT_HARD, derive
+from .sampling import SALT_HARD, SLICE, derive
 
 
 _I64, _I32, _U16 = np.iinfo(np.int64), np.iinfo(np.int32), np.iinfo(np.uint16)
@@ -251,10 +251,15 @@ def validate_bit_disj(inst: BitDisjInstance) -> None:
         srt = np.sort(xs, axis=1)
         rises = srt[:, 1:] > srt[:, :-1]
     # |x ∩ y| by lookup in a membership table of [0, nprime); an element
-    # out of range is clipped, and its site fails the range check first
+    # out of range is clipped, and its site fails the range check first.
+    # The lookup takes intp indices, so it runs on blocks of at most SLICE
+    # elements rather than on an intp copy of the whole table
     in_y = np.zeros(inst.nprime, dtype=bool)
     in_y[inst.y] = True
-    hits = np.count_nonzero(in_y.take(srt, mode="clip"), axis=1)
+    rows = max(1, SLICE // lp)
+    hits = np.empty(len(srt), dtype=np.intp)
+    for i in range(0, len(srt), rows):
+        hits[i:i + rows] = np.count_nonzero(in_y.take(srt[i:i + rows], mode="clip"), axis=1)
     checks = [
         (~rises.all(axis=1), f"set must hold {lp} distinct elements"),
         ((srt[:, 0] < 0) | (srt[:, -1] >= inst.nprime),
@@ -656,6 +661,8 @@ def read_instance(path: str):
             elif typ == "QUANTILE":
                 width = n // 2
             elif typ == "BTX":
+                if n < 1:
+                    raise ValueError(f"a BTX block has at least one column, not {n}")
                 width = None
             else:
                 raise ValueError(f"unknown instance type {typ!r}")
@@ -666,10 +673,13 @@ def read_instance(path: str):
         if width is not None and not 0 <= k * width <= size:
             raise fail(hno, f"{k} rows of {width} items cannot fit in {size} bytes")
 
-        # rows go straight into one (k, width) array when they share a length
-        sites: list[np.ndarray] = []
+        # rows go straight into one (k, width) table when they share a
+        # length, at the dtype `_set_dtype` gives the values read so far: a
+        # row past that dtype widens the table, so a set reads back at the
+        # dtype it was written from and no int64 copy of the table is made
+        sites: list[np.ndarray] = []  # the BTX rows, which have no one length
         site_nos: list[int] = []  # each site row's line, for the BTX checks
-        table = None if width is None else np.empty((k, width), dtype=np.int64)
+        table = None if width is None else np.empty((k, width), dtype=np.uint16)
         metas: dict[str, tuple[int, bytes]] = {}
         no = hno
         for no, ln in lines:
@@ -679,22 +689,27 @@ def read_instance(path: str):
                     raise fail(no, "#meta line without a key")
                 metas[parts[1].decode(errors="replace")] = (no, parts[2])
                 continue
+            site = len(site_nos)
             lead, _, rest = ln.partition(b":")
-            if parse(no, lead, int) != len(sites):
+            if parse(no, lead, int) != site:
                 raise fail(no, f"site rows out of order at site {int(lead)}")
             row = parse(no, rest)
-            if len(sites) == k:
+            if site == k:
                 raise fail(no, f"more than k = {k} site rows")
-            if table is not None:
+            if table is None:
+                sites.append(row)
+            else:
                 if len(row) != width:
-                    raise fail(no, f"site {len(sites)} holds {len(row)} items, "
-                                   f"not {width}")
-                table[len(sites)] = row
-                row = table[len(sites)]
-            sites.append(row)
+                    raise fail(no, f"site {site} holds {len(row)} items, not {width}")
+                if row.size:
+                    wide = np.promote_types(
+                        table.dtype, _set_dtype(int(row.min()), int(row.max())))
+                    if wide != table.dtype:
+                        table = table.astype(wide)
+                table[site] = row
             site_nos.append(no)
-    if len(sites) != k:
-        raise fail(no, f"{len(sites)} site rows for k = {k}")
+    if len(site_nos) != k:
+        raise fail(no, f"{len(site_nos)} site rows for k = {k}")
 
     def meta(key: str, conv=_ints):
         if key not in metas:
@@ -727,6 +742,11 @@ def read_instance(path: str):
     n_blocks = meta("blocks", int)
     if n_blocks < 0:
         raise fail(metas["blocks"][0], f"negative block count {n_blocks}")
+    # each block has an owners line of n items: check the count against the
+    # file before allocating n_blocks * k * n matrix cells
+    if n_blocks * n > size:
+        raise fail(metas["blocks"][0], f"{n_blocks} blocks of {n} owners cannot "
+                                       f"fit in {size} bytes")
     matrices = np.zeros((n_blocks, k, n), dtype=np.uint8)
     for site, (no, row) in enumerate(zip(site_nos, sites)):
         if ((row < 0) | (row >= n_blocks * n)).any():

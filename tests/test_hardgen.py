@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from fpmon.hardgen import (
 )
 from fpmon.harness import StreamEvent, validate_stream
 from fpmon.oracles import FreqVector, exact_fp
-from fpmon.sampling import SALT_HARD, derive
+from fpmon.sampling import SALT_HARD, SLICE, derive
 
 
 # -- promise disjointness pair ------------------------------------------------
@@ -266,6 +267,29 @@ def test_bit_disj_validator_names_the_site_of_a_uint16_fault(fault):
                else "site 23: element outside [0, 43)")
     with pytest.raises(ValueError, match=re.escape(message)):
         validate_bit_disj(dataclasses.replace(inst, xs=xs))
+
+
+@pytest.mark.parametrize("fault", ["bit", "cell"])
+@pytest.mark.parametrize("k, sites", [(64, (15,)), (64, (16,)), (64, (16, 15)),
+                                      (70, (69,)), (70, (69, 64))])
+def test_bit_disj_validator_counts_hits_across_row_blocks(k, sites, fault):
+    # l' = 1001 puts 16 rows in a block of SLICE elements, so sites 15 and 16
+    # end and start a block, and k = 70 ends on a block of 6 rows
+    inst = gen_bit_disj(k=k, nprime=4003, beta=0.25, seed=3)
+    assert SLICE // 1001 == 16
+    validate_bit_disj(inst)
+    xs, z = inst.xs.copy(), list(inst.z)
+    for site in sites:
+        if fault == "bit":
+            z[site] = 1 - z[site]
+        else:  # one element of y in place of one outside it: |x ∩ y| = z_i + 1
+            row = xs[site]
+            drop = row[~np.isin(row, inst.y)][0]
+            xs[site] = np.sort(np.append(row[row != drop], np.setdiff1d(inst.y, row)[0]))
+    first = min(sites)
+    with pytest.raises(ValueError, match=re.escape(
+            f"site {first}: |x ∩ y| must equal z_i = {z[first]}")):
+        validate_bit_disj(dataclasses.replace(inst, xs=xs, z=tuple(z)))
 
 
 def test_bit_disj_rejects_single_site():
@@ -779,6 +803,56 @@ def test_hand_built_disj_sets_keep_their_values(tmp_path, extreme, dtype):
     assert back == inst and back.xs.dtype == back.y.dtype == dtype
 
 
+@pytest.mark.parametrize("middle, last, dtype", [
+    ((1, 2, 3, 4), (5, 6, 7, 2**16), np.int32),
+    ((1, 2, 3, 4), (5, 6, 7, -1), np.int64),
+    ((1, 2, 3, 4), (5, 6, 7, 2**31), np.int64),
+    ((1, 2, 3, 2**16), (5, 6, 7, -(2**63) + 2), np.int64),  # widened twice
+    ((1, 2, 3, 2**31 - 1), (5, 6, 7, 8), np.int32),  # a narrow row after a wide one
+])
+def test_read_instance_widens_the_table_for_a_late_row(tmp_path, middle, last, dtype):
+    # the reader stores rows at the dtype of the values read so far, so the
+    # first row, inside the header's universe [0, 15), is stored as uint16
+    # before a later row widens the table
+    xs = np.array([(0, 9, 10, 14), middle, last])
+    inst = BitDisjInstance(k=3, nprime=15, beta=0.25, seed=1,
+                           y=np.array([3, 4, 5, 6]), xs=xs, z=(0, 1, 0))
+    path = str(tmp_path / "bd.txt")
+    write_instance(path, inst)
+    back = read_instance(path)
+    assert back == inst and back.xs.tolist() == xs.tolist()
+    assert back.xs.dtype == inst.xs.dtype == dtype and back.y.dtype == np.uint16
+    # a pair's two rows share the table, but each set takes its own dtype
+    pair = TwoDisjInstance(15, 0.25, 1, np.array(xs[0]), np.array(last), False, None)
+    write_instance(path, pair)
+    back = read_instance(path)
+    assert back == pair and back.x.dtype == np.uint16 and back.y.dtype == pair.y.dtype
+
+
+def _traced_peak(fn) -> int:
+    """Bytes of the highest traced allocation level while fn runs, above
+    the level before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_bit_disj_validate_and_read_make_no_full_width_copy(tmp_path):
+    # the validator looks up blocks of SLICE elements and the reader stores
+    # rows at the dtype of their values, so neither makes an intp or int64
+    # copy of the (k, l') table: 4x the bytes of the uint16 table each
+    inst = gen_bit_disj(k=64, nprime=40003, beta=0.25, seed=7)
+    assert inst.xs.dtype == np.uint16
+    path = str(tmp_path / "bd.txt")
+    write_instance(path, inst)
+    assert _traced_peak(lambda: validate_bit_disj(inst)) <= 1.5 * inst.xs.nbytes
+    assert _traced_peak(lambda: read_instance(path)) <= 2 * inst.xs.nbytes
+
+
 def _edit_line(path, lineno, edit):
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -852,6 +926,10 @@ _MALFORMED_BTX = {
     "site row k": (9, lambda ln: ln + "\n8: 0", 10),
     "missing last site row": (9, None, 29),
     "negative block count": (11, lambda ln: "#meta blocks -1", 11),
+    # checked against the file's size before n_blocks * k * n bytes (46.6 TiB
+    # here) are allocated
+    "block count past the file": (11, lambda ln: "#meta blocks 100000000000", 11),
+    "negative column count": (1, lambda ln: ln.replace(" 64 ", " -64 ", 1), 1),
     "block count 1_6": (11, lambda ln: "#meta blocks 1_6", 11),
     "inv_eps plus sign": (12, lambda ln: "#meta inv_eps +4", 12),
     "nan p": (10, lambda ln: "#meta p nan", 10),
