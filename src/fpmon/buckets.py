@@ -7,13 +7,17 @@ bucket.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+from collections.abc import Mapping
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .sampling import SLICE, level_of_np
+
+CHUNK = 1 << 20  # entries per chunk of a pooled Columns
 
 if TYPE_CHECKING:
     from .protocol import GlobalParams
@@ -202,7 +206,18 @@ class Columns:
     bench's monitor ladders (45,045 and 47,385 rows at n = 500) and 8 in
     the criterion-2 regime (69,030 rows at n = 20000): there, 12 bytes made
     its 26,286,287 entries 315 MB of a 365 MB peak RSS, and the peak is now
-    267 MB."""
+    267 MB.
+
+    Where the columns live depends on the number of rows. On at most
+    SLICE // 2 rows (pooled), a Monitor runs many events at a time, and
+    the columns are slices of a pool of (rows, count, nxt) chunks of
+    max(CHUNK, rows) entries, which never move: span[j] is column j's
+    (lo, hi) pool positions, chunk lo // chunk_size, so that a run gathers
+    and scatters its columns with one index per chunk it touches (gather,
+    take, put), and by_j makes a column's views when it is read. On more
+    rows, a Monitor runs one event at a time, and each
+    add() allocates one array triple for its columns: a fresh chunk costs
+    page faults and peak RSS that one-event runs do not win back."""
 
     def __init__(self, buckets: Buckets, r: int) -> None:
         n_levels = buckets.n_levels
@@ -215,16 +230,92 @@ class Columns:
         self.row_at = np.broadcast_to(t.base.reshape(-1, 1, n_levels), shape).ravel()
         few = self.first.size <= np.iinfo(np.uint16).max
         self.row_dtype = np.dtype(np.uint16 if few else np.int32)
-        self.by_j: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.read_out: dict[int, dict[tuple[int, int, int], int]] | None = None
+        self.pooled = self.first.size <= SLICE // 2
+        # a column holds at most every row, so it fits in one chunk
+        self.chunk_size = max(CHUNK, self.first.size)
+        self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.span: dict[int, tuple[int, int]] = {}
+        self._fill = 0  # pool positions used, up to the last chunk's end
+        self.by_j: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | PoolView = \
+            PoolView(self.span, self.chunks, self.chunk_size) if self.pooled else {}
 
     def add(self, js: Sequence[int], rows: np.ndarray, ends: Sequence[int]) -> None:
         """Columns of new coordinates js, at count 0: js[i]'s rows are
         rows[ends[i - 1]:ends[i]], in row_dtype."""
-        count = np.zeros(rows.size, dtype=self.first.dtype)
-        nxt = np.take(self.first, rows)
-        for j, lo, hi in zip(js, [0, *ends], ends):
-            self.by_j[j] = (rows[lo:hi], count[lo:hi], nxt[lo:hi])
+        ends = list(ends)
+        starts = [0, *ends[:-1]]
+        if not self.pooled:
+            count = np.zeros(rows.size, dtype=self.first.dtype)
+            nxt = np.take(self.first, rows)
+            self.by_j.update((j, (rows[lo:hi], count[lo:hi], nxt[lo:hi]))
+                             for j, lo, hi in zip(js, starts, ends))
+            return
+        size, i = self.chunk_size, 0
+        while i < len(js):
+            # columns i .. k - 1 fit in what is left of the last chunk
+            room = len(self.chunks) * size - self._fill
+            k = bisect.bisect_right(ends, starts[i] + room, i)
+            if k == i or room == 0:
+                self._fill = len(self.chunks) * size
+                self.chunks.append((np.empty(size, dtype=self.row_dtype),
+                                    np.empty(size, dtype=self.first.dtype),
+                                    np.empty(size, dtype=self.first.dtype)))
+                continue
+            lo, hi, at = starts[i], ends[k - 1], self._fill % size
+            r, count, nxt = self.chunks[-1]
+            r[at : at + hi - lo] = rows[lo:hi]
+            count[at : at + hi - lo] = 0
+            np.take(self.first, rows[lo:hi], out=nxt[at : at + hi - lo])
+            shift = self._fill - lo
+            self.span.update(zip(js[i:k], zip([shift + a for a in starts[i:k]],
+                                              [shift + b for b in ends[i:k]])))
+            self._fill += hi - lo
+            i = k
+
+    def gather(self, js: Sequence[int]) -> tuple[np.ndarray, np.ndarray, range]:
+        """The pool positions of the columns of js, one after another, each
+        column's end among them, and the chunks they touch."""
+        lo, hi = (np.array(x) for x in zip(*map(self.span.__getitem__, js)))
+        sizes = hi - lo
+        ends = np.cumsum(sizes)
+        where = np.arange(ends[-1]) + np.repeat(lo - (ends - sizes), sizes)
+        size = self.chunk_size
+        return where, ends, range(int(lo.min()) // size, int(hi.max() - 1) // size + 1)
+
+    def take(self, field: int, where: np.ndarray, chunks: range) -> np.ndarray:
+        """Field 0 (rows), 1 (count) or 2 (nxt) at pool positions where,
+        which lie in chunks."""
+        size = self.chunk_size
+        if len(chunks) == 1:
+            return self.chunks[chunks[0]][field][where - chunks[0] * size]
+        out = np.empty(where.size, dtype=self.chunks[0][field].dtype)
+        for c, sel in self._split(where, chunks):
+            out[sel] = self.chunks[c][field][where[sel] - c * size]
+        return out
+
+    def put(self, field: int, where: np.ndarray, values: np.ndarray, chunks: range,
+            at_most_once: bool = True) -> None:
+        """Set field 1 (count) or 2 (nxt) at pool positions where to values.
+        Unless each position is there at most once, each takes its largest
+        value: numpy leaves the order of a repeated-index assignment
+        undefined, and a counter's counts and next crossings only rise."""
+        size = self.chunk_size
+        for c, sel in self._split(where, chunks):
+            arr, at = self.chunks[c][field], where[sel] - c * size
+            if at_most_once:
+                arr[at] = values[sel]
+            else:
+                np.maximum.at(arr, at, values[sel])
+
+    def _split(self, where: np.ndarray, chunks: range):
+        """(chunk, positions of where in it) for each chunk of chunks."""
+        if len(chunks) == 1:
+            yield chunks[0], slice(None)
+            return
+        of = where // self.chunk_size
+        for c in chunks:
+            yield c, np.flatnonzero(of == c)
 
     def counts_of(self, pair: int) -> dict[tuple[int, int, int], int]:
         """(z, l, j) -> count for one copy, built for every copy on the first
@@ -250,3 +341,27 @@ class Columns:
         ends = [*starts[1:].tolist(), len(keys)]
         return {p: dict(zip(keys[lo:hi], values[lo:hi]))
                 for p, lo, hi in zip(pairs.tolist(), starts.tolist(), ends)}
+
+
+class PoolView(Mapping):
+    """A pooled Columns' by_j: column j's (rows, count, nxt), as views of
+    its chunk, made when read. It holds the pool's span and chunks, not
+    the Columns, so that no reference cycle keeps a pool alive."""
+
+    def __init__(self, span: dict[int, tuple[int, int]],
+                 chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], size: int) -> None:
+        self.span, self.chunks, self.size = span, chunks, size
+
+    def __getitem__(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lo, hi = self.span[j]
+        c, at = divmod(lo, self.size)
+        return tuple(x[at : at + hi - lo] for x in self.chunks[c])
+
+    def __contains__(self, j: object) -> bool:
+        return j in self.span
+
+    def __iter__(self):
+        return iter(self.span)
+
+    def __len__(self) -> int:
+        return len(self.span)

@@ -14,6 +14,8 @@ driven by the same run driver (Monitor.run).
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 
 from .buckets import Buckets, Columns
@@ -59,12 +61,27 @@ class Monitor:
 
     An event's messages depend only on the event and on which rows are
     live, and rows only ever fall silent. So run() takes a stream's events
-    as arrays and drives them a run at a time: max(1, SLICE // live rows)
-    events, fanned out in one numpy pass over the rows live at the run's
-    start, whose crossing messages are found in one more. A fire silences
-    rows, so a run ends with the event in which a copy fires, and the next
-    run starts after it. on_event() is a run of one. run() is the one site
-    path: it checks every event before it sends anything.
+    as arrays and drives them a run at a time, fanned out in one numpy pass
+    over the rows live at the run's start, whose crossing messages are
+    found in one more. A fire silences rows, so a run ends with the event
+    in which a copy fires, and the next run starts after it. on_event() is
+    a run of one. run() is the one site path: it checks every event before
+    it sends anything.
+
+    Runs are sized by their candidates. A live row holds a coordinate with
+    probability 2**-l, so an event has about 2 / n_levels of the live rows
+    as candidates, and a run holds SLICE // (2 * live rows) * n_levels
+    events: 325 on the criterion-1 threshold run (325 rows, 13 levels).
+    That needs a ladder of at most SLICE // 2 rows, whose Columns keep
+    their counters in a pool of chunks that never move: a run gathers its
+    columns and scatters their new counts with one index per chunk it
+    touches, usually one, and ranks only the messages of coordinates that
+    repeat in it. A larger ladder (the bench's monitor ladders, 45,045 and
+    47,385 rows, and the criterion-2 one, 69,030) runs one event at a
+    time on each column's own arrays, one array triple per Columns.add,
+    also once its live rows fall below SLICE // 2: there, runs of 2 to 4
+    events lost 5 to 20% to the events that a fire makes fan out twice
+    and to repeated coordinates, and a pool cost page faults and peak RSS.
     """
 
     def __init__(self, params: GlobalParams, tau: float | None = None) -> None:
@@ -147,7 +164,8 @@ class Monitor:
         flat, key = self._live_keys
         at = np.flatnonzero(members(fan, key, js))
         rows = np.take(flat, at, mode="wrap")  # at % flat.size: the live row
-        self.columns.add(js, rows, at.searchsorted(np.arange(1, len(js) + 1) * flat.size))
+        self.columns.add(js, rows,
+                         at.searchsorted(np.arange(1, len(js) + 1) * flat.size).tolist())
 
     def on_event(self, count_after: int, j: int, ev: int) -> int:
         """One site update, as a run of one; returns the messages it sent."""
@@ -163,8 +181,10 @@ class Monitor:
         stream position. Raises ValueError, before any event runs, if the
         events would take the Monitor past n events over its run() calls (a
         count past n is in no crossing table and may not fit its column's
-        dtype), and at the first event whose coordinate is outside [0, m),
-        whose count is below 1 or whose key is outside [0, 2**64)."""
+        dtype), at the first event with a field that is not an integer (a
+        float, even an integral one, or a bool: see not_int), and at the
+        first event whose coordinate is outside [0, m), whose count is
+        below 1 or whose key is outside [0, 2**64)."""
         # a list's entries are compared as the Python ints they are: numpy
         # reads a list of keys both below and above 2**63 as float64
         count_after, js, evs = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
@@ -175,6 +195,11 @@ class Monitor:
         if self.n_events + js.size > self.params.n:
             raise ValueError(f"{js.size} events after {self.n_events} pass the stream "
                              f"bound n={self.params.n}")
+        bad = np.flatnonzero(not_int(count_after) | not_int(js) | not_int(evs))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"event {i}: need integer j, count_after and key, got "
+                             f"j={js[i]}, count_after={count_after[i]}, key={evs[i]}")
         bad = np.flatnonzero(~((js >= 0) & (js < self.params.m) & (count_after >= 1)
                                & (evs >= 0) & (evs <= MASK64)))
         if bad.size:
@@ -185,9 +210,12 @@ class Monitor:
         count_after, js, evs = (x.astype(t, copy=False) for x, t in
                                 zip((count_after, js, evs), (np.int64, np.int64, np.uint64)))
         sent, at = np.zeros(js.size, dtype=np.int64), 0
+        pooled, n_levels = self.columns.pooled, self.columns.n_levels
         while at < js.size and self.live_pairs:
-            stop = min(at + max(1, SLICE // (self.live_pairs * self.block)), js.size)
-            at = self._run(count_after, js, evs, at, stop, sent)
+            # a live row holds a coordinate with probability 2**-l, so an
+            # event has about 2 / n_levels of the live rows as candidates
+            step = SLICE // (2 * self.live_pairs * self.block) * n_levels if pooled else 1
+            at = self._run(count_after, js, evs, at, min(at + step, js.size), sent)
         self.n_events += js.size
         return sent
 
@@ -198,47 +226,49 @@ class Monitor:
         first one in which a copy fired, since a fire silences rows.
 
         A message's new count is its counter's count before the run plus
-        its rank among the run's messages to that counter. It crosses iff
-        that count is a crossing count of its row's (copy, level) key; only
-        counts at or past the row's next crossing are looked up. Only the
-        crossing messages go through Python, to apply(), and each event
-        that delivered one is recorded."""
+        its rank among the run's messages to that counter; ranks are taken
+        only over the messages of coordinates that repeat in the run. It
+        crosses iff that count is a crossing count of its row's (copy,
+        level) key; only counts at or past the row's next crossing are
+        looked up. Only the crossing messages go through Python, to
+        apply(), and each event that delivered one is recorded. A run of
+        several events reads and writes its columns in the pool, with one
+        index per chunk (Columns.gather, take and put); a run of one, on
+        its column's arrays."""
         jl = js[start:stop].tolist()
-        by_j = self.columns.by_j
-        new = [x for x in dict.fromkeys(jl) if x not in by_j]
+        cols = self.columns
+        new = [x for x in dict.fromkeys(jl) if x not in cols.by_j]
         if new:
             self._build_columns(new)
-        cols = [by_j[j] for j in jl]
-        one = len(cols) == 1
+        one, repeat = len(jl) == 1, None
         if one:  # fanout's scalar form, on the column itself
-            rows, count, nxt = cols[0]
+            rows, count, nxt = cols.by_j[jl[0]]
             pos = fanout(self.rows, self.gate, int(counts[start]), int(evs[start]), rows)
-            cut, newc = [0, pos.size], count[pos] + 1
-        else:  # positions pos into the run's concatenated columns
-            sizes = [col[0].size for col in cols]
-            rows, count, nxt = (np.concatenate(x) for x in zip(*cols))
+            cut, newc, crossing = [0, pos.size], count[pos] + 1, nxt[pos]
+        else:  # positions pos into the run's columns, one after another
+            where, ends, chunks = cols.gather(jl)
+            rows = cols.take(0, where, chunks)
+            sizes = np.diff(ends, prepend=0)
             pos = fanout(self.rows, self.gate, np.repeat(counts[start:stop], sizes),
                          np.repeat(evs[start:stop], sizes), rows)
-            ends = np.cumsum(sizes)
-            starts, cut = ends - sizes, [0, *pos.searchsorted(ends).tolist()]
-            per_event = np.diff(cut)
-            within, newc = pos - np.repeat(starts, per_event), count[pos] + 1
-            if len(set(jl)) < len(jl):
-                # a coordinate repeats: key each message by its counter's
-                # place in the first segment of its column
-                first: dict[int, int] = {}
-                base = [first.setdefault(j, lo) for j, lo in zip(jl, starts.tolist())]
-                newc += occurrence(within + np.repeat(base, per_event)) - 1
-        hit = np.flatnonzero(newc >= nxt[pos])
-        end = len(cols)
+            cut = [0, *pos.searchsorted(ends).tolist()]
+            where = where[pos]  # each message's counter
+            newc, crossing = cols.take(1, where, chunks) + 1, cols.take(2, where, chunks)
+            times = collections.Counter(jl)
+            if len(times) < len(jl):
+                # a coordinate repeats: rank the messages to its counters
+                rep = np.repeat(np.array([times[j] > 1 for j in jl]), np.diff(cut))
+                repeat = np.flatnonzero(rep)
+                newc[repeat] += occurrence(where[repeat]) - 1
+        hit = np.flatnonzero(newc >= crossing)
+        end = len(jl)
         if hit.size:
-            t, hit_pos = self.columns.table, pos[hit]
-            hit_rows = rows[hit_pos]
+            t, hit_rows = self.columns.table, rows[pos[hit]]
             at = self.columns.row_at[hit_rows] + newc[hit]
             e = t.at.searchsorted(at)
-            if not one:  # a repeated counter can pass its next crossing
+            if repeat is not None:  # a repeated counter can pass its next crossing
                 keep = np.flatnonzero(t.at.take(e, mode="clip") == at)
-                hit, hit_pos, hit_rows, e = (x[keep] for x in (hit, hit_pos, hit_rows, e))
+                hit, hit_rows, e = (x[keep] for x in (hit, hit_rows, e))
             nxtval = t.next[e]
             pair, z = np.divmod(hit_rows // self.columns.n_levels, self.params.r)
             ev_of = ([0] * hit.size if one else
@@ -268,22 +298,28 @@ class Monitor:
                     self._fire(p)
                     end = i + 1
             self.record.append((base + last, self.estimate(), self.n_fired))
-        # bump each delivered event's column, and set its next crossings
+        # bump each delivered event's counters, and set their next crossings
         self.columns.read_out = None
         if one:
             sent[start] = pos.size
             count[pos] = newc
             if hit.size:
-                nxt[hit_pos] = nxtval
+                nxt[pos[hit]] = nxtval
             return start + 1
-        cut = cut[: end + 1]
-        sent[start : start + end] = np.diff(cut)
-        hcut, hit_at = hit.searchsorted(cut).tolist(), within[hit]
-        for (_, count, nxt), lo, hi, h0, h1 in zip(cols, cut, cut[1:], hcut, hcut[1:]):
-            if lo < hi:
-                count[within[lo:hi]] = newc[lo:hi]
-                if h0 < h1:
-                    nxt[hit_at[h0:h1]] = nxtval[h0:h1]
+        d = cut[end]
+        sent[start : start + end] = np.diff(cut[: end + 1])
+        h = hit[: hit.searchsorted(d)]
+        # a counter with several of the run's messages keeps its last count
+        # and next crossing, its largest
+        cols.put(1, where[:d], newc[:d], chunks)
+        if repeat is not None:
+            r = repeat[: repeat.searchsorted(d)]
+            cols.put(1, where[r], newc[r], chunks, at_most_once=False)
+        if h.size:
+            cols.put(2, where[h], nxtval[: h.size], chunks)
+            if repeat is not None:
+                rh = np.flatnonzero(rep[h])
+                cols.put(2, where[h[rh]], nxtval[rh], chunks, at_most_once=False)
         return start + end
 
     def _fire(self, pair: int) -> None:
@@ -296,6 +332,18 @@ class Monitor:
                 self.max_fired = i
             for c in range(self.a):
                 self._silence_pair(i * self.a + c)
+
+
+def not_int(x: np.ndarray) -> np.ndarray:
+    """Whether each entry of x is not an integer: every entry of an array
+    of another dtype kind, and of an object array, a bool or any value not
+    a Python or numpy integer."""
+    if x.dtype.kind in "iu":
+        return np.zeros(x.size, dtype=bool)
+    if x.dtype.kind != "O":
+        return np.ones(x.size, dtype=bool)
+    return np.fromiter((isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                        for v in x), dtype=bool, count=x.size)
 
 
 def occurrence(keys: np.ndarray) -> np.ndarray:

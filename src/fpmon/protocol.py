@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -52,6 +53,17 @@ def check_tau(tau: float) -> None:
         raise ValueError(f"threshold tau must be finite and >= 1, got {tau}")
 
 
+def as_int(value, name: str) -> int:
+    """value as a Python int, if it is an integer (a numpy integer too, but
+    not a bool or a float, even an integral one)."""
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value}")
+
+
 @dataclass
 class GlobalParams:
     """Resolved run configuration shared by sites and coordinator.
@@ -67,6 +79,8 @@ class GlobalParams:
     its odd amplification a to 2 * ceil(0.15 * ln(10 * max(i_max, 1))) + 1.
     Not settable: the bucket width gamma = eps/10, l_max = ceil(log2 m), and
     the fire line (1 - C_FIRE * eps) * tau, which the estimate must exceed.
+    The integer fields k, m, n, r, seed, a and i_max take Python or numpy
+    integers, kept as int; a float or a bool there is a ValueError.
     """
 
     k: int
@@ -85,6 +99,10 @@ class GlobalParams:
     l_max: int = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("k", "m", "n", "r", "seed", "a", "i_max"):
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, as_int(value, name))
         for name in ("p", "tau", "b", "c_b"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

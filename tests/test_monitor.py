@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpmon.buckets
 import fpmon.monitor
 import fpmon.protocol
 from fpmon.buckets import Buckets, Columns
@@ -31,6 +32,7 @@ from fpmon.sampling import (
     unit_open_zero,
 )
 import reference
+from test_golden import LADDER
 from test_sampling import unmix64
 
 
@@ -230,6 +232,57 @@ def test_run_equals_on_event_one_event_at_a_time(p, a, stream, seed, n, split):
         assert np.array_equal(mon.live, bare.live)
 
 
+@pytest.mark.parametrize("mode, p, a, seed", [
+    ("threshold", 2.0, 1, 3), ("threshold", 3.0, 1, 9),
+    ("monitor", 1.5, 3, 5), ("monitor", 2.0, 1, 7), ("monitor", 3.0, 3, 11),
+])
+def test_runs_across_chunks_equal_one_event_at_a_time(mode, p, a, seed, monkeypatch):
+    # pools of one-column chunks: a run of many events gathers its columns
+    # from, and scatters their counts to, several chunks; on a Zipf stream
+    # at m = 64 its coordinates repeat, and copies fire in its middle. The
+    # run sends the same messages as on_event one event at a time, leaves
+    # the same record, copies and columns, and equals the reference
+    monkeypatch.setattr(fpmon.buckets, "CHUNK", 1)
+    g = monitor_params(a=a, p=p, seed=seed, n=600, tau=300.0)
+    events = gen_zipf_stream(g.m, g.k, g.n, seed=seed, s=1.1)
+    count_after, js, keys, _ = plan_events(events, g.k)
+    ran, bare = (Monitor(g, tau=g.tau if mode == "threshold" else None) for _ in range(2))
+    assert ran.columns.pooled and ran.columns.chunk_size == ran.rows.size
+    shapes = []
+    run_of, gather_of = Monitor._run, Columns.gather
+
+    def run(self, counts, js, evs, start, stop, sent):
+        end = run_of(self, counts, js, evs, start, stop, sent)
+        shapes.append((stop - start, end - start, len(set(js[start:stop].tolist()))))
+        return end
+
+    def gather(self, jl):
+        out = gather_of(self, jl)
+        chunks.append(len(out[2]))
+        return out
+
+    chunks = []
+    with monkeypatch.context() as mp:
+        mp.setattr(Monitor, "_run", run)
+        mp.setattr(Columns, "gather", gather)
+        sent = ran.run(count_after, js, keys).tolist()
+    # several chunks per run, repeated coordinates, and a fire mid-run
+    assert max(chunks) >= 2 and len(ran.columns.chunks) > 2
+    assert any(size > n_js for size, _, n_js in shapes)
+    assert any(1 <= done < size for size, done, _ in shapes)
+    want = [bare.on_event(c, j, ev) for c, j, ev in
+            zip(count_after.tolist(), js.tolist(), keys.tolist())]
+    assert sent == want and ran.record == bare.record
+    assert column_state(ran) == column_state(bare)
+    _, ref = reference.run(events, g, mode)
+    for x, y, z in zip(ran.copies, bare.copies, ref):
+        assert x.counts == y.counts == z.counts
+        assert np.array_equal(x.med, y.med) and np.array_equal(x.med, z.med)
+        assert (x.est, x.est_decreases, x.dropped, x.out) == \
+            (y.est, y.est_decreases, y.dropped, y.out) == \
+            (z.est, z.est_decreases, z.dropped, z.out)
+
+
 def test_one_rung_monitor_estimate_is_its_copys():
     # a threshold run's estimate is its copy's class-weighted sum, after
     # every event, not a ladder bracket midpoint
@@ -286,6 +339,38 @@ def test_run_rejects_out_of_range_events(count_after, j, key):
         mon.on_event(count_after, j, key)
     assert mon.columns.by_j == {} and mon.live.all()
     assert mon.copies[0].messages_received == 0
+
+
+@pytest.mark.parametrize("count_after, j, key, bad", [
+    ([1], [3.5], [7], "j=3.5"), ([1.5], [3], [7], "count_after=1.5"),
+    ([1], [3], [7.9], "key=7.9"), ([1], np.array([3.7]), [7], "j=3.7"),
+    ([1], [3], np.array([7.0]), "key=7.0"), ([1], [True], [7], "j=True"),
+    (np.array([True]), [3], [7], "count_after=True"),
+])
+def test_run_rejects_non_integer_events(count_after, j, key, bad):
+    # a float or bool event field is refused, not truncated: each of these
+    # once ran coordinate 3 with count 1 and key 7, and sent 90 messages
+    g = GlobalParams(k=4, m=64, n=100, p=2.0, eps=0.5, b=8.0, r=3, a=1, seed=1)
+    assert Monitor(g).run([1], [3], [7]).tolist() == [90]
+    mon = Monitor(g)
+    with pytest.raises(ValueError, match=rf"^event 0: need integer j, count_after and key, "
+                                         rf"got .*{bad}"):
+        mon.run(count_after, j, key)
+    assert mon.columns.by_j == {} and mon.n_events == 0
+
+
+def test_run_names_the_first_non_integer_event():
+    # integer dtypes, numpy integers in a list and Python ints past int64
+    # run as before; the first event with a float field is named
+    g = monitor_params()
+    counts, js, keys, _ = plan_events(gen_uniform_stream(64, 4, 10, seed=4), 4)
+    assert Monitor(g).run(counts.astype(np.int16), js.astype(np.uint8), keys).tolist() == \
+        Monitor(g).run(list(counts), list(js), keys.tolist()).tolist()
+    assert (keys >= 2**63).any()
+    js = js.tolist()
+    js[4] = 2.0
+    with pytest.raises(ValueError, match=r"^event 4: need integer "):
+        Monitor(g).run(counts, js, keys)
 
 
 def test_run_reads_lists_as_exactly_as_arrays():
@@ -635,6 +720,59 @@ def test_columns_hold_six_bytes_per_entry_at_the_bench_size():
     entries = sum(rows.size for rows, _, _ in cols)
     assert entries > 10**5 and mon.rows.size == 45045
     assert sum(x.nbytes for col in cols for x in col) == 6 * entries
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_bench_ladders_run_one_event_at_a_time(p, monkeypatch):
+    # the monitor workloads' ladder has more than SLICE // 2 rows: one _run
+    # per event, and one array triple per add, with no pool
+    g = GlobalParams(p=p, **LADDER)
+    events = gen_zipf_stream(g.m, g.k, 200, seed=1, s=1.1) if p == 3.0 else \
+        gen_uniform_stream(g.m, g.k, 200, seed=1)
+    calls, adds = [], 0
+    run_of, add_of = Monitor._run, Columns.add
+
+    def run(self, counts, js, evs, start, stop, sent):
+        calls.append(stop - start)
+        return run_of(self, counts, js, evs, start, stop, sent)
+
+    def add(self, js, rows, ends):
+        nonlocal adds
+        adds += 1
+        add_of(self, js, rows, ends)
+
+    monkeypatch.setattr(Monitor, "_run", run)
+    monkeypatch.setattr(Columns, "add", add)
+    _, mon = simulate(events, g, mode="monitor")
+    assert mon.rows.size > SLICE // 2 and mon.live_pairs
+    assert calls == [1] * 200
+    cols = mon.columns
+    assert not cols.pooled and cols.chunks == [] and cols.span == {}
+    for field in range(3):
+        assert len({id(col[field].base) for col in cols.by_j.values()}) == adds
+
+
+def test_threshold_runs_hold_hundreds_of_events():
+    # the criterion-1 threshold run (325 rows, 13 levels) runs
+    # SLICE // 650 * 13 = 325 events at a time until its copy fires
+    g = GlobalParams(k=8, m=4096, n=20000, p=2.0, eps=0.2, tau=25000.0, b=128.0, r=25,
+                     seed=1)
+    count_after, js, keys, _ = plan_events(gen_uniform_stream(g.m, g.k, g.n, seed=1), g.k)
+    mon = Monitor(g, tau=g.tau)
+    assert mon.columns.pooled and mon.rows.size == 325
+    shapes = []
+    run_of = mon._run
+
+    def run(counts, js, evs, start, stop, sent):
+        end = run_of(counts, js, evs, start, stop, sent)
+        shapes.append((start, stop, end))
+        return end
+
+    mon._run = run
+    mon.run(count_after, js, keys)
+    *before, (start, stop, fire) = shapes
+    assert mon.copies[0].out and fire < stop and fire > 5000
+    assert all(end == stop and stop - start == 325 for start, stop, end in before)
 
 
 def test_columns_keep_each_counters_next_crossing():

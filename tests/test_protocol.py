@@ -95,6 +95,25 @@ def test_params_reject_non_finite_values(field, value):
         small_params(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k", 4.0), ("m", 64.5), ("n", 100.5), ("r", 2.5), ("r", True), ("a", 3.0),
+    ("i_max", 3.5), ("seed", 1.5), ("seed", np.True_),
+])
+def test_params_reject_non_integer_integer_fields(field, value):
+    # a float, even an integral one, or a bool in an integer field is a
+    # ValueError that names the field, not a later TypeError
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value}$"):
+        small_params(**{field: value})
+
+
+def test_params_take_numpy_integers_as_ints():
+    g = small_params(k=np.int64(4), m=np.uint16(64), n=np.int32(1000), r=np.int8(9),
+                     a=np.int64(3), i_max=np.uint8(20), seed=np.uint64(2**63))
+    got = (g.k, g.m, g.n, g.r, g.a, g.i_max, g.seed)
+    assert got == (4, 64, 1000, 9, 3, 20, 2**63)
+    assert all(type(x) is int for x in got)
+
+
 @pytest.mark.parametrize("kw", [dict(i_max=-1), dict(i_max=-7), dict(i_max=-1, a=1)])
 def test_params_reject_negative_i_max(kw):
     with pytest.raises(ValueError, match=r"^i_max must be >= 0, got -"):
